@@ -3,6 +3,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/gcm_impl.h"
+
 namespace triad::crypto {
 namespace {
 
@@ -40,14 +42,15 @@ constexpr std::uint8_t xtime(std::uint8_t x) {
 
 /// T-table for the fused SubBytes+ShiftRows+MixColumns round: entry x of
 /// table r is the MixColumns image of S[x] rotated into row r, so one
-/// round is 16 table lookups + XORs instead of byte-wise field math
-/// (~4x on the CI box; bench_micro_crypto pins the numbers).
+/// round is 16 table lookups + XORs instead of byte-wise field math.
 ///
-/// Like the byte-wise code it replaces, lookups are data-dependent and
-/// therefore not cache-timing hardened — fine here: this cipher stands
-/// in for SGX's AES-NI inside a *model*, and the modeled attacker (the
-/// OS/network) manipulates timing of *messages*, never shares a cache
-/// with enclave key material.
+/// This is the portable backend: the fallback on CPUs without AES-NI and
+/// the oracle the differential test checks the hardware path against.
+/// Its lookups are indexed by secret state and therefore not
+/// cache-timing hardened — acceptable for a fallback inside this model,
+/// whose attacker (the OS/network) times messages and never shares a
+/// cache with enclave key material. The AES-NI path, which every CPU
+/// with the instructions runs, has no secret-indexed lookups.
 constexpr std::array<std::uint32_t, 256> make_te(int rotate_bytes) {
   std::array<std::uint32_t, 256> table{};
   for (int i = 0; i < 256; ++i) {
@@ -83,6 +86,56 @@ void store_be32(std::uint32_t v, std::uint8_t* p) {
   p[2] = static_cast<std::uint8_t>(v >> 8);
   p[3] = static_cast<std::uint8_t>(v);
 }
+
+void t_table_encrypt(const std::uint32_t* rk, const std::uint8_t* in,
+                     std::uint8_t* out) {
+  std::uint32_t s0 = load_be32(in) ^ rk[0];
+  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
+
+  for (std::size_t round = 1; round < 14; ++round) {
+    rk += 4;
+    const std::uint32_t t0 = kTe0[s0 >> 24] ^ kTe1[(s1 >> 16) & 0xff] ^
+                             kTe2[(s2 >> 8) & 0xff] ^ kTe3[s3 & 0xff] ^ rk[0];
+    const std::uint32_t t1 = kTe0[s1 >> 24] ^ kTe1[(s2 >> 16) & 0xff] ^
+                             kTe2[(s3 >> 8) & 0xff] ^ kTe3[s0 & 0xff] ^ rk[1];
+    const std::uint32_t t2 = kTe0[s2 >> 24] ^ kTe1[(s3 >> 16) & 0xff] ^
+                             kTe2[(s0 >> 8) & 0xff] ^ kTe3[s1 & 0xff] ^ rk[2];
+    const std::uint32_t t3 = kTe0[s3 >> 24] ^ kTe1[(s0 >> 16) & 0xff] ^
+                             kTe2[(s1 >> 8) & 0xff] ^ kTe3[s2 & 0xff] ^ rk[3];
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+
+  // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
+  rk += 4;
+  const auto sub_word = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                           std::uint32_t d) {
+    return (static_cast<std::uint32_t>(kSbox[a >> 24]) << 24) |
+           (static_cast<std::uint32_t>(kSbox[(b >> 16) & 0xff]) << 16) |
+           (static_cast<std::uint32_t>(kSbox[(c >> 8) & 0xff]) << 8) |
+           static_cast<std::uint32_t>(kSbox[d & 0xff]);
+  };
+  store_be32(sub_word(s0, s1, s2, s3) ^ rk[0], out);
+  store_be32(sub_word(s1, s2, s3, s0) ^ rk[1], out + 4);
+  store_be32(sub_word(s2, s3, s0, s1) ^ rk[2], out + 8);
+  store_be32(sub_word(s3, s0, s1, s2) ^ rk[3], out + 12);
+}
+
+#if defined(__x86_64__)
+TRIAD_CRYPTO_HW_TARGET void aesni_encrypt_block(const std::uint8_t* schedule,
+                                                const std::uint8_t* in,
+                                                std::uint8_t* out) {
+  __m128i rk[15];
+  detail::load_round_keys(schedule, rk);
+  __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
+  detail::aesni_encrypt<1>(&block, rk);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), block);
+}
+#endif
 
 }  // namespace
 
@@ -122,41 +175,7 @@ void Aes256::expand_key(const std::uint8_t* key) {
 }
 
 void Aes256::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  const std::uint32_t* rk = round_keys_words_.data();
-  std::uint32_t s0 = load_be32(in) ^ rk[0];
-  std::uint32_t s1 = load_be32(in + 4) ^ rk[1];
-  std::uint32_t s2 = load_be32(in + 8) ^ rk[2];
-  std::uint32_t s3 = load_be32(in + 12) ^ rk[3];
-
-  for (std::size_t round = 1; round < 14; ++round) {
-    rk += 4;
-    const std::uint32_t t0 = kTe0[s0 >> 24] ^ kTe1[(s1 >> 16) & 0xff] ^
-                             kTe2[(s2 >> 8) & 0xff] ^ kTe3[s3 & 0xff] ^ rk[0];
-    const std::uint32_t t1 = kTe0[s1 >> 24] ^ kTe1[(s2 >> 16) & 0xff] ^
-                             kTe2[(s3 >> 8) & 0xff] ^ kTe3[s0 & 0xff] ^ rk[1];
-    const std::uint32_t t2 = kTe0[s2 >> 24] ^ kTe1[(s3 >> 16) & 0xff] ^
-                             kTe2[(s0 >> 8) & 0xff] ^ kTe3[s1 & 0xff] ^ rk[2];
-    const std::uint32_t t3 = kTe0[s3 >> 24] ^ kTe1[(s0 >> 16) & 0xff] ^
-                             kTe2[(s1 >> 8) & 0xff] ^ kTe3[s2 & 0xff] ^ rk[3];
-    s0 = t0;
-    s1 = t1;
-    s2 = t2;
-    s3 = t3;
-  }
-
-  // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-  rk += 4;
-  const auto sub_word = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
-                           std::uint32_t d) {
-    return (static_cast<std::uint32_t>(kSbox[a >> 24]) << 24) |
-           (static_cast<std::uint32_t>(kSbox[(b >> 16) & 0xff]) << 16) |
-           (static_cast<std::uint32_t>(kSbox[(c >> 8) & 0xff]) << 8) |
-           static_cast<std::uint32_t>(kSbox[d & 0xff]);
-  };
-  store_be32(sub_word(s0, s1, s2, s3) ^ rk[0], out);
-  store_be32(sub_word(s1, s2, s3, s0) ^ rk[1], out + 4);
-  store_be32(sub_word(s2, s3, s0, s1) ^ rk[2], out + 8);
-  store_be32(sub_word(s3, s0, s1, s2) ^ rk[3], out + 12);
+  detail::Backends::encrypt_block(detail::active_backend(), *this, in, out);
 }
 
 AesBlock Aes256::encrypt_block(const AesBlock& in) const {
@@ -165,4 +184,34 @@ AesBlock Aes256::encrypt_block(const AesBlock& in) const {
   return out;
 }
 
+namespace detail {
+
+bool hardware_supported() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+         __builtin_cpu_supports("ssse3");
+#else
+  return false;
+#endif
+}
+
+Backend active_backend() {
+  static const Backend backend =
+      hardware_supported() ? Backend::kHardware : Backend::kPortable;
+  return backend;
+}
+
+void Backends::encrypt_block(Backend backend, const Aes256& aes,
+                             const std::uint8_t* in, std::uint8_t* out) {
+#if defined(__x86_64__)
+  if (backend == Backend::kHardware) {
+    aesni_encrypt_block(aes.round_keys_.data(), in, out);
+    return;
+  }
+#endif
+  t_table_encrypt(aes.round_keys_words_.data(), in, out);
+}
+
+}  // namespace detail
 }  // namespace triad::crypto

@@ -1,7 +1,5 @@
 #include "crypto/channel.h"
 
-#include <cstring>
-
 #include "crypto/hmac.h"
 #include "obs/prof.h"
 #include "util/bytes.h"
@@ -10,24 +8,31 @@ namespace triad::crypto {
 namespace {
 
 // Frame layout (all fixed width, little-endian):
-//   sender   u32
-//   receiver u32
-//   counter  u64
+//   sender   u32  -+
+//   receiver u32   | AAD: the frame's first kAadSize bytes
+//   counter  u64  -+
 //   ct_len   u32
 //   ct       ct_len bytes
 //   tag      16 bytes
-constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
+constexpr std::size_t kAadSize = 4 + 4 + 8;
+constexpr std::size_t kHeaderSize = kAadSize + 4;
+
+void put_le(std::uint8_t* p, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+std::uint64_t get_le(const std::uint8_t* p, int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
 
 GcmIv make_iv(NodeId sender, std::uint64_t counter) {
   GcmIv iv{};
-  for (int i = 0; i < 4; ++i) {
-    iv[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(sender >> (8 * i));
-  }
-  for (int i = 0; i < 8; ++i) {
-    iv[4 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(counter >> (8 * i));
-  }
+  put_le(iv.data(), sender, 4);
+  put_le(iv.data() + 4, counter, 8);
   return iv;
 }
 
@@ -67,24 +72,18 @@ const Aes256Gcm& SecureChannel::cipher_for(NodeId sender, NodeId receiver) {
 Bytes SecureChannel::seal(NodeId receiver, BytesView plaintext) {
   PROF_SCOPE("crypto/channel_seal");
   const std::uint64_t counter = ++send_counters_[receiver];
-  const GcmIv iv = make_iv(self_, counter);
-
-  ByteWriter aad;
-  aad.put_u32(self_);
-  aad.put_u32(receiver);
-  aad.put_u64(counter);
-
-  const GcmSealed sealed =
-      cipher_for(self_, receiver).seal(iv, plaintext, aad.data());
-
-  ByteWriter frame;
-  frame.put_u32(self_);
-  frame.put_u32(receiver);
-  frame.put_u64(counter);
-  frame.put_u32(static_cast<std::uint32_t>(sealed.ciphertext.size()));
-  frame.put_bytes(sealed.ciphertext);
-  frame.put_bytes(BytesView(sealed.tag.data(), sealed.tag.size()));
-  return frame.take();
+  // One allocation: the header is written in place and GCM encrypts
+  // straight into the frame behind it.
+  Bytes frame(kHeaderSize + plaintext.size() + kGcmTagSize);
+  std::uint8_t* p = frame.data();
+  put_le(p, self_, 4);
+  put_le(p + 4, receiver, 4);
+  put_le(p + 8, counter, 8);
+  put_le(p + kAadSize, plaintext.size(), 4);
+  cipher_for(self_, receiver)
+      .seal_to(make_iv(self_, counter), plaintext, BytesView(p, kAadSize),
+               p + kHeaderSize, p + kHeaderSize + plaintext.size());
+  return frame;
 }
 
 std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
@@ -95,37 +94,32 @@ std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
     return std::nullopt;
   };
 
-  NodeId sender = 0;
-  NodeId receiver = 0;
-  std::uint64_t counter = 0;
-  Bytes ciphertext;
-  GcmTag tag;
-  try {
-    ByteReader reader(frame);
-    sender = reader.get_u32();
-    receiver = reader.get_u32();
-    counter = reader.get_u64();
-    const std::uint32_t ct_len = reader.get_u32();
-    ciphertext = reader.get_bytes(ct_len);
-    const Bytes tag_bytes = reader.get_bytes(kGcmTagSize);
-    std::memcpy(tag.data(), tag_bytes.data(), kGcmTagSize);
-    reader.expect_end();
-  } catch (const DecodeError&) {
+  // The frame must be exactly header + ct_len + tag: nothing missing,
+  // nothing trailing. Checked by subtraction, so no ct_len overflows.
+  if (frame.size() < kHeaderSize + kGcmTagSize) {
     return fail(OpenError::kMalformed);
   }
-  (void)kHeaderSize;
+  const std::uint8_t* p = frame.data();
+  const std::uint64_t ct_len = get_le(p + kAadSize, 4);
+  if (frame.size() - kHeaderSize - kGcmTagSize != ct_len) {
+    return fail(OpenError::kMalformed);
+  }
+  const auto sender = static_cast<NodeId>(get_le(p, 4));
+  const auto receiver = static_cast<NodeId>(get_le(p + 4, 4));
+  const std::uint64_t counter = get_le(p + 8, 8);
 
   if (receiver != self_) return fail(OpenError::kWrongReceiver);
 
-  ByteWriter aad;
-  aad.put_u32(sender);
-  aad.put_u32(receiver);
-  aad.put_u64(counter);
-
-  const GcmIv iv = make_iv(sender, counter);
-  auto plaintext =
-      cipher_for(sender, receiver).open(iv, ciphertext, aad.data(), tag);
-  if (!plaintext) return fail(OpenError::kAuthFailed);
+  // Authenticate on views into the frame; the plaintext is allocated only
+  // once the tag checks out.
+  Bytes plaintext;
+  if (!cipher_for(sender, receiver)
+           .open_to(make_iv(sender, counter),
+                    frame.subspan(kHeaderSize, ct_len),
+                    frame.first(kAadSize), p + kHeaderSize + ct_len,
+                    plaintext)) {
+    return fail(OpenError::kAuthFailed);
+  }
 
   // Replay check happens only after authentication so an attacker cannot
   // advance the window with forged counters.
@@ -133,7 +127,7 @@ std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
     return fail(OpenError::kReplayed);
   }
 
-  return Opened{sender, std::move(*plaintext)};
+  return Opened{sender, std::move(plaintext)};
 }
 
 bool SecureChannel::ReplayWindow::accept(std::uint64_t counter) {

@@ -1,7 +1,9 @@
 #include "crypto/gcm.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/gcm_impl.h"
 #include "obs/prof.h"
 
 namespace triad::crypto {
@@ -73,12 +75,283 @@ void increment32(std::uint8_t* counter_block) {
   }
 }
 
+/// Pre-counter block J0 for a 96-bit IV: IV || 0^31 || 1.
+void make_j0(const GcmIv& iv, std::uint8_t* j0) {
+  std::memcpy(j0, iv.data(), kGcmIvSize);
+  j0[12] = j0[13] = j0[14] = 0;
+  j0[15] = 1;
+}
+
 bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
                          std::size_t n) {
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < n; ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
+
+// ---- Portable backend: T-table AES, Shoup GHASH. ----
+
+void portable_encrypt(const Aes256& aes, const std::uint8_t* in,
+                      std::uint8_t* out) {
+  detail::Backends::encrypt_block(detail::Backend::kPortable, aes, in, out);
+}
+
+Block128 portable_ghash(const std::array<Block128, 16>& h_table,
+                        BytesView aad, BytesView ciphertext) {
+  Block128 y{0, 0};
+  auto absorb = [&](BytesView data) {
+    std::size_t offset = 0;
+    while (offset + 16 <= data.size()) {
+      const Block128 x = load_block(data.data() + offset);
+      y[0] ^= x[0];
+      y[1] ^= x[1];
+      y = gf_mul(y, h_table);
+      offset += 16;
+    }
+    if (offset < data.size()) {
+      std::uint8_t block[16] = {};
+      std::memcpy(block, data.data() + offset, data.size() - offset);
+      const Block128 x = load_block(block);
+      y[0] ^= x[0];
+      y[1] ^= x[1];
+      y = gf_mul(y, h_table);
+    }
+  };
+  absorb(aad);
+  absorb(ciphertext);
+  // Length block: 64-bit bit-lengths of AAD and ciphertext.
+  Block128 lens{static_cast<std::uint64_t>(aad.size()) * 8,
+                static_cast<std::uint64_t>(ciphertext.size()) * 8};
+  y[0] ^= lens[0];
+  y[1] ^= lens[1];
+  return gf_mul(y, h_table);
+}
+
+/// CTR over `in` into `out`, counters from J0 + 1.
+void portable_ctr(const Aes256& aes, const GcmIv& iv, BytesView in,
+                  std::uint8_t* out) {
+  std::uint8_t counter[16];
+  make_j0(iv, counter);
+  std::size_t offset = 0;
+  while (offset < in.size()) {
+    increment32(counter);
+    std::uint8_t keystream[16];
+    portable_encrypt(aes, counter, keystream);
+    const std::size_t take = std::min<std::size_t>(16, in.size() - offset);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[offset + i] = in[offset + i] ^ keystream[i];
+    }
+    offset += take;
+  }
+}
+
+void portable_tag(const Aes256& aes, const std::array<Block128, 16>& h_table,
+                  const GcmIv& iv, BytesView aad, BytesView ciphertext,
+                  std::uint8_t* tag) {
+  const Block128 s = portable_ghash(h_table, aad, ciphertext);
+  std::uint8_t j0[16];
+  make_j0(iv, j0);
+  std::uint8_t ekj0[16];
+  portable_encrypt(aes, j0, ekj0);
+  std::uint8_t s_bytes[16];
+  store_block(s, s_bytes);
+  for (std::size_t i = 0; i < kGcmTagSize; ++i) tag[i] = ekj0[i] ^ s_bytes[i];
+}
+
+// ---- Hardware backend: AES-NI, PCLMULQDQ GHASH. ----
+//
+// Field elements live in __m128i in byte-reflected form: the 16 bytes of
+// a block reversed, so the register holds the block as one big-endian
+// 128-bit integer (H is h_table_[8]'s hi:lo halves). Counter blocks stay
+// byte-reversed too, which puts GCM's 32-bit big-endian counter in lane 0
+// where _mm_add_epi32 is exactly inc32.
+
+#if defined(__x86_64__)
+
+TRIAD_CRYPTO_HW_TARGET inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+TRIAD_CRYPTO_HW_TARGET inline void store16(std::uint8_t* p, __m128i x) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), x);
+}
+
+TRIAD_CRYPTO_HW_TARGET inline __m128i reverse_bytes(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+/// First `n` < 16 bytes of `p`, zero-padded to a block.
+TRIAD_CRYPTO_HW_TARGET inline __m128i load_partial(const std::uint8_t* p,
+                                                   std::size_t n) {
+  std::uint8_t block[16] = {};
+  std::memcpy(block, p, n);
+  return load16(block);
+}
+
+/// GF(2^128) product of two byte-reflected elements: the gfmul code
+/// sample (Algorithms 1 and 5) of Gueron & Kounavis, "Intel Carry-Less
+/// Multiplication Instruction and its Usage for Computing the GCM Mode".
+/// Four PCLMULQDQ give the 256-bit carry-less product, a one-bit left
+/// shift undoes GCM's bit reflection, and two shift-and-XOR phases reduce
+/// by x^128 + x^7 + x^2 + x + 1.
+TRIAD_CRYPTO_HW_TARGET inline __m128i clmul_gf_mul(__m128i a, __m128i b) {
+  __m128i lo = _mm_clmulepi64_si128(a, b, 0x00);
+  __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
+                              _mm_clmulepi64_si128(a, b, 0x01));
+  __m128i hi = _mm_clmulepi64_si128(a, b, 0x11);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(mid, 8));
+  hi = _mm_xor_si128(hi, _mm_srli_si128(mid, 8));
+
+  // Shift the 256-bit product hi:lo left by one bit.
+  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
+  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
+  lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
+  hi = _mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hi_carry, 4));
+  hi = _mm_or_si128(hi, _mm_srli_si128(lo_carry, 12));
+
+  // Reduction, first phase.
+  __m128i t = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  const __m128i carry = _mm_srli_si128(t, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(t, 12));
+  // Second phase.
+  t = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_xor_si128(_mm_srli_epi32(lo, 7), carry));
+  return _mm_xor_si128(hi, _mm_xor_si128(lo, t));
+}
+
+TRIAD_CRYPTO_HW_TARGET inline __m128i ghash_block(__m128i y, __m128i h,
+                                                  __m128i block) {
+  return clmul_gf_mul(_mm_xor_si128(y, reverse_bytes(block)), h);
+}
+
+TRIAD_CRYPTO_HW_TARGET __m128i ghash_absorb(__m128i y, __m128i h,
+                                            BytesView data) {
+  const std::size_t full = data.size() & ~std::size_t{15};
+  for (std::size_t offset = 0; offset < full; offset += 16) {
+    y = ghash_block(y, h, load16(data.data() + offset));
+  }
+  if (full < data.size()) {
+    y = ghash_block(y, h, load_partial(data.data() + full, data.size() - full));
+  }
+  return y;
+}
+
+/// Absorbs the length block and returns the GHASH output, byte order
+/// restored.
+TRIAD_CRYPTO_HW_TARGET inline __m128i ghash_finish(__m128i y, __m128i h,
+                                                   std::size_t aad_size,
+                                                   std::size_t ct_size) {
+  const __m128i lengths =
+      _mm_set_epi64x(static_cast<long long>(aad_size * 8),
+                     static_cast<long long>(ct_size * 8));
+  return reverse_bytes(clmul_gf_mul(_mm_xor_si128(y, lengths), h));
+}
+
+/// J0 in the byte-reversed counter form.
+TRIAD_CRYPTO_HW_TARGET inline __m128i counter_j0(const GcmIv& iv) {
+  std::uint8_t j0[16];
+  make_j0(iv, j0);
+  return reverse_bytes(load16(j0));
+}
+
+/// Encrypts the four counter blocks from *counter into `keystream` and
+/// advances *counter past them.
+TRIAD_CRYPTO_HW_TARGET inline void next_keystream(const __m128i* rk,
+                                                  __m128i* counter,
+                                                  __m128i* keystream) {
+  const __m128i one = _mm_set_epi32(0, 0, 0, 1);
+  for (int i = 0; i < 4; ++i) {
+    keystream[i] = reverse_bytes(*counter);
+    *counter = _mm_add_epi32(*counter, one);
+  }
+  detail::aesni_encrypt<4>(keystream, rk);
+}
+
+/// XORs the CTR keystream for J0 + 1, J0 + 2, ... over `in` into `out`
+/// and returns E_K(J0), the tag mask. AES runs four counters per batch,
+/// J0 first, so the tag mask costs no extra pass. With `y` set, each
+/// ciphertext block (the output: this is seal) is absorbed into the GHASH
+/// state *y as it is produced.
+TRIAD_CRYPTO_HW_TARGET __attribute__((always_inline)) inline __m128i
+ctr_crypt(const __m128i* rk, const GcmIv& iv, BytesView in, std::uint8_t* out,
+          __m128i h, __m128i* y) {
+  __m128i counter = counter_j0(iv);
+  __m128i keystream[4];
+  next_keystream(rk, &counter, keystream);
+  const __m128i ekj0 = keystream[0];
+  std::size_t next = 1;  // keystream[next] is the next unused block
+  for (std::size_t offset = 0; offset < in.size(); offset += 16) {
+    if (next == 4) {
+      next_keystream(rk, &counter, keystream);
+      next = 0;
+    }
+    const std::size_t take = std::min<std::size_t>(16, in.size() - offset);
+    __m128i block;
+    if (take == 16) {
+      block = _mm_xor_si128(load16(in.data() + offset), keystream[next]);
+      store16(out + offset, block);
+    } else {
+      std::uint8_t tail[16] = {};
+      std::memcpy(tail, in.data() + offset, take);
+      store16(tail, _mm_xor_si128(load16(tail), keystream[next]));
+      std::memcpy(out + offset, tail, take);
+      std::memset(tail + take, 0, 16 - take);  // GHASH pads with zeros
+      block = load16(tail);
+    }
+    if (y != nullptr) *y = ghash_block(*y, h, block);
+    ++next;
+  }
+  return ekj0;
+}
+
+TRIAD_CRYPTO_HW_TARGET void hardware_seal(const std::uint8_t* schedule,
+                                          const Block128& h_words,
+                                          const GcmIv& iv,
+                                          BytesView plaintext, BytesView aad,
+                                          std::uint8_t* ciphertext,
+                                          std::uint8_t* tag) {
+  __m128i rk[15];
+  detail::load_round_keys(schedule, rk);
+  const __m128i h = _mm_set_epi64x(static_cast<long long>(h_words[0]),
+                                   static_cast<long long>(h_words[1]));
+  __m128i y = ghash_absorb(_mm_setzero_si128(), h, aad);
+  const __m128i ekj0 = ctr_crypt(rk, iv, plaintext, ciphertext, h, &y);
+  store16(tag, _mm_xor_si128(
+                   ghash_finish(y, h, aad.size(), plaintext.size()), ekj0));
+}
+
+/// Checks the tag, then (only on success) decrypts into `plaintext`.
+TRIAD_CRYPTO_HW_TARGET bool hardware_open(const std::uint8_t* schedule,
+                                          const Block128& h_words,
+                                          const GcmIv& iv,
+                                          BytesView ciphertext, BytesView aad,
+                                          const std::uint8_t* tag,
+                                          Bytes& plaintext) {
+  __m128i rk[15];
+  detail::load_round_keys(schedule, rk);
+  const __m128i h = _mm_set_epi64x(static_cast<long long>(h_words[0]),
+                                   static_cast<long long>(h_words[1]));
+  std::uint8_t j0[16];
+  make_j0(iv, j0);
+  __m128i ekj0 = load16(j0);
+  detail::aesni_encrypt<1>(&ekj0, rk);
+  __m128i y = ghash_absorb(_mm_setzero_si128(), h, aad);
+  y = ghash_absorb(y, h, ciphertext);
+  const __m128i expected =
+      _mm_xor_si128(ghash_finish(y, h, aad.size(), ciphertext.size()), ekj0);
+  // Constant time: every byte is compared, no early exit.
+  const __m128i equal = _mm_cmpeq_epi8(expected, load16(tag));
+  if (_mm_movemask_epi8(equal) != 0xffff) return false;
+  plaintext.resize(ciphertext.size());
+  (void)ctr_crypt(rk, iv, ciphertext, plaintext.data(), h, nullptr);
+  return true;
+}
+
+#endif  // defined(__x86_64__)
 
 }  // namespace
 
@@ -101,90 +374,70 @@ Aes256Gcm::Aes256Gcm(BytesView key) : aes_(key) {
   }
 }
 
-Aes256Gcm::Block128 Aes256Gcm::ghash(BytesView aad,
-                                     BytesView ciphertext) const {
-  Block128 y{0, 0};
-  auto absorb = [&](BytesView data) {
-    std::size_t offset = 0;
-    while (offset + 16 <= data.size()) {
-      const Block128 x = load_block(data.data() + offset);
-      y[0] ^= x[0];
-      y[1] ^= x[1];
-      y = gf_mul(y, h_table_);
-      offset += 16;
-    }
-    if (offset < data.size()) {
-      std::uint8_t block[16] = {};
-      std::memcpy(block, data.data() + offset, data.size() - offset);
-      const Block128 x = load_block(block);
-      y[0] ^= x[0];
-      y[1] ^= x[1];
-      y = gf_mul(y, h_table_);
-    }
-  };
-  absorb(aad);
-  absorb(ciphertext);
-  // Length block: 64-bit bit-lengths of AAD and ciphertext.
-  Block128 lens{static_cast<std::uint64_t>(aad.size()) * 8,
-                static_cast<std::uint64_t>(ciphertext.size()) * 8};
-  y[0] ^= lens[0];
-  y[1] ^= lens[1];
-  return gf_mul(y, h_table_);
-}
-
-void Aes256Gcm::ctr_crypt(const GcmIv& iv, BytesView in, Bytes& out) const {
-  std::uint8_t counter[16] = {};
-  std::memcpy(counter, iv.data(), kGcmIvSize);
-  counter[15] = 1;  // J0 for 96-bit IV
-
-  out.resize(in.size());
-  std::size_t offset = 0;
-  while (offset < in.size()) {
-    increment32(counter);
-    std::uint8_t keystream[16];
-    aes_.encrypt_block(counter, keystream);
-    const std::size_t take = std::min<std::size_t>(16, in.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) {
-      out[offset + i] = in[offset + i] ^ keystream[i];
-    }
-    offset += take;
-  }
-}
-
-GcmTag Aes256Gcm::compute_tag(const GcmIv& iv, BytesView aad,
-                              BytesView ciphertext) const {
-  const Block128 s = ghash(aad, ciphertext);
-  std::uint8_t j0[16] = {};
-  std::memcpy(j0, iv.data(), kGcmIvSize);
-  j0[15] = 1;
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
-  std::uint8_t s_bytes[16];
-  store_block(s, s_bytes);
-  GcmTag tag;
-  for (std::size_t i = 0; i < kGcmTagSize; ++i) tag[i] = ekj0[i] ^ s_bytes[i];
-  return tag;
-}
-
 GcmSealed Aes256Gcm::seal(const GcmIv& iv, BytesView plaintext,
                           BytesView aad) const {
-  PROF_SCOPE("crypto/gcm_seal");
   GcmSealed sealed;
-  ctr_crypt(iv, plaintext, sealed.ciphertext);
-  sealed.tag = compute_tag(iv, aad, sealed.ciphertext);
+  sealed.ciphertext.resize(plaintext.size());
+  seal_to(iv, plaintext, aad, sealed.ciphertext.data(), sealed.tag.data());
   return sealed;
 }
 
 std::optional<Bytes> Aes256Gcm::open(const GcmIv& iv, BytesView ciphertext,
                                      BytesView aad, const GcmTag& tag) const {
-  PROF_SCOPE("crypto/gcm_open");
-  const GcmTag expected = compute_tag(iv, aad, ciphertext);
-  if (!constant_time_equal(expected.data(), tag.data(), kGcmTagSize)) {
+  Bytes plaintext;
+  if (!open_to(iv, ciphertext, aad, tag.data(), plaintext)) {
     return std::nullopt;
   }
-  Bytes plaintext;
-  ctr_crypt(iv, ciphertext, plaintext);
   return plaintext;
 }
 
+void Aes256Gcm::seal_to(const GcmIv& iv, BytesView plaintext, BytesView aad,
+                        std::uint8_t* ciphertext, std::uint8_t* tag) const {
+  PROF_SCOPE("crypto/gcm_seal");
+  detail::Backends::seal(detail::active_backend(), *this, iv, plaintext, aad,
+                         ciphertext, tag);
+}
+
+bool Aes256Gcm::open_to(const GcmIv& iv, BytesView ciphertext, BytesView aad,
+                        const std::uint8_t* tag, Bytes& plaintext) const {
+  PROF_SCOPE("crypto/gcm_open");
+  return detail::Backends::open(detail::active_backend(), *this, iv,
+                                ciphertext, aad, tag, plaintext);
+}
+
+namespace detail {
+
+void Backends::seal(Backend backend, const Aes256Gcm& gcm, const GcmIv& iv,
+                    BytesView plaintext, BytesView aad,
+                    std::uint8_t* ciphertext, std::uint8_t* tag) {
+#if defined(__x86_64__)
+  if (backend == Backend::kHardware) {
+    hardware_seal(gcm.aes_.round_keys_.data(), gcm.h_table_[8], iv,
+                  plaintext, aad, ciphertext, tag);
+    return;
+  }
+#endif
+  portable_ctr(gcm.aes_, iv, plaintext, ciphertext);
+  portable_tag(gcm.aes_, gcm.h_table_, iv, aad,
+               BytesView(ciphertext, plaintext.size()), tag);
+}
+
+bool Backends::open(Backend backend, const Aes256Gcm& gcm, const GcmIv& iv,
+                    BytesView ciphertext, BytesView aad,
+                    const std::uint8_t* tag, Bytes& plaintext) {
+#if defined(__x86_64__)
+  if (backend == Backend::kHardware) {
+    return hardware_open(gcm.aes_.round_keys_.data(), gcm.h_table_[8], iv,
+                         ciphertext, aad, tag, plaintext);
+  }
+#endif
+  std::uint8_t expected[kGcmTagSize];
+  portable_tag(gcm.aes_, gcm.h_table_, iv, aad, ciphertext, expected);
+  if (!constant_time_equal(expected, tag, kGcmTagSize)) return false;
+  plaintext.resize(ciphertext.size());
+  portable_ctr(gcm.aes_, iv, ciphertext, plaintext.data());
+  return true;
+}
+
+}  // namespace detail
 }  // namespace triad::crypto

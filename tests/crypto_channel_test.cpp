@@ -1,12 +1,35 @@
 // SecureChannel: key derivation, framing, authentication, replay and
 // misdelivery handling — the guarantees the Triad attacker must NOT be
-// able to break (it can only delay/drop/reorder).
+// able to break (it can only delay/drop/reorder) — plus the frame
+// parser's length rules and the channel's allocation budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "crypto/channel.h"
+
+// This binary replaces the global operator new so a test can count heap
+// allocations around one call.
+namespace {
+std::atomic<long> g_allocations{0};
+
+void* counted_allocate(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace triad::crypto {
 namespace {
@@ -176,6 +199,100 @@ TEST_F(SecureChannelTest, EmptyPayloadSupported) {
   const auto opened = bob_.open(alice_.seal(2, Bytes{}));
   ASSERT_TRUE(opened.has_value());
   EXPECT_TRUE(opened->plaintext.empty());
+}
+
+// ---- Frame parser: exact length, header first ----
+//
+// Frame layout: sender u32, receiver u32, counter u64, ct_len u32 (all
+// little-endian), ciphertext, 16-byte tag.
+
+constexpr std::size_t kCtLenOffset = 16;
+constexpr std::size_t kFrameOverhead = 20 + kGcmTagSize;
+
+void set_ct_len(Bytes& frame, std::uint32_t ct_len) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[kCtLenOffset + i] = static_cast<std::uint8_t>(ct_len >> (8 * i));
+  }
+}
+
+OpenError open_error(SecureChannel& channel, const Bytes& frame) {
+  OpenError err{};
+  EXPECT_FALSE(channel.open(frame, &err).has_value());
+  return err;
+}
+
+TEST_F(SecureChannelTest, FrameIsHeaderPlusCiphertextPlusTag) {
+  const Bytes frame = alice_.seal(2, Bytes(5, 0x11));
+  ASSERT_EQ(frame.size(), kFrameOverhead + 5);
+  EXPECT_EQ(frame[kCtLenOffset], 5);
+}
+
+TEST_F(SecureChannelTest, HeaderOnlyFrameMalformed) {
+  Bytes frame = alice_.seal(2, Bytes{});
+  frame.resize(20);  // header with ct_len 0, no tag
+  EXPECT_EQ(open_error(bob_, frame), OpenError::kMalformed);
+}
+
+TEST_F(SecureChannelTest, CiphertextLengthPastFrameMalformed) {
+  Bytes frame = alice_.seal(2, Bytes{1, 2, 3, 4});
+  set_ct_len(frame, 5);
+  EXPECT_EQ(open_error(bob_, frame), OpenError::kMalformed);
+}
+
+TEST_F(SecureChannelTest, CiphertextLengthOverflowMalformed) {
+  Bytes frame = alice_.seal(2, Bytes{1, 2, 3, 4});
+  set_ct_len(frame, 0xFFFFFFFFu);
+  EXPECT_EQ(open_error(bob_, frame), OpenError::kMalformed);
+}
+
+TEST_F(SecureChannelTest, TrailingByteMalformed) {
+  Bytes frame = alice_.seal(2, Bytes{1, 2, 3, 4});
+  frame.push_back(0);
+  EXPECT_EQ(open_error(bob_, frame), OpenError::kMalformed);
+}
+
+TEST_F(SecureChannelTest, ShortTagMalformed) {
+  Bytes frame = alice_.seal(2, Bytes{1, 2, 3, 4});
+  frame.pop_back();  // ct_len still 4, so the tag is 15 bytes
+  EXPECT_EQ(open_error(bob_, frame), OpenError::kMalformed);
+}
+
+TEST_F(SecureChannelTest, WrongReceiverReportedBeforeAuthentication) {
+  Bytes frame = alice_.seal(2, Bytes{1});
+  frame.back() ^= 0x01;  // forged tag: authentication would fail
+  EXPECT_EQ(open_error(carol_, frame), OpenError::kWrongReceiver);
+}
+
+// ---- Allocation budget ----
+
+TEST_F(SecureChannelTest, SealAndOpenAllocateOnlyTheirResults) {
+  const Bytes message(64, 0x42);
+  // Warm-up: derives the direction key and creates the send counter and
+  // the replay window.
+  ASSERT_TRUE(bob_.open(alice_.seal(2, message)).has_value());
+
+  long before = g_allocations.load();
+  const Bytes frame = alice_.seal(2, message);
+  const long seal_allocations = g_allocations.load() - before;
+
+  Bytes forged = frame;
+  forged.back() ^= 0x01;
+  OpenError err{};
+  before = g_allocations.load();
+  const bool forged_opened = bob_.open(forged, &err).has_value();
+  const long forged_allocations = g_allocations.load() - before;
+
+  before = g_allocations.load();
+  const auto opened = bob_.open(frame);
+  const long open_allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(seal_allocations, 1) << "seal: only the returned frame";
+  EXPECT_FALSE(forged_opened);
+  EXPECT_EQ(err, OpenError::kAuthFailed);
+  EXPECT_EQ(forged_allocations, 0) << "a forged frame allocates nothing";
+  EXPECT_EQ(open_allocations, 1) << "open: only the plaintext";
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(opened->plaintext, message);
 }
 
 }  // namespace

@@ -84,8 +84,9 @@ Config default_config() {
                   "src/campaign/aggregate.cpp", "src/exp/recorder.cpp",
                   "src/campaign/cli.cpp"};
   cfg.r4_files = {"src/sim/simulation.cpp", "src/net/network.cpp",
-                  "src/obs/trace.cpp", "src/runtime/env.cpp",
-                  "src/runtime/sim_env.cpp"};
+                  "src/obs/trace.cpp",      "src/runtime/env.cpp",
+                  "src/runtime/sim_env.cpp", "src/crypto/aes.cpp",
+                  "src/crypto/gcm.cpp",     "src/crypto/channel.cpp"};
   cfg.r4_banned = {"new",    "malloc",      "calloc",     "realloc",
                    "strdup", "make_unique", "make_shared", "function"};
   // R6 layer map. Longest prefix wins, so file-granular refinements
