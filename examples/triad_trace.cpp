@@ -8,6 +8,8 @@
 // standard online detectors, rebuilds causal spans, and prints the
 // attack-propagation report (obs/forensic.h). Output is byte-identical
 // for a given input: the report is a pure function of the event stream.
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,6 +31,13 @@ constexpr const char* kUsage =
     "                       (default 5.0)\n"
     "  --help               this text\n";
 
+// A finite, non-negative number of milliseconds; the whole text must parse.
+bool parse_min_jump_ms(const char* text, double* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc{} && ptr == end && std::isfinite(*out) && *out >= 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -43,7 +52,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--json") == 0) {
       options.json = true;
     } else if (std::strcmp(arg, "--min-jump-ms") == 0 && i + 1 < argc) {
-      options.min_jump_ms = std::atof(argv[++i]);
+      if (!parse_min_jump_ms(argv[++i], &options.min_jump_ms)) {
+        std::cerr << "triad_trace: bad --min-jump-ms " << argv[i] << "\n\n"
+                  << kUsage;
+        return 2;
+      }
     } else if (arg[0] == '-' && arg[1] != '\0') {
       std::cerr << "triad_trace: unknown option " << arg << "\n\n" << kUsage;
       return 2;

@@ -147,7 +147,7 @@ if [ "$adoptions_metric" != "$adoptions_summary" ]; then
   exit 1
 fi
 # The trace ring must have kept every event — a dropped event would make
-# the forensic reconstruction below unsound.
+# any forensic reconstruction of the trace unsound.
 dropped=$(awk '/^trace events:/ { gsub(/\)/, "", $NF); print $NF }' \
               "$ART"/obs_summary.txt)
 if [ "$dropped" != "0" ]; then
@@ -156,27 +156,6 @@ if [ "$dropped" != "0" ]; then
 fi
 echo "obs smoke ok: $adoptions_metric adoptions," \
      "$(wc -l < "$ART"/obs_trace.jsonl) trace events"
-
-# Detector smoke: on the paper seed the F- detectors must raise at least
-# one alarm, and raise it before the first significant clock jump — the
-# forensic report's "detection latency" is positive exactly then. The
-# report itself must be byte-deterministic across repeated reads.
-./"$BUILD_DIR"/examples/triad_trace "$ART"/obs_trace.jsonl \
-    > "$ART"/obs_forensic.txt \
-  || { echo "detector smoke: triad_trace failed" >&2; exit 1; }
-grep -q '^suspect: node 3' "$ART"/obs_forensic.txt \
-  || { echo "detector smoke: forensic report misses the victim" >&2
-       exit 1; }
-grep -q '^detection latency: +' "$ART"/obs_forensic.txt \
-  || { echo "detector smoke: no alarm before the first jump" >&2; exit 1; }
-./"$BUILD_DIR"/examples/triad_trace "$ART"/obs_trace.jsonl \
-    | cmp -s - "$ART"/obs_forensic.txt \
-  || { echo "detector smoke: forensic report not deterministic" >&2
-       exit 1; }
-echo "detector smoke ok:" \
-     "$(awk '/^alarms:/ { print $2 }' "$ART"/obs_forensic.txt) alarms," \
-     "$(awk '/^detection latency:/ { print $3 }' "$ART"/obs_forensic.txt)" \
-     "s lead"
 
 # Attack-free sweep: eight honest seeds must raise zero alarms — the
 # detectors' false-positive floor on clean runs.

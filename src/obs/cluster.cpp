@@ -1,39 +1,13 @@
 #include "obs/cluster.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
-#include "obs/detect.h"
+#include "obs/json.h"
+#include "obs/report.h"
 
 namespace triad::obs {
 namespace {
-
-// All numbers go through fixed printf formats so the report is
-// byte-deterministic for a given stream set.
-void append(std::string* out, const char* fmt, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buffer, std::min<std::size_t>(n, sizeof(buffer) - 1));
-}
-
-std::string span_str(SpanId id) {
-  std::string s;
-  append(&s, "%u:%u", span_node(id), span_seq(id));
-  return s;
-}
-
-NodeId infer_ta(const std::vector<TraceEvent>& events) {
-  for (const TraceEvent& event : events) {
-    if (event.type == TraceEventType::kTaServe) return event.node;
-  }
-  return 0;
-}
 
 struct NodeFacts {
   NodeId node = 0;
@@ -41,14 +15,7 @@ struct NodeFacts {
   bool has_slope = false;
   double f_hz = 0.0;
   double ppm_vs_median = 0.0;
-  std::vector<Alarm> alarms;
-  SimTime first_alarm_at = -1;
-};
-
-struct JumpFact {
-  const Span* span = nullptr;
-  double step_ms = 0.0;
-  std::vector<const Span*> chain;  // starts at `span`
+  DetectorReplay replay;
 };
 
 struct ClusterFacts {
@@ -79,13 +46,9 @@ ClusterFacts analyze(const std::vector<NodeStream>& streams,
     // The same replay triad_trace runs on this node's file alone: same
     // detectors, same per-stream TA inference — per-node verdicts here
     // and there are identical by construction.
-    DetectorConfig config = options.forensic.detector_config;
-    if (config.ta_address == 0) config.ta_address = infer_ta(stream.events);
-    DetectorBank bank(config, nullptr, nullptr);
-    for (const TraceEvent& event : stream.events) bank.emit(event);
-    facts.alarms = bank.alarms();
-    facts.first_alarm_at = bank.first_alarm_at();
-    c.total_alarms += facts.alarms.size();
+    facts.replay =
+        replay_detectors(stream.events, options.forensic.detector_config);
+    c.total_alarms += facts.replay.alarms.size();
 
     for (const TraceEvent& event : stream.events) {
       if (event.type == TraceEventType::kCalibration &&
@@ -102,56 +65,25 @@ ClusterFacts analyze(const std::vector<NodeStream>& streams,
     if (facts.has_slope) slopes.push_back(facts.f_hz);
   }
   c.slope_count = slopes.size();
-  if (!slopes.empty()) {
-    std::sort(slopes.begin(), slopes.end());
-    const std::size_t mid = slopes.size() / 2;
-    c.slope_median_hz = slopes.size() % 2 == 1
-                            ? slopes[mid]
-                            : 0.5 * (slopes[mid - 1] + slopes[mid]);
-    for (NodeFacts& facts : c.nodes) {
-      if (facts.has_slope) {
-        facts.ppm_vs_median =
-            (facts.f_hz - c.slope_median_hz) / c.slope_median_hz * 1e6;
-      }
+  c.slope_median_hz = median_of(slopes);
+  for (NodeFacts& facts : c.nodes) {
+    if (facts.has_slope) {
+      facts.ppm_vs_median =
+          (facts.f_hz - c.slope_median_hz) / c.slope_median_hz * 1e6;
     }
-    if (slopes.size() >= 2) {
-      c.width_ppm =
-          (slopes.back() - slopes.front()) / c.slope_median_hz * 1e6;
-    }
+  }
+  if (slopes.size() >= 2) {
+    const auto [lo, hi] = std::minmax_element(slopes.begin(), slopes.end());
+    c.width_ppm = (*hi - *lo) / c.slope_median_hz * 1e6;
   }
 
   // Infection timeline off the merged span index: a kTaServe in the
   // TA's stream and the requester's events merge into one span, so
   // chains cross stream boundaries here even though no single node's
   // file contains the whole story.
-  for (const Span& span : merged.spans()) {
-    if (!span.has_adoption || span.adoption_source == 0) continue;
-    if (span.adoption_source == c.ta_address) continue;
-    const double step_ms = static_cast<double>(span.adoption_step_ns) / 1e6;
-    if (step_ms < options.forensic.min_jump_ms) continue;
-    JumpFact jump;
-    jump.span = &span;
-    jump.step_ms = step_ms;
-    jump.chain = merged.chain(span.id);
-    c.jumps.push_back(std::move(jump));
-  }
+  c.jumps = significant_jumps(merged, c.ta_address,
+                              options.forensic.min_jump_ms);
   return c;
-}
-
-std::string chain_suffix(const JumpFact& jump) {
-  std::string out;
-  append(&out, " <- adoption from node %u", jump.span->adoption_source);
-  for (std::size_t i = 1; i < jump.chain.size(); ++i) {
-    const Span* s = jump.chain[i];
-    if (s->has_calibration) {
-      append(&out, " <- node %u calibrated slope %.3f MHz (span %s)",
-             s->node, s->calib_slope_hz / 1e6, span_str(s->id).c_str());
-    } else {
-      append(&out, " <- span %s on node %u", span_str(s->id).c_str(),
-             s->node);
-    }
-  }
-  return out;
 }
 
 std::string render_text(const SpanIndex& merged, const ClusterFacts& c,
@@ -174,29 +106,15 @@ std::string render_text(const SpanIndex& merged, const ClusterFacts& c,
     } else {
       append(&out, "no calibration, ");
     }
-    append(&out, "alarms %zu", facts.alarms.size());
-    if (facts.first_alarm_at >= 0) {
-      append(&out, " (first at %.3f s)", to_seconds(facts.first_alarm_at));
+    append(&out, "alarms %zu", facts.replay.alarms.size());
+    if (facts.replay.first_alarm_at >= 0) {
+      append(&out, " (first at %.3f s)",
+             to_seconds(facts.replay.first_alarm_at));
     }
     append(&out, "\n");
     // Timestamps are each node's own epoch (ns since daemon start) —
     // comparable within a line, not across nodes.
-    for (const Alarm& alarm : facts.alarms) {
-      append(&out, "    t=%.3fs %s ", to_seconds(alarm.at),
-             to_string(alarm.detector));
-      if (alarm.node != 0) {
-        append(&out, "node %u", alarm.node);
-      } else {
-        append(&out, "cluster-wide");
-      }
-      if (alarm.source != 0) append(&out, " (source node %u)", alarm.source);
-      append(&out, " value=%.1f threshold=%.1f", alarm.value,
-             alarm.threshold);
-      if (alarm.span != 0) {
-        append(&out, " span=%s", span_str(alarm.span).c_str());
-      }
-      append(&out, "\n");
-    }
+    append_alarm_lines(&out, facts.replay.alarms, "    ");
   }
 
   if (c.slope_count >= 2) {
@@ -214,118 +132,49 @@ std::string render_text(const SpanIndex& merged, const ClusterFacts& c,
   } else {
     append(&out, "infection timeline (cross-node jumps >= %.1f ms):\n",
            options.forensic.min_jump_ms);
-    for (const JumpFact& jump : c.jumps) {
-      append(&out, "  t=%.3fs node %u jumped %+.1f ms%s\n",
-             to_seconds(jump.span->adoption_at), jump.span->node,
-             jump.step_ms, chain_suffix(jump).c_str());
-    }
+    append_jump_lines(&out, c.jumps);
   }
 
   append(&out, "alarms total: %zu\n", c.total_alarms);
   return out;
 }
 
-void json_string(std::string* out, const char* key, const char* value,
-                 bool* first) {
-  append(out, "%s\"%s\":\"%s\"", *first ? "" : ",", key, value);
-  *first = false;
-}
-
-void json_number(std::string* out, const char* key, double value,
-                 bool* first) {
-  append(out, "%s\"%s\":%.10g", *first ? "" : ",", key, value);
-  *first = false;
-}
-
-void json_int(std::string* out, const char* key, std::int64_t value,
-              bool* first) {
-  append(out, "%s\"%s\":%lld", *first ? "" : ",", key,
-         static_cast<long long>(value));
-  *first = false;
-}
-
-void json_alarm(std::string* out, const Alarm& alarm, bool leading_comma) {
-  bool f = true;
-  *out += leading_comma ? ",{" : "{";
-  json_number(out, "t", to_seconds(alarm.at), &f);
-  json_string(out, "detector", to_string(alarm.detector), &f);
-  json_int(out, "node", alarm.node, &f);
-  if (alarm.source != 0) json_int(out, "source", alarm.source, &f);
-  if (alarm.span != 0) json_int(out, "span", alarm.span, &f);
-  json_number(out, "value", alarm.value, &f);
-  json_number(out, "threshold", alarm.threshold, &f);
-  *out += "}";
-}
-
 std::string render_json(const SpanIndex& merged, const ClusterFacts& c,
                         const ClusterReportOptions& options) {
   std::string out = "{";
-  bool first = true;
-  json_int(&out, "nodes", static_cast<std::int64_t>(c.nodes.size()), &first);
-  json_int(&out, "events",
-           static_cast<std::int64_t>(merged.events().size()), &first);
-  json_int(&out, "spans", static_cast<std::int64_t>(merged.spans().size()),
-           &first);
-  json_int(&out, "ta", c.ta_address, &first);
-  json_number(&out, "min_jump_ms", options.forensic.min_jump_ms, &first);
+  JsonFields top(&out);
+  top.uinteger("nodes", c.nodes.size());
+  top.uinteger("events", merged.events().size());
+  top.uinteger("spans", merged.spans().size());
+  top.integer("ta", c.ta_address);
+  top.number("min_jump_ms", options.forensic.min_jump_ms);
 
   out += ",\"per_node\":[";
   for (std::size_t i = 0; i < c.nodes.size(); ++i) {
     const NodeFacts& facts = c.nodes[i];
-    bool f = true;
     out += i == 0 ? "{" : ",{";
-    json_int(&out, "node", facts.node, &f);
-    json_int(&out, "events", static_cast<std::int64_t>(facts.events), &f);
+    JsonFields f(&out);
+    f.integer("node", facts.node);
+    f.uinteger("events", facts.events);
     if (facts.has_slope) {
-      json_number(&out, "f_hz", facts.f_hz, &f);
-      json_number(&out, "ppm_vs_median", facts.ppm_vs_median, &f);
+      f.number("f_hz", facts.f_hz);
+      f.number("ppm_vs_median", facts.ppm_vs_median);
     }
-    if (facts.first_alarm_at >= 0) {
-      json_number(&out, "first_alarm_s", to_seconds(facts.first_alarm_at),
-                  &f);
+    if (facts.replay.first_alarm_at >= 0) {
+      f.number("first_alarm_s", to_seconds(facts.replay.first_alarm_at));
     }
-    out += ",\"alarms\":[";
-    for (std::size_t a = 0; a < facts.alarms.size(); ++a) {
-      json_alarm(&out, facts.alarms[a], a != 0);
-    }
-    out += "]}";
+    append_alarms_json(&out, facts.replay.alarms);
+    out += "}";
   }
   out += "]";
 
+  JsonFields tail(&out, /*first=*/false);
   if (c.slope_count >= 2) {
-    bool f = false;
-    json_number(&out, "disagreement_width_ppm", c.width_ppm, &f);
-    json_number(&out, "slope_median_hz", c.slope_median_hz, &f);
+    tail.number("disagreement_width_ppm", c.width_ppm);
+    tail.number("slope_median_hz", c.slope_median_hz);
   }
-
-  out += ",\"jumps\":[";
-  for (std::size_t i = 0; i < c.jumps.size(); ++i) {
-    const JumpFact& jump = c.jumps[i];
-    bool f = true;
-    out += i == 0 ? "{" : ",{";
-    json_number(&out, "t", to_seconds(jump.span->adoption_at), &f);
-    json_int(&out, "node", jump.span->node, &f);
-    json_number(&out, "step_ms", jump.step_ms, &f);
-    json_int(&out, "source", jump.span->adoption_source, &f);
-    json_int(&out, "span", jump.span->id, &f);
-    out += ",\"chain\":[";
-    for (std::size_t ch = 1; ch < jump.chain.size(); ++ch) {
-      const Span* s = jump.chain[ch];
-      bool cf = true;
-      out += ch == 1 ? "{" : ",{";
-      json_int(&out, "span", s->id, &cf);
-      json_int(&out, "node", s->node, &cf);
-      json_string(&out, "kind", to_string(s->kind), &cf);
-      if (s->has_calibration) json_number(&out, "f_hz", s->calib_slope_hz, &cf);
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += "]";
-
-  bool f = false;
-  json_int(&out, "alarms_total", static_cast<std::int64_t>(c.total_alarms),
-           &f);
+  append_jumps_json(&out, c.jumps);
+  tail.uinteger("alarms_total", c.total_alarms);
   out += "}\n";
   return out;
 }

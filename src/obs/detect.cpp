@@ -4,10 +4,7 @@
 #include <cmath>
 
 namespace triad::obs {
-namespace {
 
-/// Median of a small value set. Deterministic (callers pass values in
-/// NodeId order); even counts average the two middles.
 double median_of(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   const std::size_t n = values.size();
@@ -15,6 +12,8 @@ double median_of(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2]
                     : (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
+
+namespace {
 
 /// Latest calibrated slope per node, shared shape between the slope and
 /// disagreement detectors. std::map: deterministic iteration.

@@ -104,6 +104,11 @@ class Detector {
 [[nodiscard]] std::unique_ptr<Detector> make_jump_detector(
     const DetectorConfig& config);
 
+/// Median of a value set, 0 when empty; even counts average the two
+/// middles. The slope detectors measure against it, and the forensic
+/// reports' "ppm vs median" uses the same one.
+[[nodiscard]] double median_of(std::vector<double> values);
+
 /// Owns a detector set and fans trace events through it.
 ///
 /// Wire it as one leg of a TeeTraceSink (exp::Scenario does this when

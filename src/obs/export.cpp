@@ -1,65 +1,16 @@
 #include "obs/export.h"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <string>
 
 #include "obs/detect.h"
+#include "obs/json.h"
 #include "obs/prof.h"
 
 namespace triad::obs {
 namespace {
-
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostream& out) : out_(out) {}
-
-  // Single-char form: GCC 12's -Wrestrict false-fires on the C-string
-  // assign under -fsanitize=address,undefined at -O2.
-  void begin() { buf_ = '{'; }
-  void end() {
-    buf_ += '}';
-    out_ << buf_;
-  }
-
-  void field(const char* key, std::int64_t value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRId64, sep(), key, value);
-    buf_ += buf;
-  }
-  void field(const char* key, std::uint64_t value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%" PRIu64, sep(), key, value);
-    buf_ += buf;
-  }
-  void field(const char* key, double value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.10g", sep(), key, value);
-    buf_ += buf;
-  }
-  void field(const char* key, const char* value) {
-    buf_ += sep();
-    buf_ += '"';
-    buf_ += key;
-    buf_ += "\":\"";
-    buf_ += value;  // values are enum names: never need escaping
-    buf_ += '"';
-  }
-  void field(const char* key, bool value) {
-    buf_ += sep();
-    buf_ += '"';
-    buf_ += key;
-    buf_ += value ? "\":true" : "\":false";
-  }
-
- private:
-  const char* sep() { return buf_.size() > 1 ? "," : ""; }
-  std::ostream& out_;
-  std::string buf_;
-};
 
 const char* drop_reason_name(std::int64_t reason) {
   switch (reason) {
@@ -93,107 +44,101 @@ void write_csv(const Registry& registry, std::ostream& out) {
 }
 
 void write_json_line(const TraceEvent& event, std::ostream& out) {
-  JsonWriter w(out);
-  w.begin();
-  w.field("t", static_cast<std::int64_t>(event.at));
-  w.field("type", to_string(event.type));
-  if (event.node != 0) w.field("node", static_cast<std::int64_t>(event.node));
-  if (event.span != 0) {
-    w.field("span", static_cast<std::uint64_t>(event.span));
-  }
+  std::string line = "{";
+  JsonFields w(&line);
+  w.integer("t", event.at);
+  w.str("type", to_string(event.type));
+  if (event.node != 0) w.integer("node", event.node);
+  if (event.span != 0) w.uinteger("span", event.span);
   switch (event.type) {
     case TraceEventType::kStateChange:
-      w.field("from", event.a);
-      w.field("to", event.b);
+      w.integer("from", event.a);
+      w.integer("to", event.b);
       break;
     case TraceEventType::kAdoption:
-      w.field("source", static_cast<std::int64_t>(event.peer));
-      w.field("before", event.a);
-      w.field("adopted", event.b);
-      w.field("step_ns", event.b - event.a);
+      w.integer("source", event.peer);
+      w.integer("before", event.a);
+      w.integer("adopted", event.b);
+      w.integer("step_ns", event.b - event.a);
       break;
     case TraceEventType::kAex:
-      w.field("count", event.a);
+      w.integer("count", event.a);
       break;
     case TraceEventType::kIncAlarm:
-      w.field("window_failed", event.a != 0);
-      w.field("continuity_failed", event.b != 0);
+      w.boolean("window_failed", event.a != 0);
+      w.boolean("continuity_failed", event.b != 0);
       break;
     case TraceEventType::kCalibration:
-      w.field("f_hz", event.x);
-      w.field("r2", event.y);
-      w.field("samples", event.a);
+      w.number("f_hz", event.x);
+      w.number("r2", event.y);
+      w.integer("samples", event.a);
       break;
     case TraceEventType::kPeerQuery:
-      w.field("request", event.a);
-      w.field("proactive", event.b != 0);
+      w.integer("request", event.a);
+      w.boolean("proactive", event.b != 0);
       break;
     case TraceEventType::kPeerResponse:
-      w.field("peer", static_cast<std::int64_t>(event.peer));
-      w.field("request", event.a);
-      w.field("tainted", event.b != 0);
+      w.integer("peer", event.peer);
+      w.integer("request", event.a);
+      w.boolean("tainted", event.b != 0);
       break;
     case TraceEventType::kPeerOutcome:
-      w.field("request", event.a);
-      w.field("outcome", outcome_name(event.b));
-      if (event.peer != 0) {
-        w.field("source", static_cast<std::int64_t>(event.peer));
-      }
+      w.integer("request", event.a);
+      w.str("outcome", outcome_name(event.b));
+      if (event.peer != 0) w.integer("source", event.peer);
       break;
     case TraceEventType::kTaRequest:
-      w.field("request", event.a);
-      w.field("wait_s", event.x);
+      w.integer("request", event.a);
+      w.number("wait_s", event.x);
       break;
     case TraceEventType::kTaResponse:
-      w.field("request", event.a);
-      w.field("ta_time", event.b);
+      w.integer("request", event.a);
+      w.integer("ta_time", event.b);
       break;
     case TraceEventType::kTaFallback:
-      w.field("count", event.a);
+      w.integer("count", event.a);
       break;
     case TraceEventType::kTaServe:
-      w.field("client", static_cast<std::int64_t>(event.peer));
-      w.field("request", event.a);
-      w.field("wait_s", event.x);
+      w.integer("client", event.peer);
+      w.integer("request", event.a);
+      w.number("wait_s", event.x);
       break;
     case TraceEventType::kPacketSend:
-      w.field("dst", static_cast<std::int64_t>(event.peer));
-      w.field("packet", event.a);
-      w.field("bytes", event.b);
+      w.integer("dst", event.peer);
+      w.integer("packet", event.a);
+      w.integer("bytes", event.b);
       break;
     case TraceEventType::kPacketDrop:
-      w.field("dst", static_cast<std::int64_t>(event.peer));
-      w.field("packet", event.a);
-      w.field("reason", drop_reason_name(event.b));
+      w.integer("dst", event.peer);
+      w.integer("packet", event.a);
+      w.str("reason", drop_reason_name(event.b));
       break;
     case TraceEventType::kPacketDeliver:
-      w.field("src", static_cast<std::int64_t>(event.peer));
-      w.field("packet", event.a);
-      w.field("bytes", event.b);
+      w.integer("src", event.peer);
+      w.integer("packet", event.a);
+      w.integer("bytes", event.b);
       break;
     case TraceEventType::kHandshake:
-      w.field("peer", static_cast<std::int64_t>(event.peer));
-      w.field("ok", event.a != 0);
+      w.integer("peer", event.peer);
+      w.boolean("ok", event.a != 0);
       break;
     case TraceEventType::kBadFrame:
-      w.field("src", static_cast<std::int64_t>(event.peer));
-      w.field("count", event.a);
+      w.integer("src", event.peer);
+      w.integer("count", event.a);
       break;
     case TraceEventType::kClockStep:
-      w.field("offset_ns", event.a);
+      w.integer("offset_ns", event.a);
       break;
     case TraceEventType::kDetectorAlarm:
-      w.field("detector",
-              to_string(static_cast<DetectorKind>(event.a)));
-      w.field("n", event.b);
-      if (event.peer != 0) {
-        w.field("source", static_cast<std::int64_t>(event.peer));
-      }
-      w.field("value", event.x);
-      w.field("threshold", event.y);
+      w.str("detector", to_string(static_cast<DetectorKind>(event.a)));
+      w.integer("n", event.b);
+      if (event.peer != 0) w.integer("source", event.peer);
+      w.number("value", event.x);
+      w.number("threshold", event.y);
       break;
   }
-  w.end();
+  line += '}';
+  out << line;
 }
 
 void write_jsonl(const RingTraceSink& sink, std::ostream& out) {
@@ -300,29 +245,13 @@ std::optional<TraceEventType> type_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-bool outcome_from_name(std::string_view name, std::int64_t* out) {
-  for (std::int64_t v = 0; v <= 3; ++v) {
-    if (name == outcome_name(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool drop_reason_from_name(std::string_view name, std::int64_t* out) {
-  for (std::int64_t v = 0; v <= 2; ++v) {
-    if (name == drop_reason_name(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool detector_from_name(std::string_view name, std::int64_t* out) {
-  for (std::int64_t v = 0; v <= 2; ++v) {
-    if (name == to_string(static_cast<DetectorKind>(v))) {
+/// Inverse of an enum-name function: the value v in [0, count) whose
+/// name_of(v) is `name`.
+template <typename NameOf>
+bool from_name(std::string_view name, std::int64_t count, NameOf name_of,
+               std::int64_t* out) {
+  for (std::int64_t v = 0; v < count; ++v) {
+    if (name == name_of(v)) {
       *out = v;
       return true;
     }
@@ -405,17 +334,20 @@ bool apply_field(TraceEvent* event, std::string_view key,
 
   // Enum names.
   if (key == "outcome") {
-    if (!quoted || !outcome_from_name(value, &i64)) return false;
+    if (!quoted || !from_name(value, 4, outcome_name, &i64)) return false;
     event->b = i64;
     return true;
   }
   if (key == "reason") {
-    if (!quoted || !drop_reason_from_name(value, &i64)) return false;
+    if (!quoted || !from_name(value, 3, drop_reason_name, &i64)) return false;
     event->b = i64;
     return true;
   }
   if (key == "detector") {
-    if (!quoted || !detector_from_name(value, &i64)) return false;
+    const auto detector_name = [](std::int64_t v) {
+      return to_string(static_cast<DetectorKind>(v));
+    };
+    if (!quoted || !from_name(value, 3, detector_name, &i64)) return false;
     event->a = i64;
     return true;
   }

@@ -1,32 +1,15 @@
 #include "obs/forensic.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
+#include <optional>
+#include <utility>
 
-#include "obs/span.h"
+#include "obs/json.h"
+#include "obs/report.h"
 
 namespace triad::obs {
 namespace {
-
-// All numbers go through fixed printf formats so the report is
-// byte-deterministic for a given event stream.
-void append(std::string* out, const char* fmt, ...) {
-  char buffer[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buffer, std::min<std::size_t>(n, sizeof(buffer) - 1));
-}
-
-std::string span_str(SpanId id) {
-  std::string s;
-  append(&s, "%u:%u", span_node(id), span_seq(id));
-  return s;
-}
 
 struct SlopeFact {
   NodeId node = 0;
@@ -34,21 +17,10 @@ struct SlopeFact {
   double ppm_vs_median = 0.0;
 };
 
-struct JumpFact {
-  const Span* span = nullptr;
-  double step_ms = 0.0;
-  std::vector<const Span*> chain;  // starts at `span`
-};
-
 struct Analysis {
-  NodeId ta_address = 0;
-  std::vector<Alarm> alarms;
-  SimTime first_alarm_at = -1;
+  DetectorReplay replay;
   std::vector<SlopeFact> slopes;  // ordered by node address
-  double slope_median_hz = 0.0;
-  bool have_suspect = false;
-  NodeId suspect = 0;
-  double suspect_ppm = 0.0;
+  std::optional<SlopeFact> suspect;  // the worst outlier past tolerance
   std::vector<JumpFact> jumps;   // significant peer-sourced forward steps
   SimTime first_jump_at = -1;
 };
@@ -56,24 +28,8 @@ struct Analysis {
 Analysis analyze(const SpanIndex& index, const ForensicOptions& options) {
   Analysis a;
   const std::vector<TraceEvent>& events = index.events();
-
-  DetectorConfig config = options.detector_config;
-  if (config.ta_address == 0) {
-    for (const TraceEvent& event : events) {
-      if (event.type == TraceEventType::kTaServe) {
-        config.ta_address = event.node;
-        break;
-      }
-    }
-  }
-  a.ta_address = config.ta_address;
-
-  // Replay through the same detectors the online path runs — verdicts
-  // are identical by construction (detectors are pure trace functions).
-  DetectorBank bank(config, nullptr, nullptr);
-  for (const TraceEvent& event : events) bank.emit(event);
-  a.alarms = bank.alarms();
-  a.first_alarm_at = bank.first_alarm_at();
+  const DetectorConfig& config = options.detector_config;
+  a.replay = replay_detectors(events, config);
 
   // Latest calibrated slope per node, cluster median, worst outlier.
   std::map<NodeId, double> last_slope;
@@ -82,67 +38,30 @@ Analysis analyze(const SpanIndex& index, const ForensicOptions& options) {
       last_slope[event.node] = event.x;
     }
   }
-  if (!last_slope.empty()) {
-    std::vector<double> values;
-    values.reserve(last_slope.size());
-    for (const auto& [node, f] : last_slope) values.push_back(f);
-    std::sort(values.begin(), values.end());
-    const std::size_t mid = values.size() / 2;
-    a.slope_median_hz = values.size() % 2 == 1
-                            ? values[mid]
-                            : 0.5 * (values[mid - 1] + values[mid]);
-    for (const auto& [node, f] : last_slope) {
-      SlopeFact fact;
-      fact.node = node;
-      fact.f_hz = f;
-      fact.ppm_vs_median =
-          (f - a.slope_median_hz) / a.slope_median_hz * 1e6;
-      a.slopes.push_back(fact);
-      if (last_slope.size() >= config.slope_quorum &&
-          std::abs(fact.ppm_vs_median) > config.slope_tolerance_ppm &&
-          (!a.have_suspect ||
-           std::abs(fact.ppm_vs_median) > std::abs(a.suspect_ppm))) {
-        a.have_suspect = true;
-        a.suspect = node;
-        a.suspect_ppm = fact.ppm_vs_median;
-      }
+  std::vector<double> values;
+  values.reserve(last_slope.size());
+  for (const auto& [node, f] : last_slope) values.push_back(f);
+  const double median = median_of(std::move(values));
+  for (const auto& [node, f] : last_slope) {
+    const SlopeFact fact{node, f, (f - median) / median * 1e6};
+    a.slopes.push_back(fact);
+    if (last_slope.size() >= config.slope_quorum &&
+        std::abs(fact.ppm_vs_median) > config.slope_tolerance_ppm &&
+        (!a.suspect || std::abs(fact.ppm_vs_median) >
+                           std::abs(a.suspect->ppm_vs_median))) {
+      a.suspect = fact;
     }
   }
 
   // Infection timeline: significant forward peer adoptions + their
   // cross-node cause chains.
-  for (const Span& span : index.spans()) {
-    if (!span.has_adoption || span.adoption_source == 0) continue;
-    if (span.adoption_source == a.ta_address) continue;
-    const double step_ms =
-        static_cast<double>(span.adoption_step_ns) / 1e6;
-    if (step_ms < options.min_jump_ms) continue;
-    JumpFact jump;
-    jump.span = &span;
-    jump.step_ms = step_ms;
-    jump.chain = index.chain(span.id);
-    a.jumps.push_back(jump);
-    if (a.first_jump_at < 0 || span.adoption_at < a.first_jump_at) {
-      a.first_jump_at = span.adoption_at;
+  a.jumps = significant_jumps(index, a.replay.ta_address, options.min_jump_ms);
+  for (const JumpFact& jump : a.jumps) {
+    if (a.first_jump_at < 0 || jump.span->adoption_at < a.first_jump_at) {
+      a.first_jump_at = jump.span->adoption_at;
     }
   }
   return a;
-}
-
-std::string chain_suffix(const JumpFact& jump) {
-  std::string out;
-  append(&out, " <- adoption from node %u", jump.span->adoption_source);
-  for (std::size_t i = 1; i < jump.chain.size(); ++i) {
-    const Span* s = jump.chain[i];
-    if (s->has_calibration) {
-      append(&out, " <- node %u calibrated slope %.3f MHz (span %s)",
-             s->node, s->calib_slope_hz / 1e6, span_str(s->id).c_str());
-    } else {
-      append(&out, " <- span %s on node %u", span_str(s->id).c_str(),
-             s->node);
-    }
-  }
-  return out;
 }
 
 std::string render_text(const SpanIndex& index, const Analysis& a,
@@ -150,10 +69,11 @@ std::string render_text(const SpanIndex& index, const Analysis& a,
   std::string out;
   const std::vector<TraceEvent>& events = index.events();
   const SimTime t_end = events.empty() ? 0 : events.back().at;
+  const SimTime first_alarm_at = a.replay.first_alarm_at;
   append(&out, "trace: %zu events, %zu spans, %.3f s of virtual time\n",
          events.size(), index.spans().size(), to_seconds(t_end));
-  if (a.ta_address != 0) {
-    append(&out, "time authority: address %u\n", a.ta_address);
+  if (a.replay.ta_address != 0) {
+    append(&out, "time authority: address %u\n", a.replay.ta_address);
   }
 
   if (!a.slopes.empty()) {
@@ -161,32 +81,17 @@ std::string render_text(const SpanIndex& index, const Analysis& a,
     for (const SlopeFact& fact : a.slopes) {
       append(&out, "  node %u: %.3f MHz (%+.1f ppm vs median)%s\n",
              fact.node, fact.f_hz / 1e6, fact.ppm_vs_median,
-             a.have_suspect && fact.node == a.suspect ? "  ** outlier"
-                                                      : "");
+             a.suspect && fact.node == a.suspect->node ? "  ** outlier"
+                                                       : "");
     }
   }
 
-  if (a.alarms.empty()) {
+  if (a.replay.alarms.empty()) {
     append(&out, "alarms: none\n");
   } else {
-    append(&out, "alarms: %zu (first at %.3f s)\n", a.alarms.size(),
-           to_seconds(a.first_alarm_at));
-    for (const Alarm& alarm : a.alarms) {
-      append(&out, "  t=%.3fs %s ", to_seconds(alarm.at),
-             to_string(alarm.detector));
-      if (alarm.node != 0) {
-        append(&out, "node %u", alarm.node);
-      } else {
-        append(&out, "cluster-wide");
-      }
-      if (alarm.source != 0) append(&out, " (source node %u)", alarm.source);
-      append(&out, " value=%.1f threshold=%.1f", alarm.value,
-             alarm.threshold);
-      if (alarm.span != 0) {
-        append(&out, " span=%s", span_str(alarm.span).c_str());
-      }
-      append(&out, "\n");
-    }
+    append(&out, "alarms: %zu (first at %.3f s)\n", a.replay.alarms.size(),
+           to_seconds(first_alarm_at));
+    append_alarm_lines(&out, a.replay.alarms, "  ");
   }
 
   if (a.jumps.empty()) {
@@ -195,133 +100,70 @@ std::string render_text(const SpanIndex& index, const Analysis& a,
   } else {
     append(&out, "infection timeline (jumps >= %.1f ms):\n",
            options.min_jump_ms);
-    for (const JumpFact& jump : a.jumps) {
-      append(&out, "  t=%.3fs node %u jumped %+.1f ms%s\n",
-             to_seconds(jump.span->adoption_at), jump.span->node,
-             jump.step_ms, chain_suffix(jump).c_str());
-    }
+    append_jump_lines(&out, a.jumps);
   }
 
-  if (a.have_suspect) {
+  if (a.suspect) {
     append(&out, "suspect: node %u (slope %+.1f ppm off cluster median)\n",
-           a.suspect, a.suspect_ppm);
+           a.suspect->node, a.suspect->ppm_vs_median);
   } else {
     append(&out, "suspect: none\n");
   }
 
-  if (a.first_alarm_at >= 0 && a.first_jump_at >= 0) {
+  if (first_alarm_at >= 0 && a.first_jump_at >= 0) {
     append(&out,
            "detection latency: %+.3f s (first alarm %.3f s, first "
            "significant jump %.3f s)\n",
-           to_seconds(a.first_jump_at - a.first_alarm_at),
-           to_seconds(a.first_alarm_at), to_seconds(a.first_jump_at));
-  } else if (a.first_alarm_at >= 0) {
+           to_seconds(a.first_jump_at - first_alarm_at),
+           to_seconds(first_alarm_at), to_seconds(a.first_jump_at));
+  } else if (first_alarm_at >= 0) {
     append(&out, "detection latency: first alarm %.3f s, no jumps\n",
-           to_seconds(a.first_alarm_at));
+           to_seconds(first_alarm_at));
   }
   return out;
-}
-
-void json_string(std::string* out, const char* key, const char* value,
-                 bool* first) {
-  append(out, "%s\"%s\":\"%s\"", *first ? "" : ",", key, value);
-  *first = false;
-}
-
-void json_number(std::string* out, const char* key, double value,
-                 bool* first) {
-  append(out, "%s\"%s\":%.10g", *first ? "" : ",", key, value);
-  *first = false;
-}
-
-void json_int(std::string* out, const char* key, std::int64_t value,
-              bool* first) {
-  append(out, "%s\"%s\":%lld", *first ? "" : ",", key,
-         static_cast<long long>(value));
-  *first = false;
 }
 
 std::string render_json(const SpanIndex& index, const Analysis& a,
                         const ForensicOptions& options) {
   std::string out = "{";
-  bool first = true;
-  json_int(&out, "events", static_cast<std::int64_t>(index.events().size()),
-           &first);
-  json_int(&out, "spans", static_cast<std::int64_t>(index.spans().size()),
-           &first);
-  json_int(&out, "ta", a.ta_address, &first);
-  json_number(&out, "min_jump_ms", options.min_jump_ms, &first);
+  JsonFields top(&out);
+  top.uinteger("events", index.events().size());
+  top.uinteger("spans", index.spans().size());
+  top.integer("ta", a.replay.ta_address);
+  top.number("min_jump_ms", options.min_jump_ms);
 
   out += ",\"slopes\":[";
   for (std::size_t i = 0; i < a.slopes.size(); ++i) {
     const SlopeFact& fact = a.slopes[i];
-    bool f = true;
     out += i == 0 ? "{" : ",{";
-    json_int(&out, "node", fact.node, &f);
-    json_number(&out, "f_hz", fact.f_hz, &f);
-    json_number(&out, "ppm_vs_median", fact.ppm_vs_median, &f);
+    JsonFields f(&out);
+    f.integer("node", fact.node);
+    f.number("f_hz", fact.f_hz);
+    f.number("ppm_vs_median", fact.ppm_vs_median);
     out += "}";
   }
   out += "]";
+  append_alarms_json(&out, a.replay.alarms);
+  append_jumps_json(&out, a.jumps);
 
-  out += ",\"alarms\":[";
-  for (std::size_t i = 0; i < a.alarms.size(); ++i) {
-    const Alarm& alarm = a.alarms[i];
-    bool f = true;
-    out += i == 0 ? "{" : ",{";
-    json_number(&out, "t", to_seconds(alarm.at), &f);
-    json_string(&out, "detector", to_string(alarm.detector), &f);
-    json_int(&out, "node", alarm.node, &f);
-    if (alarm.source != 0) json_int(&out, "source", alarm.source, &f);
-    if (alarm.span != 0) json_int(&out, "span", alarm.span, &f);
-    json_number(&out, "value", alarm.value, &f);
-    json_number(&out, "threshold", alarm.threshold, &f);
-    out += "}";
-  }
-  out += "]";
-
-  out += ",\"jumps\":[";
-  for (std::size_t i = 0; i < a.jumps.size(); ++i) {
-    const JumpFact& jump = a.jumps[i];
-    bool f = true;
-    out += i == 0 ? "{" : ",{";
-    json_number(&out, "t", to_seconds(jump.span->adoption_at), &f);
-    json_int(&out, "node", jump.span->node, &f);
-    json_number(&out, "step_ms", jump.step_ms, &f);
-    json_int(&out, "source", jump.span->adoption_source, &f);
-    json_int(&out, "span", jump.span->id, &f);
-    out += ",\"chain\":[";
-    for (std::size_t c = 1; c < jump.chain.size(); ++c) {
-      const Span* s = jump.chain[c];
-      bool cf = true;
-      out += c == 1 ? "{" : ",{";
-      json_int(&out, "span", s->id, &cf);
-      json_int(&out, "node", s->node, &cf);
-      json_string(&out, "kind", to_string(s->kind), &cf);
-      if (s->has_calibration) json_number(&out, "f_hz", s->calib_slope_hz, &cf);
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += "]";
-
-  if (a.have_suspect) {
+  if (a.suspect) {
     out += ",\"suspect\":{";
-    bool f = true;
-    json_int(&out, "node", a.suspect, &f);
-    json_number(&out, "ppm_vs_median", a.suspect_ppm, &f);
+    JsonFields f(&out);
+    f.integer("node", a.suspect->node);
+    f.number("ppm_vs_median", a.suspect->ppm_vs_median);
     out += "}";
   }
-  bool f = false;
-  if (a.first_alarm_at >= 0) {
-    json_number(&out, "first_alarm_s", to_seconds(a.first_alarm_at), &f);
+  const SimTime first_alarm_at = a.replay.first_alarm_at;
+  JsonFields tail(&out, /*first=*/false);
+  if (first_alarm_at >= 0) {
+    tail.number("first_alarm_s", to_seconds(first_alarm_at));
   }
   if (a.first_jump_at >= 0) {
-    json_number(&out, "first_jump_s", to_seconds(a.first_jump_at), &f);
+    tail.number("first_jump_s", to_seconds(a.first_jump_at));
   }
-  if (a.first_alarm_at >= 0 && a.first_jump_at >= 0) {
-    json_number(&out, "detection_latency_s",
-                to_seconds(a.first_jump_at - a.first_alarm_at), &f);
+  if (first_alarm_at >= 0 && a.first_jump_at >= 0) {
+    tail.number("detection_latency_s",
+                to_seconds(a.first_jump_at - first_alarm_at));
   }
   out += "}\n";
   return out;

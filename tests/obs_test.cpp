@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/scenario.h"
 #include "obs/detect.h"
+#include "obs/cluster.h"
 #include "obs/export.h"
 #include "obs/forensic.h"
 #include "obs/metrics.h"
@@ -735,7 +739,8 @@ TEST(ObsForensics, FMinusReportIsDeterministicAndBlamesTheVictim) {
   // The victim (address 3) runs ~10% slow after the poisoned
   // calibration; the report names it and measures the detection lead.
   EXPECT_NE(report.find("suspect: node 3"), std::string::npos);
-  EXPECT_NE(report.find("detection latency:"), std::string::npos);
+  // A positive lead: the first alarm precedes the first significant jump.
+  EXPECT_NE(report.find("\ndetection latency: +"), std::string::npos);
   // JSON rendering stays deterministic too.
   ForensicOptions options;
   options.json = true;
@@ -767,6 +772,96 @@ TEST(ObsForensics, FMinusSpansChainBackToTheVictimCalibration) {
   // The poisoned slope is ~10% below nominal 2.9 GHz.
   EXPECT_LT(chain[1]->calib_slope_hz, 2.7e9);
   EXPECT_GT(chain[1]->calib_slope_hz, 2.5e9);
+}
+
+// --- report equivalence oracle --------------------------------------------
+
+// 64-bit FNV-1a, the digest perfbench/digests.txt stores for reports.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// The seeded F- trace, and the same events split into one NodeStream per
+// origin node (first-appearance order), as triad_mon would collect them.
+class ObsReportOracle : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    events_ = parse_jsonl(run_observed(9, /*attack=*/true).jsonl, nullptr);
+    std::map<NodeId, std::size_t> slot;
+    for (const TraceEvent& event : events_) {
+      auto [it, inserted] = slot.emplace(event.node, streams_.size());
+      if (inserted) streams_.push_back(NodeStream{event.node, {}});
+      streams_[it->second].events.push_back(event);
+    }
+  }
+
+  std::string forensic(bool json) const {
+    ForensicOptions options;
+    options.json = json;
+    return forensic_report(events_, options);
+  }
+
+  std::string cluster(bool json) const {
+    ClusterReportOptions options;
+    options.json = json;
+    return cluster_report(streams_, options);
+  }
+
+  std::vector<TraceEvent> events_;
+  std::vector<NodeStream> streams_;
+};
+
+// The `"alarms":[...]` array that follows position `from` in `json`.
+std::string alarms_after(const std::string& json, std::size_t from) {
+  const std::string key = "\"alarms\":[";
+  const std::size_t open = json.find(key, from);
+  if (open == std::string::npos) return "<none>";
+  int depth = 0;
+  for (std::size_t i = open + key.size() - 1; i < json.size(); ++i) {
+    if (json[i] == '[') ++depth;
+    if (json[i] == ']' && --depth == 0) return json.substr(open, i + 1 - open);
+  }
+  return "<unterminated>";
+}
+
+// Stored digests of all four report renderings: any byte change to
+// forensic_report or cluster_report output fails here. Regenerate only
+// when a change is meant to alter report bytes.
+TEST_F(ObsReportOracle, ReportBytesMatchStoredDigests) {
+  // Three nodes, the TA, and node 0 (cluster-wide detector alarms).
+  ASSERT_EQ(streams_.size(), 5u);
+  EXPECT_EQ(fnv1a_hex(forensic(false)), "910f0a5009622327");
+  EXPECT_EQ(fnv1a_hex(forensic(true)), "321e4f515f86c355");
+  EXPECT_EQ(fnv1a_hex(cluster(false)), "d211ea3e6328107b");
+  EXPECT_EQ(fnv1a_hex(cluster(true)), "aa36a3482a95fc0a");
+}
+
+// triad_mon's per-node verdict equals triad_trace's replay of that
+// node's stream alone.
+TEST_F(ObsReportOracle, PerNodeAlarmsMatchSingleStreamForensics) {
+  const std::string cluster_json = cluster(true);
+  ForensicOptions options;
+  options.json = true;
+  std::size_t alarmed_nodes = 0;
+  for (const NodeStream& stream : streams_) {
+    const std::string marker =
+        "{\"node\":" + std::to_string(stream.node) + ",\"events\":";
+    const std::size_t at = cluster_json.find(marker);
+    ASSERT_NE(at, std::string::npos) << "node " << stream.node;
+    const std::string single =
+        alarms_after(forensic_report(stream.events, options), 0);
+    EXPECT_EQ(alarms_after(cluster_json, at), single) << "node " << stream.node;
+    if (single != "\"alarms\":[]") ++alarmed_nodes;
+  }
+  EXPECT_GT(alarmed_nodes, 0u);
 }
 
 }  // namespace

@@ -76,13 +76,16 @@ Config default_config() {
   // No blanket layer exemptions: every real-clock binding site is named
   // in [allow] so a new one cannot slip in under a directory prefix.
   cfg.r1_exempt_prefixes = {};
-  cfg.r2_files = {"src/obs/export.cpp", "src/obs/forensic.cpp",
-                  "src/obs/cluster.cpp", "src/obs/metrics.cpp",
-                  "src/campaign/aggregate.cpp", "src/exp/recorder.cpp"};
-  cfg.r3_files = {"src/obs/export.cpp", "src/obs/forensic.cpp",
-                  "src/obs/cluster.cpp", "src/obs/metrics.cpp",
-                  "src/campaign/aggregate.cpp", "src/exp/recorder.cpp",
-                  "src/campaign/cli.cpp"};
+  cfg.r2_files = {"src/obs/json.h",       "src/obs/export.cpp",
+                  "src/obs/report.h",     "src/obs/report.cpp",
+                  "src/obs/forensic.cpp", "src/obs/cluster.cpp",
+                  "src/obs/metrics.cpp",  "src/campaign/aggregate.cpp",
+                  "src/exp/recorder.cpp"};
+  cfg.r3_files = {"src/obs/json.h",       "src/obs/export.cpp",
+                  "src/obs/report.h",     "src/obs/report.cpp",
+                  "src/obs/forensic.cpp", "src/obs/cluster.cpp",
+                  "src/obs/metrics.cpp",  "src/campaign/aggregate.cpp",
+                  "src/exp/recorder.cpp", "src/campaign/cli.cpp"};
   cfg.r4_files = {"src/sim/simulation.cpp", "src/net/network.cpp",
                   "src/obs/trace.cpp",      "src/runtime/env.cpp",
                   "src/runtime/sim_env.cpp", "src/crypto/aes.cpp",
