@@ -261,6 +261,7 @@ LoadResult offered_load(Cluster& cluster, NodeId client_id,
   const std::size_t n = options.requests;
   struct SendBurst {
     std::vector<Bytes> frames;
+    std::vector<rt::SendView> views;  // one per frame, all to one node
     rt::SockAddr to;
   };
   std::vector<SendBurst> bursts;
@@ -276,7 +277,10 @@ LoadResult offered_load(Cluster& cluster, NodeId client_id,
       chunk.push_back(triad::net::wire::encode_frame(
           client_id, dst, channel.seal(dst, triad::proto::encode(request))));
     }
-    bursts.push_back(SendBurst{std::move(chunk), to});
+    std::vector<rt::SendView> views;
+    views.reserve(burst);
+    for (const Bytes& frame : chunk) views.push_back(rt::SendView{to, frame});
+    bursts.push_back(SendBurst{std::move(chunk), std::move(views), to});
   }
 
   rt::UdpSocket socket = rt::UdpSocket::bind(rt::kLoopbackAny);
@@ -299,7 +303,7 @@ LoadResult offered_load(Cluster& cluster, NodeId client_id,
            result.sent - responses.size() + bursts[next_burst].frames.size() <=
                options.window) {
       const SendBurst& b = bursts[next_burst];
-      std::size_t pushed = socket.send_batch(b.to, b.frames, b.frames.size());
+      std::size_t pushed = socket.send_batch(b.views.data(), b.views.size());
       // Partial sendmmsg (rare on loopback): finish the burst one
       // datagram at a time so request ids stay dense.
       while (pushed < b.frames.size() &&

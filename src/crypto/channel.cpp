@@ -70,11 +70,18 @@ const Aes256Gcm& SecureChannel::cipher_for(NodeId sender, NodeId receiver) {
 }
 
 Bytes SecureChannel::seal(NodeId receiver, BytesView plaintext) {
+  Bytes frame;
+  seal_into(receiver, plaintext, frame);
+  return frame;
+}
+
+void SecureChannel::seal_into(NodeId receiver, BytesView plaintext,
+                              Bytes& frame) {
   PROF_SCOPE("crypto/channel_seal");
   const std::uint64_t counter = ++send_counters_[receiver];
-  // One allocation: the header is written in place and GCM encrypts
-  // straight into the frame behind it.
-  Bytes frame(kHeaderSize + plaintext.size() + kGcmTagSize);
+  // The header is written in place and GCM encrypts straight into the
+  // frame behind it.
+  frame.resize(kHeaderSize + plaintext.size() + kGcmTagSize);
   std::uint8_t* p = frame.data();
   put_le(p, self_, 4);
   put_le(p + 4, receiver, 4);
@@ -83,13 +90,23 @@ Bytes SecureChannel::seal(NodeId receiver, BytesView plaintext) {
   cipher_for(self_, receiver)
       .seal_to(make_iv(self_, counter), plaintext, BytesView(p, kAadSize),
                p + kHeaderSize, p + kHeaderSize + plaintext.size());
-  return frame;
 }
 
 std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
                                                          OpenError* error) {
+  std::optional<Opened> opened(std::in_place);
+  const std::optional<NodeId> sender =
+      open_into(frame, opened->plaintext, error);
+  if (!sender.has_value()) return std::nullopt;
+  opened->sender = *sender;
+  return opened;
+}
+
+std::optional<NodeId> SecureChannel::open_into(BytesView frame,
+                                               Bytes& plaintext,
+                                               OpenError* error) {
   PROF_SCOPE("crypto/channel_open");
-  auto fail = [&](OpenError e) -> std::optional<Opened> {
+  auto fail = [&](OpenError e) -> std::optional<NodeId> {
     if (error != nullptr) *error = e;
     return std::nullopt;
   };
@@ -110,9 +127,8 @@ std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
 
   if (receiver != self_) return fail(OpenError::kWrongReceiver);
 
-  // Authenticate on views into the frame; the plaintext is allocated only
-  // once the tag checks out.
-  Bytes plaintext;
+  // Authenticate on views into the frame; the plaintext is written (and
+  // grown, if it must) only once the tag checks out.
   if (!cipher_for(sender, receiver)
            .open_to(make_iv(sender, counter),
                     frame.subspan(kHeaderSize, ct_len),
@@ -127,7 +143,7 @@ std::optional<SecureChannel::Opened> SecureChannel::open(BytesView frame,
     return fail(OpenError::kReplayed);
   }
 
-  return Opened{sender, std::move(plaintext)};
+  return sender;
 }
 
 bool SecureChannel::ReplayWindow::accept(std::uint64_t counter) {

@@ -64,6 +64,11 @@ class SecureChannel {
   /// and counter in the clear (authenticated as AAD).
   [[nodiscard]] Bytes seal(NodeId receiver, BytesView plaintext);
 
+  /// seal() into caller memory: `frame` is resized to the sealed frame,
+  /// reusing its capacity, so a warm buffer costs no allocation.
+  /// `plaintext` must not view `frame`.
+  void seal_into(NodeId receiver, BytesView plaintext, Bytes& frame);
+
   struct Opened {
     NodeId sender;
     Bytes plaintext;
@@ -72,6 +77,15 @@ class SecureChannel {
   /// Opens a frame addressed to this node.
   [[nodiscard]] std::optional<Opened> open(BytesView frame,
                                            OpenError* error = nullptr);
+
+  /// open() into caller memory: on success returns the sender and
+  /// `plaintext` holds the payload, written into its existing capacity.
+  /// On failure returns nullopt and the contents of `plaintext` are
+  /// unspecified (a replayed frame is decrypted before the replay check
+  /// refuses it). `frame` must not view `plaintext`.
+  [[nodiscard]] std::optional<NodeId> open_into(BytesView frame,
+                                                Bytes& plaintext,
+                                                OpenError* error = nullptr);
 
  private:
   [[nodiscard]] const Aes256Gcm& cipher_for(NodeId sender, NodeId receiver);

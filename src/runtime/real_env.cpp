@@ -223,26 +223,27 @@ std::size_t UdpSocket::recv_batch(std::array<RecvView, kRecvBatch>& out) {
   return static_cast<std::size_t>(n);
 }
 
-std::size_t UdpSocket::send_batch(SockAddr to, const std::vector<Bytes>& bufs,
-                                  std::size_t count) {
+std::size_t UdpSocket::send_batch(const SendView* msgs, std::size_t count) {
   if (fd_ < 0 || count == 0) return 0;
   ensure_buffers();
   BatchBuffers& b = *buffers_;
-  const sockaddr_in native = to_native(to);
   std::size_t sent = 0;
   while (sent < count) {
     const std::size_t batch = std::min(count - sent, kRecvBatch);
     for (std::size_t i = 0; i < batch; ++i) {
-      const Bytes& buf = bufs[sent + i];
-      b.iovs[i] = {const_cast<std::uint8_t*>(buf.data()), buf.size()};
+      const SendView& msg = msgs[sent + i];
+      b.iovs[i] = {const_cast<std::uint8_t*>(msg.data.data()),
+                   msg.data.size()};
       mmsghdr& m = b.msgs[i];
       std::memset(&m, 0, sizeof(m));
-      b.addrs[i] = native;
+      b.addrs[i] = to_native(msg.to);
       m.msg_hdr.msg_name = &b.addrs[i];
       m.msg_hdr.msg_namelen = sizeof(b.addrs[i]);
       m.msg_hdr.msg_iov = &b.iovs[i];
       m.msg_hdr.msg_iovlen = 1;
     }
+    // sendmmsg stops at the first datagram the kernel refuses and
+    // returns the count before it (-1 when that is the first one).
     const int n = ::sendmmsg(fd_, b.msgs.data(),
                              static_cast<unsigned>(batch), 0);
     if (n <= 0) break;

@@ -72,9 +72,8 @@ struct SockAddr {
 
 inline constexpr SockAddr kLoopbackAny{0x7f000001u, 0};
 
-/// Batch sizes for the mmsg paths. 32 datagrams per syscall amortizes
-/// the syscall to ~30 ns/packet while keeping the per-socket buffers
-/// (32 * 2 KiB) small enough to live on every worker.
+/// Batch sizes for the mmsg paths: up to 32 datagrams per syscall, with
+/// per-socket buffers (32 * 2 KiB) small enough to live on every worker.
 inline constexpr std::size_t kRecvBatch = 32;
 inline constexpr std::size_t kDatagramBufSize = 2048;
 
@@ -83,6 +82,13 @@ inline constexpr std::size_t kDatagramBufSize = 2048;
 struct RecvView {
   BytesView data;
   SockAddr from;
+};
+
+/// One outgoing datagram for UdpSocket::send_batch. `data` must stay
+/// valid until send_batch returns.
+struct SendView {
+  SockAddr to;
+  BytesView data;
 };
 
 /// RAII non-blocking UDP socket with batched (recvmmsg/sendmmsg) IO.
@@ -120,10 +126,12 @@ class UdpSocket {
   /// the next recv_batch on this socket.
   std::size_t recv_batch(std::array<RecvView, kRecvBatch>& out);
 
-  /// Sends `count` datagrams from `bufs` to `to` in one sendmmsg call.
-  /// Returns the number actually handed to the kernel.
-  std::size_t send_batch(SockAddr to, const std::vector<Bytes>& bufs,
-                         std::size_t count);
+  /// Sends `msgs[0..count)`, each to its own destination, in sendmmsg
+  /// calls of up to kRecvBatch datagrams. Returns how many the kernel
+  /// accepted before the first refusal: when the result r is below
+  /// `count`, datagram r was refused (EAGAIN, EINVAL, ...) and none after
+  /// it was tried, so a caller that drops it resumes at r + 1.
+  std::size_t send_batch(const SendView* msgs, std::size_t count);
 
   [[nodiscard]] int fd() const { return fd_; }
 

@@ -25,6 +25,7 @@
 // the campaign engine follows.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -125,6 +126,8 @@ class ServeWorker {
  private:
   void run();
   void on_readable();
+  /// Sends the first `count` replies of the batch in sendmmsg calls.
+  void flush(std::size_t count);
 
   // bind_error_ must be declared (constructed) before socket_: the
   // initializer list hands &bind_error_ to UdpSocket::bind.
@@ -139,7 +142,14 @@ class ServeWorker {
   bool batch_depth_sampled_ = false;  // worker thread only
   WorkerStats stats_;
   SimTime last_served_ = 0;  // per-worker monotonicity clamp
-  Bytes reply_buf_;
+  // The reply path's buffers, reused by every request: the opened
+  // request, the encoded and the sealed answer, and one framed reply per
+  // receive-batch slot, which flush() sends together.
+  Bytes plaintext_;
+  Bytes encoded_;
+  Bytes sealed_;
+  std::array<Bytes, runtime::kRecvBatch> reply_slots_;
+  std::array<runtime::SendView, runtime::kRecvBatch> sends_;
   std::thread thread_;
 };
 

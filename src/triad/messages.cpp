@@ -1,5 +1,7 @@
 #include "triad/messages.h"
 
+#include <utility>
+
 namespace triad::proto {
 namespace {
 
@@ -13,7 +15,13 @@ enum class Tag : std::uint8_t {
 }  // namespace
 
 Bytes encode(const Message& message) {
-  ByteWriter w;
+  Bytes out;
+  encode_into(message, out);
+  return out;
+}
+
+void encode_into(const Message& message, Bytes& out) {
+  ByteWriter w(std::move(out));
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -40,7 +48,7 @@ Bytes encode(const Message& message) {
         }
       },
       message);
-  return w.take();
+  out = w.take();
 }
 
 std::optional<Message> decode(BytesView data) {

@@ -75,6 +75,10 @@ using Message =
 /// Serializes a message (1-byte type tag + fixed-width fields).
 Bytes encode(const Message& message);
 
+/// encode() into `out`, replacing its contents and reusing its capacity,
+/// so a warm buffer costs no allocation.
+void encode_into(const Message& message, Bytes& out);
+
 /// Parses a message; nullopt on malformed input (never throws on
 /// attacker-controlled bytes).
 std::optional<Message> decode(BytesView data);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace triad {
@@ -27,6 +28,10 @@ class DecodeError : public std::runtime_error {
 /// Appends fixed-width little-endian values to a growing buffer.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Writes into `buf` from its start, reusing its capacity.
+  explicit ByteWriter(Bytes buf) : buf_(std::move(buf)) { buf_.clear(); }
+
   void put_u8(std::uint8_t v);
   void put_u16(std::uint16_t v);
   void put_u32(std::uint32_t v);

@@ -295,5 +295,66 @@ TEST_F(SecureChannelTest, SealAndOpenAllocateOnlyTheirResults) {
   EXPECT_EQ(opened->plaintext, message);
 }
 
+TEST_F(SecureChannelTest, IntoVariantsMatchSealAndOpenByteForByte) {
+  // Two senders with the same identity and the same history seal with
+  // the same counter, so their frames must be equal byte for byte.
+  SecureChannel alice_twin(1, keyring_);
+  SecureChannel bob_twin(2, keyring_);
+  Bytes frame_into;
+  Bytes plain_into;
+  for (std::size_t size : {0u, 1u, 26u, 100u}) {
+    const Bytes message(size, static_cast<std::uint8_t>(size));
+    const Bytes frame = alice_.seal(2, message);
+    alice_twin.seal_into(2, message, frame_into);
+    EXPECT_EQ(frame_into, frame) << "size " << size;
+
+    const auto opened = bob_.open(frame);
+    const auto sender = bob_twin.open_into(frame_into, plain_into);
+    ASSERT_TRUE(opened.has_value());
+    ASSERT_TRUE(sender.has_value());
+    EXPECT_EQ(*sender, opened->sender);
+    EXPECT_EQ(plain_into, opened->plaintext);
+  }
+  // Failures report the same error through both paths.
+  const Bytes frame = alice_.seal(2, Bytes{7});
+  OpenError err{};
+  OpenError err_into{};
+  ASSERT_TRUE(bob_.open(frame).has_value());
+  EXPECT_FALSE(bob_.open(frame, &err).has_value());
+  EXPECT_FALSE(bob_.open_into(frame, plain_into, &err_into).has_value());
+  EXPECT_EQ(err, OpenError::kReplayed);
+  EXPECT_EQ(err_into, OpenError::kReplayed);
+}
+
+TEST_F(SecureChannelTest, IntoVariantsAllocateNothingOnceWarm) {
+  const Bytes message(64, 0x42);
+  Bytes frame;
+  Bytes plaintext;
+  // Warm-up: key derivation, counters, replay window, buffer capacity.
+  alice_.seal_into(2, message, frame);
+  ASSERT_TRUE(bob_.open_into(frame, plaintext).has_value());
+
+  Bytes forged;
+  alice_.seal_into(2, message, forged);
+  forged.back() ^= 0x01;
+  int accepted = 0;
+  int refused = 0;
+  const long before = g_allocations.load();
+  for (int i = 0; i < 100; ++i) {
+    alice_.seal_into(2, message, frame);
+    accepted += bob_.open_into(frame, plaintext).has_value() ? 1 : 0;
+    refused += bob_.open_into(forged, plaintext).has_value() ? 0 : 1;
+    refused += bob_.open_into(frame, plaintext).has_value() ? 0 : 1;  // replay
+  }
+  const long allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_EQ(accepted, 100);
+  EXPECT_EQ(refused, 200);
+  EXPECT_EQ(plaintext.size(), message.size());
+  OpenError err{};
+  EXPECT_FALSE(bob_.open_into(forged, plaintext, &err).has_value());
+  EXPECT_EQ(err, OpenError::kAuthFailed);
+}
+
 }  // namespace
 }  // namespace triad::crypto

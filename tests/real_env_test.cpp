@@ -6,12 +6,17 @@
 // These tests carry the `net` ctest label; see tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "crypto/channel.h"
@@ -25,6 +30,56 @@
 #include "ta/time_authority.h"
 #include "timed/service.h"
 #include "triad/messages.h"
+
+// This binary replaces the global operator new so the serve-worker test
+// can count the heap allocations of the worker thread alone: every
+// thread counts except one that opted out (the test's own thread).
+namespace {
+std::atomic<std::uint64_t> g_counted_allocations{0};
+thread_local bool t_uncounted = false;
+
+void count_allocation() {
+  if (!t_uncounted) {
+    g_counted_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void* counted_allocate(std::size_t size) {
+  count_allocation();
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_allocate_aligned(std::size_t size, std::align_val_t align) {
+  count_allocation();
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_allocate_aligned(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_allocate_aligned(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace triad::runtime {
 namespace {
@@ -107,6 +162,57 @@ TEST(UdpSocketTest, FramingRoundTripOverLoopback) {
   EXPECT_EQ(Bytes(frame->payload.begin(), frame->payload.end()), payload);
   // The kernel reports the client's bound endpoint as the source.
   EXPECT_EQ(views[0].from, client.local_addr());
+}
+
+// Payloads received on `socket` until `want` arrived or a receive timed
+// out.
+std::vector<Bytes> receive_payloads(UdpSocket& socket, std::size_t want) {
+  std::vector<Bytes> out;
+  std::array<RecvView, kRecvBatch> views;
+  while (out.size() < want) {
+    const std::size_t n = socket.recv_batch(views);
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.emplace_back(views[i].data.begin(), views[i].data.end());
+    }
+  }
+  return out;
+}
+
+TEST(UdpSocketTest, SendBatchRoutesEachDatagramAndStopsAtFirstRefusal) {
+  SKIP_WITHOUT_SOCKETS();
+  UdpSocket a = UdpSocket::bind(kLoopbackAny);
+  UdpSocket b = UdpSocket::bind(kLoopbackAny);
+  UdpSocket tx = UdpSocket::bind(kLoopbackAny);
+  ASSERT_TRUE(a.valid());
+  ASSERT_TRUE(b.valid());
+  ASSERT_TRUE(tx.valid());
+  a.set_recv_timeout_ms(2000);
+  b.set_recv_timeout_ms(2000);
+
+  const Bytes a0 = {0xa0};
+  const Bytes b0 = {0xb0};
+  const Bytes a1 = {0xa1};
+  const std::array<SendView, 3> routed = {SendView{a.local_addr(), a0},
+                                          SendView{b.local_addr(), b0},
+                                          SendView{a.local_addr(), a1}};
+  ASSERT_EQ(tx.send_batch(routed.data(), routed.size()), 3u);
+  EXPECT_EQ(receive_payloads(a, 2), (std::vector<Bytes>{a0, a1}));
+  EXPECT_EQ(receive_payloads(b, 1), (std::vector<Bytes>{b0}));
+
+  // Port 0 is never a valid UDP destination (EINVAL): sendmmsg stops
+  // there, and nothing after the refused datagram is sent.
+  const SockAddr port_zero{0x7f000001u, 0};
+  const std::array<SendView, 3> refused = {SendView{a.local_addr(), a0},
+                                           SendView{port_zero, b0},
+                                           SendView{a.local_addr(), a1}};
+  EXPECT_EQ(tx.send_batch(refused.data(), refused.size()), 1u);
+  a.set_recv_timeout_ms(200);
+  EXPECT_EQ(receive_payloads(a, 2), (std::vector<Bytes>{a0}));
+
+  // A refusal at the head sends nothing.
+  EXPECT_EQ(tx.send_batch(refused.data() + 1, 2), 0u);
+  EXPECT_TRUE(receive_payloads(a, 1).empty());
 }
 
 TEST(TcpConnTest, WriteAllBoundsTotalStallAgainstSlowReader) {
@@ -359,6 +465,201 @@ TEST(TimedServiceTest, ServesMonotoneSealedTimestamps) {
   ta_thread.join();
   EXPECT_GE(node.total_responses(), 21u);
   EXPECT_EQ(node.total_bad_frames(), 0u);
+}
+
+// ---- ServeWorker on its own -------------------------------------------
+
+constexpr NodeId kServeNode = 1;
+
+// One serve worker answering from a clock snapshot the test publishes
+// itself, so no TA or node has to calibrate first.
+class ServeRig {
+ public:
+  ServeRig() : worker_(kLoopbackAny, kServeNode, keyring_, board_) {
+    timed::ClockSnapshot snap;
+    snap.time = seconds(1000);
+    snap.mono_ns = MonotonicTimer::now_ns();
+    snap.error_bound = microseconds(5);
+    snap.available = true;
+    board_.publish(snap);
+  }
+  ~ServeRig() {
+    worker_.stop();
+    worker_.join();
+  }
+  ServeRig(const ServeRig&) = delete;
+  ServeRig& operator=(const ServeRig&) = delete;
+
+  [[nodiscard]] const crypto::Keyring& keyring() const { return keyring_; }
+  [[nodiscard]] timed::ServeWorker& worker() { return worker_; }
+
+ private:
+  const crypto::ClusterKeyring keyring_{Bytes(32, 0x42)};
+  timed::SnapshotBoard board_;
+  timed::ServeWorker worker_;
+};
+
+// A client of the rig with its own socket and channel. Requests are
+// sealed ahead (ids 1..n); answers are checked as they are read.
+class ServeClient {
+ public:
+  ServeClient(NodeId id, const crypto::Keyring& keyring, std::size_t n)
+      : id_(id),
+        socket_(UdpSocket::bind(kLoopbackAny)),
+        channel_(id, keyring) {
+    socket_.set_recv_timeout_ms(2000);
+    for (std::size_t i = 1; i <= n; ++i) {
+      proto::PeerTimeRequest request;
+      request.request_id = i;
+      requests_.push_back(net::wire::encode_frame(
+          id, kServeNode, channel_.seal(kServeNode, proto::encode(request))));
+    }
+  }
+
+  [[nodiscard]] bool valid() const { return socket_.valid(); }
+
+  /// Sends request i (0-based) to `server`.
+  bool send(std::size_t i, SockAddr server) {
+    return socket_.send_to(server, requests_[i]);
+  }
+
+  /// Reads until `count` more answers arrived or a read timed out. An
+  /// answer counts only if it opens on this client's channel, comes from
+  /// the node, and is an untainted PeerTimeResponse; anything else is
+  /// counted in bad().
+  void receive(std::size_t count) {
+    std::array<RecvView, kRecvBatch> views;
+    const std::size_t target = answers_.size() + bad_ + count;
+    while (answers_.size() + bad_ < target) {
+      const std::size_t n = socket_.recv_batch(views);
+      if (n == 0) return;
+      for (std::size_t i = 0; i < n; ++i) accept(views[i].data);
+    }
+  }
+
+  [[nodiscard]] const std::vector<proto::PeerTimeResponse>& answers() const {
+    return answers_;
+  }
+  [[nodiscard]] std::size_t bad() const { return bad_; }
+
+  /// True when answers_ holds each request id 1..n exactly once, in
+  /// strictly increasing timestamp order.
+  [[nodiscard]] bool complete_and_monotone(std::size_t n) const {
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < answers_.size(); ++i) {
+      if (i > 0 && answers_[i].timestamp <= answers_[i - 1].timestamp) {
+        return false;
+      }
+      ids.push_back(answers_[i].request_id);
+    }
+    std::sort(ids.begin(), ids.end());
+    if (ids.size() != n) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ids[i] != i + 1) return false;
+    }
+    return true;
+  }
+
+ private:
+  void accept(BytesView datagram) {
+    const auto frame = net::wire::decode_frame(datagram);
+    if (!frame.has_value() || frame->src != kServeNode || frame->dst != id_) {
+      ++bad_;
+      return;
+    }
+    const auto opened = channel_.open(frame->payload);
+    if (!opened.has_value() || opened->sender != kServeNode) {
+      ++bad_;
+      return;
+    }
+    const auto message = proto::decode(opened->plaintext);
+    const auto* response =
+        message.has_value() ? std::get_if<proto::PeerTimeResponse>(&*message)
+                            : nullptr;
+    if (response == nullptr || response->tainted) {
+      ++bad_;
+      return;
+    }
+    answers_.push_back(*response);
+  }
+
+  NodeId id_;
+  UdpSocket socket_;
+  crypto::SecureChannel channel_;
+  std::vector<Bytes> requests_;
+  std::vector<proto::PeerTimeResponse> answers_;
+  std::size_t bad_ = 0;
+};
+
+TEST(ServeWorkerTest, SeveralClientsInOneBatchEachGetOnlyTheirAnswers) {
+  SKIP_WITHOUT_SOCKETS();
+  constexpr std::size_t kClients = 3;
+  constexpr std::size_t kPerClient = kRecvBatch;
+  ServeRig rig;
+  ASSERT_TRUE(rig.worker().valid()) << rig.worker().bind_error();
+  const SockAddr server = rig.worker().local_addr();
+  std::vector<std::unique_ptr<ServeClient>> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<ServeClient>(
+        static_cast<NodeId>(101 + c), rig.keyring(), kPerClient));
+    ASSERT_TRUE(clients.back()->valid());
+  }
+  // Every request is queued, round-robin across the clients, before the
+  // worker starts, so each receive batch mixes all clients and every
+  // reply must go back to the address its own request came from.
+  for (std::size_t i = 0; i < kPerClient; ++i) {
+    for (auto& client : clients) ASSERT_TRUE(client->send(i, server));
+  }
+  rig.worker().start();
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ServeClient& client = *clients[c];
+    client.receive(kPerClient);
+    EXPECT_EQ(client.bad(), 0u) << "client " << c;
+    EXPECT_TRUE(client.complete_and_monotone(kPerClient))
+        << "client " << c << " got " << client.answers().size();
+  }
+  const timed::WorkerStats& stats = rig.worker().stats();
+  EXPECT_EQ(stats.requests.load(), kClients * kPerClient);
+  EXPECT_EQ(stats.responses.load(), kClients * kPerClient);
+  EXPECT_EQ(stats.bad_frames.load(), 0u);
+  EXPECT_EQ(stats.decode_errors.load(), 0u);
+  EXPECT_EQ(stats.send_failures.load(), 0u);
+}
+
+TEST(ServeWorkerTest, ServedRequestsAllocateNothingOnceWarm) {
+  SKIP_WITHOUT_SOCKETS();
+  t_uncounted = true;  // count the worker thread only
+  constexpr std::size_t kRounds = 8;
+  ServeRig rig;
+  ASSERT_TRUE(rig.worker().valid()) << rig.worker().bind_error();
+  const SockAddr server = rig.worker().local_addr();
+  ServeClient client(101, rig.keyring(), (kRounds + 1) * kRecvBatch);
+  ASSERT_TRUE(client.valid());
+
+  // Warm-up: one full receive batch, queued before the worker starts,
+  // touches the receive buffers, the channel's key and replay state and
+  // every reply slot.
+  for (std::size_t i = 0; i < kRecvBatch; ++i) {
+    ASSERT_TRUE(client.send(i, server));
+  }
+  rig.worker().start();
+  client.receive(kRecvBatch);
+  ASSERT_EQ(client.answers().size(), kRecvBatch);
+
+  const std::uint64_t before = g_counted_allocations.load();
+  for (std::size_t round = 1; round <= kRounds; ++round) {
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      ASSERT_TRUE(client.send(round * kRecvBatch + i, server));
+    }
+    client.receive(kRecvBatch);
+  }
+  const std::uint64_t allocations = g_counted_allocations.load() - before;
+
+  EXPECT_EQ(client.bad(), 0u);
+  EXPECT_TRUE(client.complete_and_monotone((kRounds + 1) * kRecvBatch));
+  EXPECT_EQ(allocations, 0u) << "over " << kRounds * kRecvBatch
+                             << " served requests";
 }
 
 }  // namespace
