@@ -19,8 +19,6 @@
 //
 // The report is a pure function of the collected streams: same streams
 // in any order, same bytes out.
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,6 +33,7 @@
 #include "obs/export.h"
 #include "obs/forensic.h"
 #include "runtime/real_env.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -49,21 +48,6 @@ constexpr const char* kUsage =
     "  --out-dir <dir>      also write per-node artifacts: node<ID>.jsonl,\n"
     "                       node<ID>.forensic.txt, node<ID>.metrics.prom\n"
     "  --help               this text\n";
-
-// A finite, non-negative number of milliseconds; the whole text must parse.
-bool parse_min_jump_ms(const char* text, double* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc{} && ptr == end && std::isfinite(*out) && *out >= 0;
-}
-
-// A decimal node id. 0 is the reports' "cluster-wide / none" value, so a
-// daemon can never be node 0.
-bool parse_node_id(std::string_view text, triad::NodeId* out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size() && *out != 0;
-}
 
 struct Source {
   triad::NodeId id = 0;
@@ -132,7 +116,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--json") == 0) {
       options.json = true;
     } else if (std::strcmp(arg, "--min-jump-ms") == 0 && i + 1 < argc) {
-      if (!parse_min_jump_ms(argv[++i], &options.forensic.min_jump_ms)) {
+      if (!triad::parse_non_negative(argv[++i],
+                                     &options.forensic.min_jump_ms)) {
         std::cerr << "triad_mon: bad --min-jump-ms " << argv[i] << "\n\n"
                   << kUsage;
         return 2;
@@ -152,7 +137,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       Source source;
-      if (!parse_node_id(std::string_view(value).substr(0, eq), &source.id)) {
+      if (!triad::parse_node_id(std::string_view(value).substr(0, eq),
+                                &source.id)) {
         std::cerr << "triad_mon: node ID must be a decimal number >= 1, got "
                   << value << "\n\n"
                   << kUsage;

@@ -10,8 +10,7 @@
 // entry point.
 #include <iostream>
 
-#include "campaign/sim_sweep.h"
-#include "exp/cli.h"
+#include "campaign/cli.h"
 
 int main(int argc, char** argv) {
   std::string error;

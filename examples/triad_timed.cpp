@@ -21,20 +21,21 @@
 //
 // Quickstart (3-node loopback cluster): see README.md §triad_timed.
 
+#include <climits>
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/cli_output.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
 #include "obs/trace.h"
 #include "timed/service.h"
+#include "util/parse.h"
 #include "util/types.h"
 
 namespace {
@@ -43,43 +44,32 @@ using triad::Duration;
 using triad::NodeId;
 using triad::runtime::SockAddr;
 
+/// Upper bound on --workers: each worker is a thread with its own socket.
+constexpr int kMaxWorkers = 64;
+
 struct Options {
   std::string role = "node";
-  NodeId id = 1;
-  std::optional<SockAddr> listen;
-  std::optional<SockAddr> serve;
-  int workers = 1;
-  std::vector<std::pair<NodeId, SockAddr>> peers;
-  NodeId ta_id = 9;
-  std::uint64_t seed = 1;
-  double duration_s = 0.0;  // 0 = run until SIGTERM/SIGINT
-  int calib_pairs = 8;
-  double calib_wait_high_s = 1.0;
+  /// --id, --listen, --serve, --workers, --peer, --ta-id, --seed,
+  /// --calib-*, --telemetry and --detector* land here directly.
+  triad::timed::ServiceConfig service;
+  Duration duration = 0;  // 0 = run until SIGTERM/SIGINT
   // client role
   std::optional<SockAddr> server;
   NodeId server_id = 1;
   int requests = 10;
-  // observability
-  std::optional<std::string> metrics_path;
-  std::optional<std::string> trace_path;
-  std::optional<std::string> prof_path;
-  std::optional<std::string> prof_trace_path;
-  bool prof_normalize = false;
-  // live telemetry
-  std::optional<SockAddr> telemetry;
-  bool detectors = false;
-  double detector_nominal_mhz = 0.0;
+  triad::obs::ObsOutputs outputs;
   bool help = false;
 };
 
-const char* usage() {
-  return
+std::string usage() {
+  return std::string(
       "usage: triad_timed [options]\n"
       "  --role node|ta|client   what to run (default node)\n"
-      "  --id N                  this endpoint's wire identity\n"
+      "  --id N                  this endpoint's wire identity (>= 1)\n"
       "  --listen ip:port        protocol endpoint (node, ta)\n"
       "  --serve ip:port         client-facing endpoint (node)\n"
-      "  --workers N             SO_REUSEPORT serve workers (default 1)\n"
+      "  --workers N             SO_REUSEPORT serve workers, 1..64\n"
+      "                          (default 1)\n"
       "  --peer id=ip:port       protocol address book entry (repeat;\n"
       "                          the --ta-id entry is the TA, the rest\n"
       "                          become this node's peers)\n"
@@ -92,8 +82,6 @@ const char* usage() {
       "  --server ip:port        node serve endpoint to probe (client)\n"
       "  --server-id N           the probed node's identity (client)\n"
       "  --requests N            probes to issue (client, default 10)\n"
-      "  --metrics PATH|-        Prometheus metrics dump on exit\n"
-      "  --trace PATH|-          JSONL protocol trace on exit\n"
       "  --telemetry ip:port     read-only TCP telemetry listener serving\n"
       "                          /metrics, /trace, /prof (triad_mon scrapes\n"
       "                          it)\n"
@@ -101,132 +89,138 @@ const char* usage() {
       "                          daemon's live trace\n"
       "  --detector-nominal-mhz F  slope detector prior for the true TSC\n"
       "                          frequency (default: cluster-relative only)\n"
-      "  --prof PATH|-           profiler scope table on exit\n"
-      "  --prof-trace PATH|-     profiler chrome trace on exit\n"
-      "  --prof-normalize        zero durations in profiler output\n"
-      "  --help\n";
+      "  --help\n"
+      "Dumps written on exit:\n") +
+      triad::obs::output_flags_usage(/*per_run=*/true);
+}
+
+// A count flag's value: a decimal integer in 1..INT_MAX.
+bool parse_count(std::string_view text, int* out) {
+  std::uint64_t n = 0;
+  if (!triad::parse_u64(text, &n) || n == 0 || n > INT_MAX) return false;
+  *out = static_cast<int>(n);
+  return true;
+}
+
+bool parse_workers(std::string_view text, int* out) {
+  return parse_count(text, out) && *out <= kMaxWorkers;
+}
+
+// Seconds up to 1e9: a Duration holds about 9.2e9 s of nanoseconds.
+bool parse_seconds(std::string_view text, Duration* out) {
+  double s = 0;
+  if (!triad::parse_non_negative(text, &s) || s > 1e9) return false;
+  *out = triad::from_seconds(s);
+  return true;
+}
+
+bool parse_mhz(std::string_view text, double* hz) {
+  if (!triad::parse_non_negative(text, hz)) return false;
+  *hz *= 1e6;
+  return true;
+}
+
+// Works for a SockAddr and an optional one.
+template <typename Addr>
+bool parse_addr(std::string_view text, Addr* out) {
+  const auto addr = triad::runtime::parse_sockaddr(text);
+  if (addr) *out = *addr;
+  return addr.has_value();
+}
+
+bool parse_peer(std::string_view text,
+                std::vector<std::pair<NodeId, SockAddr>>* peers) {
+  const auto eq = text.find('=');
+  NodeId id = 0;
+  SockAddr addr;
+  if (eq == std::string_view::npos ||
+      !triad::parse_node_id(text.substr(0, eq), &id) ||
+      !parse_addr(text.substr(eq + 1), &addr)) {
+    return false;
+  }
+  peers->emplace_back(id, addr);
+  return true;
+}
+
+bool parse_role(std::string_view text, std::string* out) {
+  *out = text;
+  return text == "node" || text == "ta" || text == "client";
 }
 
 std::optional<Options> parse_args(int argc, char** argv, std::ostream& err) {
   Options options;
+  triad::timed::ServiceConfig& service = options.service;
+  service.node.id = 1;
+  service.ta_id = 9;
   const auto fail = [&err](const std::string& message) {
     err << "triad_timed: " << message << "\n";
     return std::nullopt;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
+    // Parses the flag's value into *out; false after "bad --FLAG" on err.
+    const auto take = [&](auto parse, auto* out) {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      if (parse(text, out)) return true;
+      err << "triad_timed: bad " << arg << " '" << text << "'\n";
+      return false;
     };
-    const auto addr_value = [&](const char* flag)
-        -> std::optional<SockAddr> {
-      const auto text = value();
-      if (!text) return std::nullopt;
-      auto addr = triad::runtime::parse_sockaddr(*text);
-      if (!addr) {
-        err << "triad_timed: bad " << flag << " '" << *text << "'\n";
-      }
-      return addr;
-    };
+    switch (triad::obs::take_output_flag(argc, argv, &i, /*per_run=*/true,
+                                         &options.outputs)) {
+      case triad::obs::FlagParse::kTaken:
+        continue;
+      case triad::obs::FlagParse::kMissingValue:
+        return fail(arg + " needs a path");
+      case triad::obs::FlagParse::kNotMine:
+        break;
+    }
+    bool ok = true;
     if (arg == "--help" || arg == "-h") {
       options.help = true;
       return options;
     } else if (arg == "--role") {
-      const auto v = value();
-      if (!v || (*v != "node" && *v != "ta" && *v != "client")) {
-        return fail("--role must be node, ta, or client");
-      }
-      options.role = *v;
+      ok = take(parse_role, &options.role);
     } else if (arg == "--id") {
-      const auto v = value();
-      if (!v) return fail("--id needs a value");
-      options.id = static_cast<NodeId>(std::stoul(*v));
+      ok = take(triad::parse_node_id, &service.node.id);
     } else if (arg == "--listen") {
-      options.listen = addr_value("--listen");
-      if (!options.listen) return std::nullopt;
+      ok = take(parse_addr<SockAddr>, &service.listen);
     } else if (arg == "--serve") {
-      options.serve = addr_value("--serve");
-      if (!options.serve) return std::nullopt;
-    } else if (arg == "--server") {
-      options.server = addr_value("--server");
-      if (!options.server) return std::nullopt;
-    } else if (arg == "--workers") {
-      const auto v = value();
-      if (!v) return fail("--workers needs a value");
-      options.workers = std::stoi(*v);
-    } else if (arg == "--peer") {
-      const auto v = value();
-      if (!v) return fail("--peer needs id=ip:port");
-      const auto eq = v->find('=');
-      if (eq == std::string::npos) return fail("--peer needs id=ip:port");
-      const auto addr = triad::runtime::parse_sockaddr(v->substr(eq + 1));
-      if (!addr) return fail("bad --peer address in '" + *v + "'");
-      options.peers.emplace_back(
-          static_cast<NodeId>(std::stoul(v->substr(0, eq))), *addr);
-    } else if (arg == "--ta-id") {
-      const auto v = value();
-      if (!v) return fail("--ta-id needs a value");
-      options.ta_id = static_cast<NodeId>(std::stoul(*v));
-    } else if (arg == "--server-id") {
-      const auto v = value();
-      if (!v) return fail("--server-id needs a value");
-      options.server_id = static_cast<NodeId>(std::stoul(*v));
-    } else if (arg == "--seed") {
-      const auto v = value();
-      if (!v) return fail("--seed needs a value");
-      options.seed = std::stoull(*v);
-    } else if (arg == "--duration") {
-      const auto v = value();
-      if (!v) return fail("--duration needs seconds");
-      options.duration_s = std::stod(*v);
-    } else if (arg == "--calib-pairs") {
-      const auto v = value();
-      if (!v) return fail("--calib-pairs needs a value");
-      options.calib_pairs = std::stoi(*v);
-    } else if (arg == "--calib-wait-high") {
-      const auto v = value();
-      if (!v) return fail("--calib-wait-high needs seconds");
-      options.calib_wait_high_s = std::stod(*v);
-    } else if (arg == "--requests") {
-      const auto v = value();
-      if (!v) return fail("--requests needs a value");
-      options.requests = std::stoi(*v);
-    } else if (arg == "--metrics") {
-      options.metrics_path = value();
-      if (!options.metrics_path) return fail("--metrics needs a path");
-    } else if (arg == "--trace") {
-      options.trace_path = value();
-      if (!options.trace_path) return fail("--trace needs a path");
-    } else if (arg == "--prof") {
-      options.prof_path = value();
-      if (!options.prof_path) return fail("--prof needs a path");
-    } else if (arg == "--prof-trace") {
-      options.prof_trace_path = value();
-      if (!options.prof_trace_path) return fail("--prof-trace needs a path");
-    } else if (arg == "--prof-normalize") {
-      options.prof_normalize = true;
+      ok = take(parse_addr<SockAddr>, &service.serve);
     } else if (arg == "--telemetry") {
-      options.telemetry = addr_value("--telemetry");
-      if (!options.telemetry) return std::nullopt;
+      ok = take(parse_addr<std::optional<SockAddr>>, &service.telemetry);
+    } else if (arg == "--server") {
+      ok = take(parse_addr<std::optional<SockAddr>>, &options.server);
+    } else if (arg == "--workers") {
+      ok = take(parse_workers, &service.workers);
+    } else if (arg == "--peer") {
+      ok = take(parse_peer, &service.peers);
+    } else if (arg == "--ta-id") {
+      ok = take(triad::parse_node_id, &service.ta_id);
+    } else if (arg == "--server-id") {
+      ok = take(triad::parse_node_id, &options.server_id);
+    } else if (arg == "--seed") {
+      ok = take(triad::parse_u64, &service.seed);
+    } else if (arg == "--duration") {
+      ok = take(parse_seconds, &options.duration);
+    } else if (arg == "--calib-pairs") {
+      ok = take(parse_count, &service.node.calib_pairs);
+    } else if (arg == "--calib-wait-high") {
+      ok = take(parse_seconds, &service.node.calib_wait_high);
+    } else if (arg == "--requests") {
+      ok = take(parse_count, &options.requests);
     } else if (arg == "--detectors") {
-      options.detectors = true;
+      service.enable_detectors = true;
     } else if (arg == "--detector-nominal-mhz") {
-      const auto v = value();
-      if (!v) return fail("--detector-nominal-mhz needs a value");
-      options.detector_nominal_mhz = std::stod(*v);
+      ok = take(parse_mhz, &service.detectors.nominal_frequency_hz);
     } else {
       return fail("unknown flag '" + arg + "' (try --help)");
     }
+    if (!ok) return std::nullopt;
   }
-  int stdout_targets = 0;
-  for (const auto& path : {options.metrics_path, options.trace_path,
-                           options.prof_path, options.prof_trace_path}) {
-    if (path && *path == "-") ++stdout_targets;
-  }
-  if (stdout_targets > 1) {
-    return fail(
-        "at most one of --metrics/--trace/--prof/--prof-trace may be '-'");
+  if (std::string message = triad::obs::check_one_stdout(
+          triad::obs::named_outputs(options.outputs));
+      !message.empty()) {
+    return fail(message);
   }
   return options;
 }
@@ -246,8 +240,9 @@ int run_client(const Options& options, std::ostream& out,
     return 2;
   }
   const triad::crypto::ClusterKeyring keyring(triad::Bytes(32, 0x42));
-  triad::timed::BlockingProbe probe(options.id, options.server_id,
-                                    *options.server, keyring);
+  triad::timed::BlockingProbe probe(options.service.node.id,
+                                    options.server_id, *options.server,
+                                    keyring);
   if (!probe.valid()) {
     err << "triad_timed: cannot open client socket\n";
     return 1;
@@ -277,57 +272,29 @@ int run_client(const Options& options, std::ostream& out,
 
 int run_service(const Options& options, std::ostream& out,
                 std::ostream& err) {
-  const auto targets_stdout = [](const std::optional<std::string>& path) {
-    return path && *path == "-";
-  };
-  const bool machine_on_stdout = targets_stdout(options.metrics_path) ||
-                                 targets_stdout(options.trace_path) ||
-                                 targets_stdout(options.prof_path) ||
-                                 targets_stdout(options.prof_trace_path);
-  std::ostream& summary = machine_on_stdout ? err : out;
-
-  const bool profiling =
-      options.prof_path.has_value() || options.prof_trace_path.has_value();
-  if (profiling) {
-    triad::obs::Profiler::instance().reset();
-    triad::obs::Profiler::instance().set_enabled(true);
-  }
+  const triad::obs::OutputRouter router(
+      out, err, triad::obs::named_outputs(options.outputs));
+  std::ostream& summary = router.summary();
+  triad::obs::ProfileSession profile(options.outputs);
 
   triad::obs::Registry registry;
 
-  triad::timed::ServiceConfig config;
+  triad::timed::ServiceConfig config = options.service;
   config.role = options.role == "ta" ? triad::timed::Role::kTa
                                      : triad::timed::Role::kNode;
-  if (options.listen.has_value()) config.listen = *options.listen;
-  if (options.serve.has_value()) config.serve = *options.serve;
-  config.workers = options.workers;
-  config.peers = options.peers;
-  config.seed = options.seed;
-  config.ta_id = options.ta_id;
-  config.node.id = options.id;
-  config.node.ta_address = options.ta_id;
-  for (const auto& [id, addr] : options.peers) {
-    if (id != options.ta_id && id != options.id) {
+  config.node.ta_address = config.ta_id;
+  config.detectors.ta_address = config.ta_id;
+  for (const auto& [id, addr] : config.peers) {
+    if (id != config.ta_id && id != config.node.id) {
       config.node.peers.push_back(id);
     }
   }
-  config.node.calib_pairs = options.calib_pairs;
-  config.node.calib_wait_high =
-      triad::from_seconds(options.calib_wait_high_s);
-
   // The service owns the trace ring: /trace, the exit dump, and the
   // detector bank all read the same recording.
-  if (options.trace_path.has_value() || options.telemetry.has_value() ||
-      options.detectors) {
+  if (options.outputs.trace.has_value() || config.telemetry.has_value() ||
+      config.enable_detectors) {
     config.trace_capacity = std::size_t{1} << 18;
   }
-  config.enable_detectors = options.detectors;
-  config.detectors.ta_address = options.ta_id;
-  if (options.detector_nominal_mhz > 0) {
-    config.detectors.nominal_frequency_hz =
-        options.detector_nominal_mhz * 1e6;
-  }
-  config.telemetry = options.telemetry;
 
   triad::runtime::ObsBinding obs;
   obs.metrics = &registry;
@@ -341,38 +308,33 @@ int run_service(const Options& options, std::ostream& out,
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
-  summary << "triad_timed: role=" << options.role << " id=" << options.id
+  const NodeId id = options.service.node.id;
+  summary << "triad_timed: role=" << options.role << " id=" << id
           << " protocol=" << service.protocol_addr().to_string();
   if (options.role == "node") {
     summary << " serve=" << service.serve_addr().to_string()
-            << " workers=" << std::max(1, options.workers);
+            << " workers=" << options.service.workers;
   }
-  if (options.telemetry.has_value()) {
+  if (options.service.telemetry.has_value()) {
     summary << " telemetry=" << service.telemetry_addr().to_string();
   }
   summary << "\n";
   summary.flush();
 
   service.start();
-  if (options.duration_s > 0) {
-    service.run_for(triad::from_seconds(options.duration_s));
+  if (options.duration > 0) {
+    service.run_for(options.duration);
     service.shutdown_workers();
   } else {
     service.run();  // until SIGTERM/SIGINT
   }
   g_service = nullptr;
 
-  triad::obs::ProfTree prof_tree;
-  if (profiling) {
-    triad::obs::Profiler::instance().set_enabled(false);
-    prof_tree = triad::obs::Profiler::instance().merge();
-    triad::obs::Profiler::export_histograms(prof_tree, registry,
-                                            options.prof_normalize);
-  }
+  profile.finish(&registry);
 
   // --- final summary + dumps (same shape as triad_sim's run_cli) ------
   if (triad::TriadNode* node = service.node(); node != nullptr) {
-    summary << "node " << options.id
+    summary << "node " << id
             << ": state=" << triad::to_string(node->state())
             << " F_calib=" << node->calibrated_frequency_hz() / 1e6
             << "MHz availability=" << node->availability() * 100.0
@@ -383,7 +345,7 @@ int run_service(const Options& options, std::ostream& out,
             << service.total_bad_frames() << "\n";
   }
   if (triad::ta::TimeAuthority* ta = service.authority(); ta != nullptr) {
-    summary << "ta " << options.id << ": served "
+    summary << "ta " << id << ": served "
             << ta->stats().requests_served
             << " rejected_frames=" << ta->stats().rejected_frames << "\n";
   }
@@ -407,49 +369,14 @@ int run_service(const Options& options, std::ostream& out,
     summary << "telemetry scrapes: " << telemetry->scrapes() << "\n";
   }
 
-  const auto write_output = [&](const std::string& path, const char* what,
-                                auto&& writer) -> bool {
-    if (path == "-") {
-      writer(out);
-      return true;
-    }
-    std::ofstream file(path);
-    if (!file) {
-      summary << "error: cannot open " << path << "\n";
-      return false;
-    }
-    writer(file);
-    summary << what << " written to " << path << "\n";
-    return true;
-  };
-  if (options.metrics_path &&
-      !write_output(*options.metrics_path, "metrics", [&](std::ostream& os) {
-        registry.write_prometheus(os);
-      })) {
-    return 1;
-  }
-  if (options.trace_path &&
-      !write_output(*options.trace_path, "trace", [&](std::ostream& os) {
-        triad::obs::write_jsonl(*service.trace_ring(), os);
-      })) {
-    return 1;
-  }
-  if (options.prof_path &&
-      !write_output(*options.prof_path, "profile", [&](std::ostream& os) {
-        triad::obs::Profiler::write_text(prof_tree, os,
-                                         options.prof_normalize);
-      })) {
-    return 1;
-  }
-  if (options.prof_trace_path &&
-      !write_output(
-          *options.prof_trace_path, "profile trace", [&](std::ostream& os) {
-            triad::obs::Profiler::write_chrome_trace(
-                prof_tree, os, options.prof_normalize);
-          })) {
-    return 1;
-  }
-  return 0;
+  return router.write(
+      {{options.outputs.metrics, "metrics",
+        [&](std::ostream& os) { registry.write_prometheus(os); }},
+       {options.outputs.trace, "trace",
+        [&](std::ostream& os) {
+          triad::obs::write_jsonl(*service.trace_ring(), os);
+        }},
+       profile.table(), profile.chrome_trace()});
 }
 
 }  // namespace

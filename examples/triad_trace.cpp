@@ -8,8 +8,6 @@
 // standard online detectors, rebuilds causal spans, and prints the
 // attack-propagation report (obs/forensic.h). Output is byte-identical
 // for a given input: the report is a pure function of the event stream.
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -18,6 +16,7 @@
 
 #include "obs/export.h"
 #include "obs/forensic.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -30,13 +29,6 @@ constexpr const char* kUsage =
     "  --min-jump-ms <ms>   timeline floor for significant forward jumps\n"
     "                       (default 5.0)\n"
     "  --help               this text\n";
-
-// A finite, non-negative number of milliseconds; the whole text must parse.
-bool parse_min_jump_ms(const char* text, double* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc{} && ptr == end && std::isfinite(*out) && *out >= 0;
-}
 
 }  // namespace
 
@@ -52,7 +44,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--json") == 0) {
       options.json = true;
     } else if (std::strcmp(arg, "--min-jump-ms") == 0 && i + 1 < argc) {
-      if (!parse_min_jump_ms(argv[++i], &options.min_jump_ms)) {
+      if (!triad::parse_non_negative(argv[++i], &options.min_jump_ms)) {
         std::cerr << "triad_trace: bad --min-jump-ms " << argv[i] << "\n\n"
                   << kUsage;
         return 2;

@@ -1,37 +1,71 @@
 #include "campaign/cli.h"
 
 #include <algorithm>
-#include <fstream>
+#include <functional>
 #include <ostream>
-#include <sstream>
+#include <utility>
 
 #include "campaign/aggregate.h"
 #include "campaign/runner.h"
-#include "exp/cli.h"
-#include "obs/prof.h"
+#include "exp/scenario.h"
+#include "util/parse.h"
 
 namespace triad::campaign {
 namespace {
 
-std::vector<std::string> split_csv(std::string_view text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string_view item = text.substr(
-        start, comma == std::string_view::npos ? text.size() - start
-                                               : comma - start);
-    if (!item.empty()) items.emplace_back(item);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
+/// The flags that take a value; each grid flag names the spec key it
+/// sets through set_spec_value, as a spec-file line would.
+constexpr std::pair<std::string_view, std::string_view> kValueFlags[] = {
+    {"--seeds", "seeds"},       {"--attack", "attacks"},
+    {"--policy", "policies"},   {"--env", "environments"},
+    {"--nodes", "nodes"},       {"--duration", "duration"},
+    {"--attack-delay", "attack_delay"}, {"--victim", "victim"},
+    {"--spec", ""},             {"--jobs", ""},
+    {"--json", ""},             {"--csv", ""},
+    {"--metrics-dir", ""}};
+
+std::vector<obs::NamedOutput> campaign_outputs(
+    const CampaignCliOptions& options) {
+  std::vector<obs::NamedOutput> outputs = obs::named_outputs(options.outputs);
+  outputs.push_back({"the JSON report", options.json_path});
+  outputs.push_back({"--csv", options.csv_path});
+  return outputs;
+}
+
+// Runs `spec` on the worker pool, then writes the summary (`header` and
+// the per-cell timing) and the requested reports and profiles. The part
+// triad_campaign and triad_sim's sweep mode share.
+int run_and_report(
+    const CampaignSpec& spec, RunnerOptions runner_options,
+    const obs::OutputRouter& router, const obs::ObsOutputs& outputs,
+    const obs::OutputPath& json_path, const obs::OutputPath& csv_path,
+    const std::function<void(std::ostream&, const CampaignResult&)>& header) {
+  obs::ProfileSession profile(outputs);
+  const CampaignResult result =
+      CampaignRunner(std::move(runner_options)).run(spec);
+  // Workers have joined: the profiler is quiescent, safe to merge.
+  profile.finish();
+  const CampaignReport report = CampaignReport::aggregate(spec, result);
+  header(router.summary(), result);
+  // Wall/queue timing is real time: summary stream only, never in the
+  // byte-stable reports.
+  CampaignTiming::of(result).write_summary(router.summary());
+  if (const int code = router.write(
+          {{json_path, "json report",
+            [&](std::ostream& os) { report.write_json(os); }},
+           {csv_path, "csv report",
+            [&](std::ostream& os) { report.write_csv(os); }},
+           profile.table(), profile.chrome_trace()});
+      code != 0) {
+    return code;
   }
-  return items;
+  return result.failures == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 std::string campaign_cli_usage() {
-  return
+  return std::string(
       "triad_campaign — run a grid of Triad scenarios and aggregate them\n"
       "  --spec FILE        key=value spec file (see below); flags given\n"
       "                     after --spec override its values\n"
@@ -47,13 +81,12 @@ std::string campaign_cli_usage() {
       "  --victim N         1-based attacked node; 0 = last (default 0)\n"
       "  --no-machine-interrupts   disable correlated residual interrupts\n"
       "  --jobs N           worker threads (default 1)\n"
-      "  --json PATH        aggregate JSON report ('-' = stdout)\n"
-      "  --csv PATH         aggregate CSV report ('-' = stdout)\n"
+      "  --json PATH        aggregate JSON report (default '-' when\n"
+      "                     --csv is not given)\n"
+      "  --csv PATH         aggregate CSV report\n"
       "  --metrics-dir DIR  per-run Prometheus dumps (run_<i>.prom) plus\n"
-      "                     an index.json grid manifest\n"
-      "  --prof PATH        merged profiler scope table ('-' = stdout)\n"
-      "  --prof-trace PATH  profiler Chrome trace JSON ('-' = stdout)\n"
-      "  --prof-normalize   zero profiler durations (deterministic tree)\n"
+      "                     an index.json grid manifest\n") +
+      obs::output_flags_usage(/*per_run=*/false) +
       "  --verbose          per-run progress on stderr\n"
       "  --help             this text\n"
       "\n"
@@ -76,11 +109,6 @@ std::optional<CampaignCliOptions> parse_campaign_cli(int argc,
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto value = [&]() -> std::optional<std::string_view> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string_view(argv[++i]);
-    };
-
     if (arg == "--help" || arg == "-h") {
       options.help = true;
       return options;
@@ -93,98 +121,55 @@ std::optional<CampaignCliOptions> parse_campaign_cli(int argc,
       options.verbose = true;
       continue;
     }
-    if (arg == "--prof-normalize") {
-      options.prof_normalize = true;
-      continue;
+    switch (obs::take_output_flag(argc, argv, &i, /*per_run=*/false,
+                                  &options.outputs)) {
+      case obs::FlagParse::kTaken:
+        continue;
+      case obs::FlagParse::kMissingValue:
+        return fail("missing value for " + std::string(arg));
+      case obs::FlagParse::kNotMine:
+        break;
     }
-    static constexpr std::string_view kValueFlags[] = {
-        "--spec",   "--seeds",        "--attack", "--policy",
-        "--env",    "--nodes",        "--duration", "--attack-delay",
-        "--victim", "--jobs",         "--json",   "--csv",
-        "--metrics-dir", "--prof", "--prof-trace"};
-    const bool known =
-        std::find(std::begin(kValueFlags), std::end(kValueFlags), arg) !=
-        std::end(kValueFlags);
-    if (!known) return fail("unknown flag " + std::string(arg));
+    const auto* flag =
+        std::find_if(std::begin(kValueFlags), std::end(kValueFlags),
+                     [arg](const auto& known) { return known.first == arg; });
+    if (flag == std::end(kValueFlags)) {
+      return fail("unknown flag " + std::string(arg));
+    }
+    if (i + 1 >= argc) return fail("missing value for " + std::string(arg));
+    const std::string_view v = argv[++i];
 
-    const auto v = value();
-    if (!v) return fail("missing value for " + std::string(arg));
-
-    if (arg == "--spec") {
+    if (!flag->second.empty()) {
+      if (!set_spec_value(&options.spec, flag->second, v, nullptr)) {
+        return fail("bad " + std::string(arg) + " '" + std::string(v) + "'");
+      }
+    } else if (arg == "--spec") {
       std::string spec_error;
       // Scalars already set by earlier flags are overwritten by the
       // file — documented: put --spec first, overrides after.
-      auto spec = parse_spec_file(std::string(*v), &spec_error);
+      auto spec = parse_spec_file(std::string(v), &spec_error);
       if (!spec) return fail(std::move(spec_error));
       options.spec = std::move(*spec);
-    } else if (arg == "--seeds") {
-      options.spec.seeds.clear();
-      for (const std::string& item : split_csv(*v)) {
-        std::uint64_t lo = 0, hi = 0;
-        if (!exp::parse_seed_range(item, &lo, &hi)) {
-          return fail("bad --seeds (use N, A..B, or a comma list)");
-        }
-        for (std::uint64_t s = lo; s <= hi; ++s) {
-          options.spec.seeds.push_back(s);
-        }
-      }
-      if (options.spec.seeds.empty()) return fail("bad --seeds (empty)");
-    } else if (arg == "--attack") {
-      options.spec.attacks = split_csv(*v);
-    } else if (arg == "--policy") {
-      options.spec.policies = split_csv(*v);
-    } else if (arg == "--env") {
-      options.spec.environments = split_csv(*v);
-    } else if (arg == "--nodes") {
-      options.spec.node_counts.clear();
-      for (const std::string& item : split_csv(*v)) {
-        std::uint64_t n = 0;
-        if (!exp::parse_u64(item, &n) || n == 0) {
-          return fail("bad --nodes");
-        }
-        options.spec.node_counts.push_back(n);
-      }
-      if (options.spec.node_counts.empty()) return fail("bad --nodes");
-    } else if (arg == "--duration") {
-      if (!exp::parse_duration(*v, &options.spec.duration) ||
-          options.spec.duration <= 0) {
-        return fail("bad --duration (use e.g. 90s, 30m, 8h)");
-      }
-    } else if (arg == "--attack-delay") {
-      if (!exp::parse_duration(*v, &options.spec.attack_delay)) {
-        return fail("bad --attack-delay");
-      }
-    } else if (arg == "--victim") {
-      std::uint64_t n = 0;
-      if (!exp::parse_u64(*v, &n)) return fail("bad --victim");
-      options.spec.victim = n;
     } else if (arg == "--jobs") {
       std::uint64_t n = 0;
-      if (!exp::parse_u64(*v, &n) || n == 0) return fail("bad --jobs");
+      if (!parse_u64(v, &n) || n == 0) return fail("bad --jobs");
       options.jobs = n;
     } else if (arg == "--json") {
-      options.json_path = std::string(*v);
+      options.json_path = std::string(v);
     } else if (arg == "--csv") {
-      options.csv_path = std::string(*v);
+      options.csv_path = std::string(v);
     } else if (arg == "--metrics-dir") {
-      options.metrics_dir = std::string(*v);
-    } else if (arg == "--prof") {
-      options.prof_path = std::string(*v);
-    } else if (arg == "--prof-trace") {
-      options.prof_trace_path = std::string(*v);
+      options.metrics_dir = std::string(v);
     }
   }
 
   if (std::string message = options.spec.validate(); !message.empty()) {
     return fail(std::move(message));
   }
-  int stdout_targets = 0;
-  for (const auto& path : {options.json_path, options.csv_path,
-                           options.prof_path, options.prof_trace_path}) {
-    if (path && *path == "-") ++stdout_targets;
-  }
-  if (stdout_targets > 1) {
-    return fail("at most one of --json/--csv/--prof/--prof-trace may be '-'");
+  if (!options.json_path && !options.csv_path) options.json_path = "-";
+  if (std::string message = obs::check_one_stdout(campaign_outputs(options));
+      !message.empty()) {
+    return fail(std::move(message));
   }
   return options;
 }
@@ -195,30 +180,12 @@ int run_campaign_cli(const CampaignCliOptions& options, std::ostream& out,
     out << campaign_cli_usage();
     return 0;
   }
-
-  CampaignCliOptions resolved = options;
-  if (!resolved.json_path && !resolved.csv_path) resolved.json_path = "-";
-  const auto targets_stdout = [](const std::optional<std::string>& path) {
-    return path && *path == "-";
-  };
-  const bool machine_on_stdout =
-      targets_stdout(resolved.json_path) || targets_stdout(resolved.csv_path) ||
-      targets_stdout(resolved.prof_path) ||
-      targets_stdout(resolved.prof_trace_path);
-  std::ostream& summary = machine_on_stdout ? err : out;
-
-  const bool profiling = resolved.prof_path || resolved.prof_trace_path;
-  if (profiling) {
-    obs::Profiler::instance().reset();
-    obs::Profiler::instance().set_enabled(true);
-  }
-
-  const std::size_t total = resolved.spec.run_count();
+  const std::size_t total = options.spec.run_count();
   RunnerOptions runner_options;
-  runner_options.jobs = resolved.jobs;
-  runner_options.run.metrics_dir = resolved.metrics_dir;
+  runner_options.jobs = options.jobs;
+  runner_options.run.metrics_dir = options.metrics_dir;
   std::size_t done = 0;
-  if (resolved.verbose) {
+  if (options.verbose) {
     runner_options.on_complete = [&err, &done, total](const RunResult& run) {
       err << "[" << ++done << "/" << total << "] run " << run.index
           << " seed=" << run.seed
@@ -226,67 +193,53 @@ int run_campaign_cli(const CampaignCliOptions& options, std::ostream& out,
           << run.wall_ms << " ms)\n";
     };
   }
+  return run_and_report(
+      options.spec, std::move(runner_options),
+      obs::OutputRouter(out, err, campaign_outputs(options)), options.outputs,
+      options.json_path, options.csv_path,
+      [&options](std::ostream& summary, const CampaignResult& result) {
+        summary << "campaign: cells=" << options.spec.cell_count()
+                << " runs=" << result.runs.size()
+                << " failures=" << result.failures
+                << " jobs=" << options.jobs
+                << " wall=" << result.wall_ms / 1000.0 << "s\n";
+      });
+}
 
-  CampaignRunner runner(std::move(runner_options));
-  const CampaignResult result = runner.run(resolved.spec);
-  // Workers have joined: the profiler is quiescent, safe to merge.
-  obs::ProfTree prof_tree;
-  if (profiling) {
-    obs::Profiler::instance().set_enabled(false);
-    prof_tree = obs::Profiler::instance().merge();
-  }
-  const CampaignReport report =
-      CampaignReport::aggregate(resolved.spec, result);
+int run_sim_sweep(const exp::CliOptions& options, std::ostream& out,
+                  std::ostream& err) {
+  CampaignSpec spec;
+  spec.seeds = exp::sweep_seeds(options);
+  spec.attacks = {options.attack};
+  spec.policies = {options.policy};
+  spec.node_counts = {options.nodes};
+  spec.duration = options.duration;
+  spec.attack_delay = options.attack_delay;
+  spec.victim = options.victim;
+  spec.machine_interrupts = options.machine_interrupts;
 
-  summary << "campaign: cells=" << resolved.spec.cell_count()
-          << " runs=" << result.runs.size() << " failures="
-          << result.failures << " jobs=" << resolved.jobs << " wall="
-          << result.wall_ms / 1000.0 << "s\n";
-  // Wall/queue timing is real time: summary stream only, never in the
-  // byte-stable reports.
-  CampaignTiming::of(result).write_summary(summary);
-
-  const auto write_output = [&](const std::string& path, const char* what,
-                                auto&& writer) -> bool {
-    if (path == "-") {
-      writer(out);
-      return true;
-    }
-    std::ofstream file(path);
-    if (!file) {
-      summary << "error: cannot open " << path << "\n";
-      return false;
-    }
-    writer(file);
-    summary << what << " written to " << path << "\n";
-    return true;
+  RunnerOptions runner_options;
+  runner_options.jobs = options.jobs;
+  // execute_run covers attack/policy/uniform environments; the
+  // remaining triad_sim knobs apply identically to every seed here.
+  runner_options.run.configure = [&options](const RunSpec&,
+                                            exp::ScenarioConfig& cfg) {
+    exp::apply_deployment(options, &cfg);
   };
-
-  if (resolved.json_path &&
-      !write_output(*resolved.json_path, "json report",
-                    [&](std::ostream& os) { report.write_json(os); })) {
-    return 1;
-  }
-  if (resolved.csv_path &&
-      !write_output(*resolved.csv_path, "csv report",
-                    [&](std::ostream& os) { report.write_csv(os); })) {
-    return 1;
-  }
-  if (resolved.prof_path &&
-      !write_output(*resolved.prof_path, "profile", [&](std::ostream& os) {
-        obs::Profiler::write_text(prof_tree, os, resolved.prof_normalize);
-      })) {
-    return 1;
-  }
-  if (resolved.prof_trace_path &&
-      !write_output(
-          *resolved.prof_trace_path, "profile trace", [&](std::ostream& os) {
-            obs::Profiler::write_chrome_trace(prof_tree, os,
-                                              resolved.prof_normalize);
-          })) {
-    return 1;
-  }
-  return result.failures == 0 ? 0 : 1;
+  // --csv selects the aggregate CSV report: a sweep has no single
+  // recorded series.
+  return run_and_report(
+      spec, std::move(runner_options),
+      obs::OutputRouter(out, err, exp::cli_outputs(options)), options.outputs,
+      exp::sweep_json_path(options), options.csv_path,
+      [&](std::ostream& summary, const CampaignResult& result) {
+        summary << "sweep: seeds=" << spec.seeds.front() << ".."
+                << spec.seeds.back() << " runs=" << result.runs.size()
+                << " failures=" << result.failures
+                << " jobs=" << options.jobs << " attack=" << options.attack
+                << " policy=" << options.policy
+                << " wall=" << result.wall_ms / 1000.0 << "s\n";
+      });
 }
 
 }  // namespace triad::campaign

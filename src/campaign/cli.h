@@ -1,9 +1,10 @@
-// Command-line campaign runner (backs the `triad_campaign` tool).
+// Command-line front ends of the campaign engine: the `triad_campaign`
+// tool and triad_sim's sweep mode.
 //
-// Builds a CampaignSpec from flags and/or a key=value spec file, runs
-// the sweep on a worker pool, and writes the deterministic aggregate
-// report (JSON and/or CSV). Kept in the library so the parser and
-// runner are unit-testable.
+// triad_campaign builds a CampaignSpec from flags and/or a key=value
+// spec file, runs the sweep on a worker pool, and writes the
+// deterministic aggregate report (JSON and/or CSV). Kept in the library
+// so the parser and runner are unit-testable.
 #pragma once
 
 #include <iosfwd>
@@ -11,25 +12,25 @@
 #include <string>
 
 #include "campaign/spec.h"
+#include "exp/cli.h"
+#include "obs/cli_output.h"
 
 namespace triad::campaign {
 
 struct CampaignCliOptions {
   CampaignSpec spec;
   std::size_t jobs = 1;
-  /// Aggregate report paths ("-" = stdout; at most one may be stdout).
-  /// With neither given, the JSON report goes to stdout.
+  /// Aggregate report paths ("-" = stdout). With neither flag given,
+  /// parse_campaign_cli sets json_path to "-".
   std::optional<std::string> json_path;
   std::optional<std::string> csv_path;
   /// Per-run Prometheus dumps land in this directory when set.
   std::string metrics_dir;
-  /// Profiler outputs (see obs/prof.h). prof_path gets the text table,
-  /// prof_trace_path the Chrome trace JSON; either may be "-" (counted
-  /// against the one-stdout-target rule). prof_normalize zeroes every
-  /// duration so the scope tree byte-compares across runs/job counts.
-  std::optional<std::string> prof_path;
-  std::optional<std::string> prof_trace_path;
-  bool prof_normalize = false;
+  /// --prof/--prof-trace/--prof-normalize (obs/cli_output.h); a campaign
+  /// has no single registry or trace, so metrics and trace stay unset.
+  /// prof_normalize zeroes every duration so the scope tree byte-compares
+  /// across runs and job counts.
+  obs::ObsOutputs outputs;
   /// Per-run progress lines on the error stream.
   bool verbose = false;
   bool help = false;
@@ -43,11 +44,19 @@ std::optional<CampaignCliOptions> parse_campaign_cli(int argc,
 
 std::string campaign_cli_usage();
 
-/// Runs the campaign. Report output targeting stdout goes to `out`; the
-/// human summary then moves to `err` (mirroring triad_sim's stream
-/// rules). Returns a process exit code; a completed campaign with
-/// failed runs exits 1.
+/// Runs the campaign. Outputs follow the obs/cli_output.h rules: "-"
+/// goes to `out` and the human summary then moves to `err`. Returns a
+/// process exit code; a completed campaign with failed runs exits 1.
 int run_campaign_cli(const CampaignCliOptions& options, std::ostream& out,
                      std::ostream& err);
+
+/// triad_sim's sweep mode (--seeds A..B / --repeat N; requires
+/// exp::is_sweep): one run per seed, with every other triad_sim flag
+/// (per-node environments, machine placement, WAN delay, attestation)
+/// applied to each. The aggregate JSON report goes to stdout unless
+/// --csv - puts the CSV report there, so the summary is on `err`.
+/// Returns a process exit code.
+int run_sim_sweep(const exp::CliOptions& options, std::ostream& out,
+                  std::ostream& err);
 
 }  // namespace triad::campaign

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "exp/cli.h"
+#include "util/parse.h"
 
 namespace triad::campaign {
 namespace {
@@ -113,6 +113,58 @@ std::vector<RunSpec> CampaignSpec::expand() const {
   return runs;
 }
 
+bool set_spec_value(CampaignSpec* spec, std::string_view key,
+                    std::string_view value, std::string* error) {
+  const auto bad = [&](std::string_view what) {
+    if (error != nullptr) {
+      *error = "bad " + std::string(what) + " '" + std::string(value) + "'";
+    }
+    return false;
+  };
+  if (key == "seeds") {
+    spec->seeds.clear();
+    for (const std::string& item : split_list(value)) {
+      std::uint64_t lo = 0, hi = 0;
+      if (!parse_seed_range(item, &lo, &hi)) return bad("seeds");
+      for (std::uint64_t s = lo; s <= hi; ++s) spec->seeds.push_back(s);
+    }
+    if (spec->seeds.empty()) return bad("seeds");
+  } else if (key == "attacks") {
+    spec->attacks = split_list(value);
+  } else if (key == "policies") {
+    spec->policies = split_list(value);
+  } else if (key == "environments") {
+    spec->environments = split_list(value);
+  } else if (key == "nodes") {
+    spec->node_counts.clear();
+    for (const std::string& item : split_list(value)) {
+      std::uint64_t n = 0;
+      if (!parse_u64(item, &n) || n == 0) return bad("nodes");
+      spec->node_counts.push_back(n);
+    }
+    if (spec->node_counts.empty()) return bad("nodes");
+  } else if (key == "duration") {
+    if (!parse_duration(value, &spec->duration) || spec->duration <= 0) {
+      return bad("duration");
+    }
+  } else if (key == "attack_delay") {
+    if (!parse_duration(value, &spec->attack_delay)) return bad("attack_delay");
+  } else if (key == "victim") {
+    std::uint64_t v = 0;
+    if (!parse_u64(value, &v)) return bad("victim");
+    spec->victim = v;
+  } else if (key == "machine_interrupts") {
+    if (value != "on" && value != "off") {
+      return bad("machine_interrupts (on|off)");
+    }
+    spec->machine_interrupts = value == "on";
+  } else {
+    if (error != nullptr) *error = "unknown key '" + std::string(key) + "'";
+    return false;
+  }
+  return true;
+}
+
 std::optional<CampaignSpec> parse_spec(std::string_view text,
                                        std::string* error) {
   CampaignSpec spec;
@@ -136,63 +188,15 @@ std::optional<CampaignSpec> parse_spec(std::string_view text,
     line = trim(line);
     if (line.empty()) continue;
 
+    const std::string where = "spec line " + std::to_string(line_no) + ": ";
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
-      return fail("spec line " + std::to_string(line_no) +
-                  ": expected key = value");
+      return fail(where + "expected key = value");
     }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string_view value = trim(line.substr(eq + 1));
-    auto bad = [&](std::string_view what) {
-      return "spec line " + std::to_string(line_no) + ": bad " +
-             std::string(what) + " '" + std::string(value) + "'";
-    };
-
-    if (key == "seeds") {
-      spec.seeds.clear();
-      for (const std::string& item : split_list(value)) {
-        std::uint64_t lo = 0, hi = 0;
-        if (!exp::parse_seed_range(item, &lo, &hi)) return fail(bad("seeds"));
-        for (std::uint64_t s = lo; s <= hi; ++s) spec.seeds.push_back(s);
-      }
-      if (spec.seeds.empty()) return fail(bad("seeds"));
-    } else if (key == "attacks") {
-      spec.attacks = split_list(value);
-    } else if (key == "policies") {
-      spec.policies = split_list(value);
-    } else if (key == "environments") {
-      spec.environments = split_list(value);
-    } else if (key == "nodes") {
-      spec.node_counts.clear();
-      for (const std::string& item : split_list(value)) {
-        std::uint64_t n = 0;
-        if (!exp::parse_u64(item, &n) || n == 0) return fail(bad("nodes"));
-        spec.node_counts.push_back(n);
-      }
-      if (spec.node_counts.empty()) return fail(bad("nodes"));
-    } else if (key == "duration") {
-      if (!exp::parse_duration(value, &spec.duration) || spec.duration <= 0) {
-        return fail(bad("duration"));
-      }
-    } else if (key == "attack_delay") {
-      if (!exp::parse_duration(value, &spec.attack_delay)) {
-        return fail(bad("attack_delay"));
-      }
-    } else if (key == "victim") {
-      std::uint64_t v = 0;
-      if (!exp::parse_u64(value, &v)) return fail(bad("victim"));
-      spec.victim = v;
-    } else if (key == "machine_interrupts") {
-      if (value == "on") {
-        spec.machine_interrupts = true;
-      } else if (value == "off") {
-        spec.machine_interrupts = false;
-      } else {
-        return fail(bad("machine_interrupts (on|off)"));
-      }
-    } else {
-      return fail("spec line " + std::to_string(line_no) +
-                  ": unknown key '" + key + "'");
+    std::string message;
+    if (!set_spec_value(&spec, trim(line.substr(0, eq)),
+                        trim(line.substr(eq + 1)), &message)) {
+      return fail(where + message);
     }
   }
 

@@ -78,6 +78,13 @@ struct CampaignSpec {
   [[nodiscard]] std::vector<RunSpec> expand() const;
 };
 
+/// Sets one spec key from its text value, as a spec-file line or the
+/// matching triad_campaign flag gives it (keys as for parse_spec). On an
+/// unknown key or a bad value returns false and writes a message to
+/// `error`. The axis names are checked later, by validate().
+bool set_spec_value(CampaignSpec* spec, std::string_view key,
+                    std::string_view value, std::string* error);
+
 /// Parses a "key = value" spec (one pair per line, '#' comments, blank
 /// lines ignored). Lists are comma-separated; the seeds value also
 /// accepts "A..B" inclusive ranges, e.g. "seeds = 1..32". Keys:

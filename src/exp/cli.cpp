@@ -1,8 +1,6 @@
 #include "exp/cli.h"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
 #include <iostream>
 #include <ostream>
 #include <sstream>
@@ -10,56 +8,11 @@
 #include "exp/recorder.h"
 #include "exp/scenario.h"
 #include "obs/export.h"
-#include "obs/prof.h"
 #include "resilient/triad_plus.h"
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace triad::exp {
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  const auto result =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return result.ec == std::errc{} &&
-         result.ptr == text.data() + text.size();
-}
-
-/// Durations accept "<n>s", "<n>ms", "<n>m", "<n>h".
-bool parse_duration(std::string_view text, Duration* out) {
-  std::uint64_t value = 0;
-  std::string_view unit;
-  std::size_t split = 0;
-  while (split < text.size() &&
-         text[split] >= '0' && text[split] <= '9') {
-    ++split;
-  }
-  if (split == 0 || !parse_u64(text.substr(0, split), &value)) return false;
-  unit = text.substr(split);
-  const auto v = static_cast<std::int64_t>(value);
-  if (unit == "ms") {
-    *out = milliseconds(v);
-  } else if (unit == "s") {
-    *out = seconds(v);
-  } else if (unit == "m") {
-    *out = minutes(v);
-  } else if (unit == "h") {
-    *out = hours(v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool parse_seed_range(std::string_view text, std::uint64_t* lo,
-                      std::uint64_t* hi) {
-  const std::size_t dots = text.find("..");
-  if (dots == std::string_view::npos) {
-    if (!parse_u64(text, lo)) return false;
-    *hi = *lo;
-    return true;
-  }
-  return parse_u64(text.substr(0, dots), lo) &&
-         parse_u64(text.substr(dots + 2), hi) && *lo <= *hi;
-}
 
 namespace {
 
@@ -73,7 +26,7 @@ std::optional<AexEnvironment> parse_environment(std::string_view text) {
 }  // namespace
 
 std::string cli_usage() {
-  return
+  return std::string(
       "triad_sim — run a Triad trusted-time scenario\n"
       "  --seed N           RNG seed (default 1)\n"
       "  --seeds A..B       seed sweep (inclusive): runs one scenario per\n"
@@ -95,15 +48,10 @@ std::string cli_usage() {
       "  --wan-delay D      one-way delay between machines (default 20ms)\n"
       "  --attested         derive channel keys from X25519 attestation\n"
       "                     handshakes instead of a provisioned secret\n"
-      "  --csv PATH         dump recorded series as CSV ('-' = stdout)\n"
-      "  --metrics PATH     dump final metrics as Prometheus text\n"
-      "                     ('-' = stdout)\n"
-      "  --trace PATH       dump the protocol trace as JSON Lines\n"
-      "                     ('-' = stdout)\n"
-      "  --prof PATH        wall-clock scope profile table ('-' = stdout)\n"
-      "  --prof-trace PATH  profile as Chrome trace JSON for Perfetto /\n"
-      "                     chrome://tracing ('-' = stdout)\n"
-      "  --prof-normalize   zero profile durations (deterministic tree)\n"
+      "  --csv PATH         dump recorded series as CSV (a sweep: the\n"
+      "                     aggregate CSV report, replacing the JSON\n"
+      "                     report on stdout when PATH is '-')\n") +
+      obs::output_flags_usage(/*per_run=*/true) +
       "  --help             this text\n";
 }
 
@@ -134,16 +82,20 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
       options.attested = true;
       continue;
     }
-    if (arg == "--prof-normalize") {
-      options.prof_normalize = true;
-      continue;
+    switch (obs::take_output_flag(argc, argv, &i, /*per_run=*/true,
+                                  &options.outputs)) {
+      case obs::FlagParse::kTaken:
+        continue;
+      case obs::FlagParse::kMissingValue:
+        return fail("missing value for " + std::string(arg));
+      case obs::FlagParse::kNotMine:
+        break;
     }
     static constexpr std::string_view kValueFlags[] = {
         "--seed",    "--nodes",        "--duration",  "--attack",
         "--victim",  "--policy",       "--env",       "--csv",
-        "--machine", "--attack-delay", "--wan-delay", "--metrics",
-        "--trace",   "--seeds",        "--repeat",    "--jobs",
-        "--prof",    "--prof-trace"};
+        "--machine", "--attack-delay", "--wan-delay", "--seeds",
+        "--repeat",  "--jobs"};
     const bool known =
         std::find(std::begin(kValueFlags), std::end(kValueFlags), arg) !=
         std::end(kValueFlags);
@@ -209,14 +161,6 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
       }
     } else if (arg == "--csv") {
       options.csv_path = std::string(*v);
-    } else if (arg == "--metrics") {
-      options.metrics_path = std::string(*v);
-    } else if (arg == "--trace") {
-      options.trace_path = std::string(*v);
-    } else if (arg == "--prof") {
-      options.prof_path = std::string(*v);
-    } else if (arg == "--prof-trace") {
-      options.prof_trace_path = std::string(*v);
     }
   }
 
@@ -231,8 +175,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   if (options.seed_range && options.repeat > 1) {
     return fail("--repeat and --seeds are mutually exclusive");
   }
-  if ((options.seed_range || options.repeat > 1) &&
-      (options.metrics_path || options.trace_path)) {
+  if (is_sweep(options) && (options.outputs.metrics || options.outputs.trace)) {
     return fail(
         "--metrics/--trace are per-run outputs; for sweeps use "
         "triad_campaign --metrics-dir");
@@ -243,22 +186,38 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   if (options.machines.size() > options.nodes) {
     return fail("more --machine entries than nodes");
   }
-  int stdout_targets = 0;
-  for (const auto& path :
-       {options.csv_path, options.metrics_path, options.trace_path,
-        options.prof_path, options.prof_trace_path}) {
-    if (path && *path == "-") ++stdout_targets;
-  }
-  if (stdout_targets > 1) {
-    return fail(
-        "at most one of --csv/--metrics/--trace/--prof/--prof-trace may "
-        "be '-'");
+  if (std::string message = obs::check_one_stdout(cli_outputs(options));
+      !message.empty()) {
+    return fail(std::move(message));
   }
   return options;
 }
 
 bool is_sweep(const CliOptions& options) {
   return options.seed_range.has_value() || options.repeat > 1;
+}
+
+obs::OutputPath sweep_json_path(const CliOptions& options) {
+  if (!is_sweep(options) || options.csv_path == "-") return std::nullopt;
+  return "-";
+}
+
+std::vector<obs::NamedOutput> cli_outputs(const CliOptions& options) {
+  std::vector<obs::NamedOutput> outputs = obs::named_outputs(options.outputs);
+  outputs.push_back({"--csv", options.csv_path});
+  outputs.push_back({"the sweep's JSON report", sweep_json_path(options)});
+  return outputs;
+}
+
+void apply_deployment(const CliOptions& options, ScenarioConfig* cfg) {
+  cfg->environments.clear();
+  for (const std::string& env : options.environments) {
+    cfg->environments.push_back(*parse_environment(env));
+  }
+  cfg->machine_of = options.machines;
+  cfg->wan_base_delay = options.wan_delay;
+  cfg->wan_jitter = std::max<Duration>(options.wan_delay / 10, 1);
+  cfg->attested_keys = options.attested;
 }
 
 std::vector<std::uint64_t> sweep_seeds(const CliOptions& options) {
@@ -285,35 +244,15 @@ int run_cli(const CliOptions& options, std::ostream& out,
     return 0;
   }
 
-  // When a machine-readable output goes to stdout, the human summary
-  // moves to the error stream so consumers can pipe stdout directly.
-  const auto targets_stdout = [](const std::optional<std::string>& path) {
-    return path && *path == "-";
-  };
-  const bool machine_on_stdout = targets_stdout(options.csv_path) ||
-                                 targets_stdout(options.metrics_path) ||
-                                 targets_stdout(options.trace_path) ||
-                                 targets_stdout(options.prof_path) ||
-                                 targets_stdout(options.prof_trace_path);
-  std::ostream& summary = machine_on_stdout ? err : out;
-
-  const bool profiling = options.prof_path || options.prof_trace_path;
-  if (profiling) {
-    obs::Profiler::instance().reset();
-    obs::Profiler::instance().set_enabled(true);
-  }
+  const obs::OutputRouter router(out, err, cli_outputs(options));
+  std::ostream& summary = router.summary();
+  obs::ProfileSession profile(options.outputs);
 
   ScenarioConfig cfg;
   cfg.seed = options.seed;
   cfg.node_count = options.nodes;
   cfg.machine_interrupts = options.machine_interrupts;
-  cfg.machine_of = options.machines;
-  cfg.wan_base_delay = options.wan_delay;
-  cfg.wan_jitter = std::max<Duration>(options.wan_delay / 10, 1);
-  cfg.attested_keys = options.attested;
-  for (const std::string& env : options.environments) {
-    cfg.environments.push_back(*parse_environment(env));
-  }
+  apply_deployment(options, &cfg);
   if (options.policy == "triadplus") {
     cfg.node_template = resilient::harden(cfg.node_template);
     cfg.policy_factory = [] { return resilient::make_triad_plus_policy(); };
@@ -323,7 +262,7 @@ int run_cli(const CliOptions& options, std::ostream& out,
   // the trace ring only exists when asked for.
   cfg.enable_metrics = true;
   cfg.enable_detectors = true;
-  if (options.trace_path) cfg.trace_capacity = std::size_t{1} << 18;
+  if (options.outputs.trace) cfg.trace_capacity = std::size_t{1} << 18;
 
   Scenario scenario(std::move(cfg));
   // Log lines carry the same virtual-time tag the trace events do.
@@ -343,18 +282,7 @@ int run_cli(const CliOptions& options, std::ostream& out,
   scenario.start();
   scenario.run_until(options.duration);
 
-  obs::ProfTree prof_tree;
-  if (profiling) {
-    obs::Profiler::instance().set_enabled(false);
-    prof_tree = obs::Profiler::instance().merge();
-    // Surface the scope timings as registry histograms too, so a
-    // combined --prof + --metrics run carries them in the Prometheus
-    // dump (triad_prof_scope_seconds{path=...}).
-    if (scenario.metrics() != nullptr) {
-      obs::Profiler::export_histograms(prof_tree, *scenario.metrics(),
-                                       options.prof_normalize);
-    }
-  }
+  profile.finish(scenario.metrics());
 
   summary << "scenario: nodes=" << options.nodes << " seed=" << options.seed
           << " duration=" << to_seconds(options.duration) << "s attack="
@@ -392,56 +320,14 @@ int run_cli(const CliOptions& options, std::ostream& out,
     summary << "\n";
   }
 
-  // Writes `what` to the flagged path: stdout when "-", a file otherwise.
-  const auto write_output = [&](const std::string& path, const char* what,
-                                auto&& writer) -> bool {
-    if (path == "-") {
-      writer(out);
-      return true;
-    }
-    std::ofstream file(path);
-    if (!file) {
-      summary << "error: cannot open " << path << "\n";
-      return false;
-    }
-    writer(file);
-    summary << what << " written to " << path << "\n";
-    return true;
-  };
-
-  if (options.csv_path &&
-      !write_output(*options.csv_path, "series", [&](std::ostream& os) {
-        recorder.series().write_csv(os);
-      })) {
-    return 1;
-  }
-  if (options.metrics_path &&
-      !write_output(*options.metrics_path, "metrics", [&](std::ostream& os) {
-        scenario.metrics()->write_prometheus(os);
-      })) {
-    return 1;
-  }
-  if (options.trace_path &&
-      !write_output(*options.trace_path, "trace", [&](std::ostream& os) {
-        obs::write_jsonl(*scenario.trace(), os);
-      })) {
-    return 1;
-  }
-  if (options.prof_path &&
-      !write_output(*options.prof_path, "profile", [&](std::ostream& os) {
-        obs::Profiler::write_text(prof_tree, os, options.prof_normalize);
-      })) {
-    return 1;
-  }
-  if (options.prof_trace_path &&
-      !write_output(
-          *options.prof_trace_path, "profile trace", [&](std::ostream& os) {
-            obs::Profiler::write_chrome_trace(prof_tree, os,
-                                              options.prof_normalize);
-          })) {
-    return 1;
-  }
-  return 0;
+  return router.write(
+      {{options.csv_path, "series",
+        [&](std::ostream& os) { recorder.series().write_csv(os); }},
+       {options.outputs.metrics, "metrics",
+        [&](std::ostream& os) { scenario.metrics()->write_prometheus(os); }},
+       {options.outputs.trace, "trace",
+        [&](std::ostream& os) { obs::write_jsonl(*scenario.trace(), os); }},
+       profile.table(), profile.chrome_trace()});
 }
 
 }  // namespace triad::exp

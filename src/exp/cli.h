@@ -8,10 +8,10 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/cli_output.h"
 #include "util/types.h"
 
 namespace triad::exp {
@@ -45,22 +45,13 @@ struct CliOptions {
   Duration wan_delay = milliseconds(20);
   /// Derive channel keys from attestation handshakes.
   bool attested = false;
-  /// Write the recorded series as CSV to this path ("-" = stdout).
+  /// Write the recorded series as CSV to this path ("-" = stdout); in a
+  /// sweep, the aggregate CSV report instead.
   std::optional<std::string> csv_path;
-  /// Write the final metrics registry in Prometheus text format ("-" =
-  /// stdout).
-  std::optional<std::string> metrics_path;
-  /// Write the protocol trace as JSON Lines ("-" = stdout).
-  std::optional<std::string> trace_path;
-  /// Profiler outputs (obs/prof.h): text scope table and Chrome trace
-  /// JSON ("-" = stdout, counted against the one-stdout-target rule).
-  /// Enabling either also exports triad_prof_scope_seconds histograms
-  /// into the scenario registry, so --metrics picks them up.
-  std::optional<std::string> prof_path;
-  std::optional<std::string> prof_trace_path;
-  /// Zero every profiler duration: the rendered scope tree becomes a
-  /// pure call-structure artifact, byte-comparable across runs.
-  bool prof_normalize = false;
+  /// --metrics/--trace/--prof/--prof-trace/--prof-normalize. Profiling
+  /// also exports triad_prof_scope_seconds histograms into the scenario
+  /// registry, so --metrics picks them up.
+  obs::ObsOutputs outputs;
   bool help = false;
 };
 
@@ -75,23 +66,27 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
 /// The inclusive seed list a sweep expands to ({seed} for a single run).
 [[nodiscard]] std::vector<std::uint64_t> sweep_seeds(const CliOptions& options);
 
-// Shared flag/spec-file scalar parsers (also used by triad_campaign).
-/// Parses a non-negative integer; the whole string must be consumed.
-bool parse_u64(std::string_view text, std::uint64_t* out);
-/// Parses "<n>ms" | "<n>s" | "<n>m" | "<n>h" into nanoseconds.
-bool parse_duration(std::string_view text, Duration* out);
-/// Parses "A..B" (inclusive, A <= B) or a single "A" into [*lo, *hi].
-bool parse_seed_range(std::string_view text, std::uint64_t* lo,
-                      std::uint64_t* hi);
+struct ScenarioConfig;
+
+/// Applies the flags a sweep's campaign grid has no axis for: per-node
+/// environments, machine placement, WAN delay and attestation.
+void apply_deployment(const CliOptions& options, ScenarioConfig* cfg);
+
+/// Where a sweep's aggregate JSON report goes: stdout, unless --csv -
+/// takes its place. Unset for a single run.
+[[nodiscard]] obs::OutputPath sweep_json_path(const CliOptions& options);
+
+/// Every output the options request, after the sweep's JSON default is
+/// filled in: the list the one-stdout rule and the stream routing read.
+[[nodiscard]] std::vector<obs::NamedOutput> cli_outputs(
+    const CliOptions& options);
 
 /// One-line-per-flag usage text.
 std::string cli_usage();
 
-/// Runs the described experiment. Machine-readable output (CSV /
-/// Prometheus metrics / JSONL trace) requested with path "-" goes to
-/// `out`; the human summary then moves to `err` so the streams never
-/// interleave. With no stdout machine output the summary stays on `out`.
-/// At most one output may target stdout. Returns a process exit code.
+/// Runs the described single-scenario experiment. Outputs follow the
+/// obs/cli_output.h rules: "-" goes to `out` and the human summary then
+/// moves to `err`. Returns a process exit code.
 int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err);
 
 /// Convenience overload: `err` = std::cerr.

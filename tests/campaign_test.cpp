@@ -2,6 +2,7 @@
 // aggregation, and the triad_campaign CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
@@ -10,7 +11,6 @@
 #include "campaign/aggregate.h"
 #include "campaign/cli.h"
 #include "campaign/runner.h"
-#include "campaign/sim_sweep.h"
 #include "campaign/spec.h"
 #include "exp/recorder.h"
 #include "exp/scenario.h"
@@ -320,6 +320,12 @@ TEST(CampaignCli, RejectsBadInput) {
   EXPECT_FALSE(
       parse({"--json", "-", "--csv", "-"}, &error).has_value());
   EXPECT_NE(error.find("at most one"), std::string::npos);
+  // The JSON report goes to stdout by default, so a profile cannot too.
+  error.clear();
+  EXPECT_FALSE(parse({"--prof", "-"}, &error).has_value());
+  EXPECT_NE(error.find("at most one"), std::string::npos);
+  EXPECT_TRUE(parse({"--csv", "r.csv", "--prof", "-"}).has_value());
+  EXPECT_EQ(parse({})->json_path, "-");
   EXPECT_TRUE(parse({"--help"})->help);
   EXPECT_FALSE(campaign_cli_usage().empty());
 }
@@ -336,6 +342,27 @@ TEST(CampaignCli, RunsEndToEndWithStreamRules) {
   EXPECT_NE(out.str().find("\"honest_max_jump_ms\""), std::string::npos);
   EXPECT_NE(err.str().find("campaign: cells=1 runs=2 failures=0"),
             std::string::npos);
+}
+
+// The detectors' false-positive floor: an attack-free sweep of eight
+// seeds raises no alarm in any cell.
+TEST(CampaignRunner, HonestSweepRaisesNoAlarms) {
+  CampaignSpec spec;
+  spec.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  spec.attacks = {"none"};
+  spec.duration = minutes(2);
+  const CampaignResult result = CampaignRunner().run(spec);
+  ASSERT_EQ(result.failures, 0u);
+  const CampaignReport report = CampaignReport::aggregate(spec, result);
+  ASSERT_FALSE(report.cells.empty());
+  for (const CellReport& cell : report.cells) {
+    const auto alarms = std::find_if(
+        cell.metrics.begin(), cell.metrics.end(),
+        [](const MetricStat& m) { return m.name == "detector_alarms"; });
+    ASSERT_NE(alarms, cell.metrics.end()) << "cell " << cell.cell;
+    EXPECT_EQ(alarms->stat.n, spec.seeds.size());
+    EXPECT_EQ(alarms->stat.max, 0.0) << "cell " << cell.cell;
+  }
 }
 
 // triad_sim's sweep mode drives the same engine.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exp/cli.h"
+#include "util/parse.h"
 
 namespace triad::exp {
 namespace {
@@ -152,6 +153,15 @@ TEST(CliParser, RejectsBadSweepValues) {
   EXPECT_NE(error.find("per-run"), std::string::npos);
   EXPECT_FALSE(
       parse({"--repeat", "2", "--trace", "t.jsonl"}, &error).has_value());
+  // A sweep's JSON report owns stdout unless --csv - takes its place, so
+  // a profile on stdout is refused before the sweep runs.
+  error.clear();
+  EXPECT_FALSE(parse({"--seeds", "1..2", "--prof", "-"}, &error).has_value());
+  EXPECT_NE(error.find("at most one"), std::string::npos);
+  EXPECT_FALSE(parse({"--seeds", "1..2", "--csv", "-", "--prof-trace", "-"},
+                     &error)
+                   .has_value());
+  EXPECT_TRUE(parse({"--seeds", "1..2", "--csv", "-"}).has_value());
 }
 
 TEST(CliParser, SeedRangeParser) {

@@ -1,8 +1,8 @@
 // Coverage for tools/lint/triad_lint itself: every rule R1-R9 must fire
 // on its known-bad fixture at the marked lines, the repo's own tree must
-// lint clean, the committed R9 metric inventory must byte-match the
-// tree, and the checked-in lint_rules.toml must stay in sync with the
-// built-in defaults.
+// lint clean, and the committed R9 metric inventory must byte-match the
+// tree. The built-in config is lint_rules.toml itself, embedded at
+// configure time, so there is no second copy to keep in sync.
 //
 // Fixtures live in tests/lint_fixtures/ (excluded from tree scans) and
 // mark each expected diagnostic with a `// LINT` rule comment, so the
@@ -323,39 +323,6 @@ TEST(LintInvariants, AuditCoversTheLoadBearingClaims) {
 }
 
 // --- config / allowlist ---------------------------------------------------
-
-TEST(LintConfig, CheckedInTomlMirrorsBuiltinDefaults) {
-  Config parsed;  // start empty: every field must come from the file
-  std::string error;
-  ASSERT_TRUE(triad::lint::parse_config(read_file(TRIAD_LINT_CONFIG), &parsed,
-                                        &error))
-      << error;
-  const Config builtin = triad::lint::default_config();
-  EXPECT_EQ(parsed.scan_dirs, builtin.scan_dirs);
-  EXPECT_EQ(parsed.exclude_prefixes, builtin.exclude_prefixes);
-  EXPECT_EQ(parsed.r1_banned, builtin.r1_banned);
-  EXPECT_EQ(parsed.r1_call_only, builtin.r1_call_only);
-  EXPECT_EQ(parsed.r1_exempt_prefixes, builtin.r1_exempt_prefixes);
-  EXPECT_EQ(parsed.r2_files, builtin.r2_files);
-  EXPECT_EQ(parsed.r3_files, builtin.r3_files);
-  EXPECT_EQ(parsed.r4_files, builtin.r4_files);
-  EXPECT_EQ(parsed.r4_banned, builtin.r4_banned);
-  ASSERT_EQ(parsed.r6_layers.size(), builtin.r6_layers.size());
-  for (std::size_t i = 0; i < parsed.r6_layers.size(); ++i) {
-    EXPECT_EQ(parsed.r6_layers[i].prefix, builtin.r6_layers[i].prefix);
-    EXPECT_EQ(parsed.r6_layers[i].rank, builtin.r6_layers[i].rank);
-  }
-  EXPECT_EQ(parsed.r8_files, builtin.r8_files);
-  EXPECT_EQ(parsed.r9_prefixes, builtin.r9_prefixes);
-  EXPECT_EQ(parsed.r9_docs, builtin.r9_docs);
-  EXPECT_EQ(parsed.r9_inventory, builtin.r9_inventory);
-  ASSERT_EQ(parsed.allow.size(), builtin.allow.size());
-  for (std::size_t i = 0; i < parsed.allow.size(); ++i) {
-    EXPECT_EQ(parsed.allow[i].rule, builtin.allow[i].rule);
-    EXPECT_EQ(parsed.allow[i].file, builtin.allow[i].file);
-    EXPECT_EQ(parsed.allow[i].token, builtin.allow[i].token);
-  }
-}
 
 TEST(LintConfig, RejectsMalformedInput) {
   Config config;

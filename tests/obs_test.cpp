@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/scenario.h"
+#include "obs/cli_output.h"
 #include "obs/detect.h"
 #include "obs/cluster.h"
 #include "obs/export.h"
@@ -611,6 +613,67 @@ TEST(TraceExport, ParseJsonlCountsRejectedLines) {
   EXPECT_EQ(events[0].node, 2u);
   EXPECT_EQ(events[1].type, TraceEventType::kClockStep);
   EXPECT_EQ(events[1].a, -500);
+}
+
+// --- command-line output policy -------------------------------------------
+
+TEST(CliOutput, RoutesStdoutAllowsOneDashAndFailsOnUnopenablePath) {
+  // Flag parsing: --metrics/--trace only for per-run tools.
+  const char* argv[] = {"tool", "--metrics", "-", "--prof-normalize",
+                        "--prof"};
+  ObsOutputs outputs;
+  int i = 1;
+  EXPECT_EQ(take_output_flag(5, argv, &i, /*per_run=*/false, &outputs),
+            FlagParse::kNotMine);
+  EXPECT_EQ(take_output_flag(5, argv, &i, /*per_run=*/true, &outputs),
+            FlagParse::kTaken);
+  EXPECT_EQ(i, 2);
+  EXPECT_EQ(outputs.metrics, "-");
+  i = 3;
+  EXPECT_EQ(take_output_flag(5, argv, &i, true, &outputs), FlagParse::kTaken);
+  EXPECT_TRUE(outputs.prof_normalize);
+  i = 4;
+  EXPECT_EQ(take_output_flag(5, argv, &i, true, &outputs),
+            FlagParse::kMissingValue);
+
+  // The one-stdout rule names every output that claims stdout.
+  outputs.trace = "t.jsonl";
+  EXPECT_EQ(check_one_stdout(named_outputs(outputs)), "");
+  outputs.prof = "-";
+  const std::string message = check_one_stdout(named_outputs(outputs));
+  EXPECT_NE(message.find("at most one"), std::string::npos);
+  EXPECT_NE(message.find("--metrics and --prof"), std::string::npos);
+
+  // Routing: "-" goes to out and moves the summary to err; a file gets a
+  // "written to" line; an unopenable path fails with 1 and stops there.
+  const std::string file =
+      (std::filesystem::temp_directory_path() / "cli_output_test.txt")
+          .string();
+  std::ostringstream out, err;
+  const OutputRouter router(out, err, {{"--csv", "-"}});
+  EXPECT_EQ(&router.summary(), &err);
+  int written = 0;
+  const auto body = [&written](std::ostream& os) {
+    os << "body\n";
+    ++written;
+  };
+  EXPECT_EQ(router.write({{std::nullopt, "unrequested", body},
+                          {"-", "csv", body},
+                          {file, "json", body}}),
+            0);
+  EXPECT_EQ(out.str(), "body\n");
+  EXPECT_EQ(err.str(), "json written to " + file + "\n");
+  EXPECT_EQ(router.write({{"/nonexistent-dir/x.txt", "json", body},
+                          {"-", "csv", body}}),
+            1);
+  EXPECT_EQ(written, 2);
+  EXPECT_NE(err.str().find("error: cannot open /nonexistent-dir/x.txt"),
+            std::string::npos);
+  std::remove(file.c_str());
+
+  std::ostringstream quiet_out, quiet_err;
+  const OutputRouter files_only(quiet_out, quiet_err, {{"--csv", file}});
+  EXPECT_EQ(&files_only.summary(), &quiet_out);
 }
 
 // --- end-to-end determinism and attack reconstruction ---------------------

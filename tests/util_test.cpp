@@ -8,6 +8,7 @@
 #include "util/bytes.h"
 #include "util/checked.h"
 #include "util/hex.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -219,6 +220,34 @@ TEST(Hex, RoundTrip) {
 TEST(Hex, InvalidInputThrows) {
   EXPECT_THROW(from_hex("abc"), DecodeError);   // odd length
   EXPECT_THROW(from_hex("zz"), DecodeError);    // bad chars
+}
+
+TEST(Parse, WholeTextOrFail) {
+  std::uint64_t n = 0;
+  EXPECT_TRUE(parse_u64("42", &n));
+  EXPECT_EQ(n, 42u);
+  for (const char* bad :
+       {"", "-1", "1e3", "12abc", "+1", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, &n)) << bad;
+  }
+  Duration d = 0;
+  EXPECT_TRUE(parse_duration("90s", &d));
+  EXPECT_EQ(d, seconds(90));
+  EXPECT_FALSE(parse_duration("10", &d));
+  EXPECT_FALSE(parse_duration("9999999999h", &d));  // overflows a Duration
+  EXPECT_TRUE(parse_duration("2562047h", &d));
+  double x = 0;
+  EXPECT_TRUE(parse_non_negative("0.25", &x));
+  EXPECT_EQ(x, 0.25);
+  for (const char* bad : {"nan", "inf", "-1", "1x", ""}) {
+    EXPECT_FALSE(parse_non_negative(bad, &x)) << bad;
+  }
+  NodeId id = 0;
+  EXPECT_TRUE(parse_node_id("4294967295", &id));
+  EXPECT_EQ(id, 4294967295u);
+  for (const char* bad : {"0", "abc", "12abc", "0x2", "4294967296"}) {
+    EXPECT_FALSE(parse_node_id(bad, &id)) << bad;
+  }
 }
 
 TEST(Narrow, PreservingConversionsPass) {

@@ -1,6 +1,7 @@
-// Orchestration: built-in defaults, per-file and tree-wide lint entry
-// points. The actual analyses live in rules.cpp (per-file R1–R4, R8)
-// and graph.cpp (cross-file R6/R7/R9); reporting plumbing in report.cpp.
+// Orchestration: the built-in config (lint_rules.toml, embedded at
+// configure time), per-file and tree-wide lint entry points. The actual
+// analyses live in rules.cpp (per-file R1–R4, R8) and graph.cpp
+// (cross-file R6/R7/R9); reporting plumbing in report.cpp.
 #include "lint.h"
 
 #include <algorithm>
@@ -8,10 +9,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "graph.h"
 #include "lexer.h"
+#include "lint_rules_toml.h"
 #include "rules.h"
 
 namespace triad::lint {
@@ -60,110 +63,10 @@ void sort_diags(std::vector<Diagnostic>* diags) {
 
 Config default_config() {
   Config cfg;
-  cfg.scan_dirs = {"src", "bench", "examples", "tests", "tools"};
-  cfg.exclude_prefixes = {"tests/lint_fixtures/"};
-  cfg.r1_banned = {"system_clock",   "steady_clock", "high_resolution_clock",
-                   "random_device",  "mt19937",      "mt19937_64",
-                   "default_random_engine",          "srand",
-                   "rand",           "time",         "getenv",
-                   "clock_gettime",  "gettimeofday", "timespec_get",
-                   "epoll_create1",  "epoll_wait",   "epoll_ctl",
-                   "eventfd",        "recvmmsg",     "sendmmsg",
-                   "setsockopt",     "socket",       "listen",
-                   "accept4",        "connect"};
-  cfg.r1_call_only = {"time", "rand", "getenv", "socket", "listen",
-                      "connect"};
-  // No blanket layer exemptions: every real-clock binding site is named
-  // in [allow] so a new one cannot slip in under a directory prefix.
-  cfg.r1_exempt_prefixes = {};
-  cfg.r2_files = {"src/obs/json.h",       "src/obs/export.cpp",
-                  "src/obs/report.h",     "src/obs/report.cpp",
-                  "src/obs/forensic.cpp", "src/obs/cluster.cpp",
-                  "src/obs/metrics.cpp",  "src/campaign/aggregate.cpp",
-                  "src/exp/recorder.cpp"};
-  cfg.r3_files = {"src/obs/json.h",       "src/obs/export.cpp",
-                  "src/obs/report.h",     "src/obs/report.cpp",
-                  "src/obs/forensic.cpp", "src/obs/cluster.cpp",
-                  "src/obs/metrics.cpp",  "src/campaign/aggregate.cpp",
-                  "src/exp/recorder.cpp", "src/campaign/cli.cpp"};
-  cfg.r4_files = {"src/sim/simulation.cpp", "src/net/network.cpp",
-                  "src/obs/trace.cpp",      "src/runtime/env.cpp",
-                  "src/runtime/sim_env.cpp", "src/crypto/aes.cpp",
-                  "src/crypto/gcm.cpp",     "src/crypto/channel.cpp",
-                  "src/timed/serve_worker.cpp"};
-  cfg.r4_banned = {"new",    "malloc",      "calloc",     "realloc",
-                   "strdup", "make_unique", "make_shared", "function"};
-  // R6 layer map. Longest prefix wins, so file-granular refinements
-  // override their directory: the obs substrate headers (metrics/trace/
-  // span/prof) are included by every layer and sit with runtime, while
-  // the rest of obs (detect/forensic/cluster/export) is forensic-tier
-  // above the protocol layers; runtime's environment *binders*
-  // (sim_env/cluster_harness/real_env) glue protocol + net + sim
-  // together and sit with the apps. Equal ranks may include each other.
-  cfg.r6_layers = {
-      {"src/util", 0},
-      {"src/stats", 0},
-      {"src/runtime", 1},
-      {"src/obs/metrics.h", 1},
-      {"src/obs/trace.h", 1},
-      {"src/obs/span.h", 1},
-      {"src/obs/prof.h", 1},
-      {"src/crypto", 2},
-      {"src/net", 2},
-      {"src/tsc", 2},
-      {"src/sim", 3},
-      {"src/triad", 3},
-      {"src/ta", 3},
-      {"src/ntp", 3},
-      {"src/t3e", 3},
-      {"src/resilient", 3},
-      {"src/enclave", 3},
-      {"src/attacks", 3},
-      {"src/obs", 4},
-      {"src/exp", 5},
-      {"src/campaign", 5},
-      {"src/timed", 5},
-      {"src/apps", 5},
-      {"src/runtime/sim_env", 5},
-      {"src/runtime/cluster_harness", 5},
-      {"src/runtime/real_env", 5},
-  };
-  cfg.r8_files = {"src/runtime/real_env.cpp"};
-  cfg.r9_prefixes = {"triad_", "obs_"};
-  cfg.r9_docs = {"DESIGN.md"};
-  cfg.r9_inventory = "scripts/prom_families.txt";
-  cfg.allow = {
-      // The one sanctioned wall-clock binding: MonotonicTimer wraps
-      // steady_clock; bench/, profiler, and campaign wall_ms all go
-      // through it rather than binding a real clock themselves.
-      {"R1", "src/runtime/monotonic_timer.h", "steady_clock"},
-      // The one sanctioned ambient-I/O site: RealEnv owns every raw
-      // socket/epoll syscall. Entries are named per token so a second
-      // binding site (or a new syscall here) must be listed explicitly —
-      // no directory blanket. R8 derives its watched-syscall list from
-      // these entries.
-      {"R1", "src/runtime/real_env.cpp", "socket"},
-      {"R1", "src/runtime/real_env.cpp", "setsockopt"},
-      {"R1", "src/runtime/real_env.cpp", "recvmmsg"},
-      {"R1", "src/runtime/real_env.cpp", "sendmmsg"},
-      {"R1", "src/runtime/real_env.cpp", "epoll_create1"},
-      {"R1", "src/runtime/real_env.cpp", "epoll_ctl"},
-      {"R1", "src/runtime/real_env.cpp", "epoll_wait"},
-      {"R1", "src/runtime/real_env.cpp", "eventfd"},
-      {"R1", "src/runtime/real_env.cpp", "listen"},
-      {"R1", "src/runtime/real_env.cpp", "accept4"},
-      {"R1", "src/runtime/real_env.cpp", "connect"},
-      // The slab event loop and runtime interfaces traffic in
-      // std::function by design (SBO-sized closures, PR 1); R4 still
-      // polices raw new/malloc there.
-      {"R4", "src/sim/simulation.cpp", "std::function"},
-      {"R4", "src/runtime/env.cpp", "std::function"},
-      {"R4", "src/obs/trace.cpp", "std::function"},
-      // The one sanctioned upward include: SimEnv's packet plane lives
-      // in net/, whose delivery scheduling is the sim event loop. The
-      // interface split (PR 7's RealEnv work) is tracked in ROADMAP.md.
-      {"R6", "src/net/network.h", "sim/simulation.h"},
-  };
+  std::string error;
+  if (!parse_config(kLintRulesToml, &cfg, &error)) {
+    throw std::logic_error("embedded lint_rules.toml: " + error);
+  }
   return cfg;
 }
 

@@ -111,8 +111,8 @@ struct Config {
   std::vector<AllowEntry> allow;
 };
 
-/// Built-in defaults mirroring lint_rules.toml (used when no config file
-/// is given, and by the fixture tests).
+/// The checked-in lint_rules.toml, embedded at configure time (used when
+/// no config file is given, and by the fixture tests).
 [[nodiscard]] Config default_config();
 
 /// Parses the lint_rules.toml subset (sections, string/array values,

@@ -21,8 +21,8 @@ int usage(const char* argv0) {
          "audit and the R9 metric inventory.\n"
          "\n"
          "  --root DIR           repo root to scan (default: .)\n"
-         "  --config FILE        rule config (default: built-in defaults,\n"
-         "                       mirrored in tools/lint/lint_rules.toml)\n"
+         "  --config FILE        rule config (default: tools/lint/\n"
+         "                       lint_rules.toml as embedded at build time)\n"
          "  --fix-allowlist      append current diagnostics to the config's\n"
          "                       [allow] baseline instead of failing\n"
          "  --fail-unused-allow  stale [allow] entries fail the run (exit 1)\n"
