@@ -155,7 +155,7 @@ int main() {
 
       sc.start();
       double worst_ppm = 0, final_ppm = 0;
-      sim::PeriodicTimer sampler(sc.simulation(), seconds(10), [&] {
+      runtime::PeriodicTimer sampler(sc.env(), seconds(10), [&] {
         const double f = sc.node(2).calibrated_frequency_hz();
         if (f <= 0) return;
         final_ppm = std::abs(f - tsc::kPaperTscFrequencyHz) /

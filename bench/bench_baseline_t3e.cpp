@@ -46,7 +46,7 @@ T3eOutcome run_t3e(double tpm_rate, Duration attacker_delay) {
 
   int served = 0, total = 0;
   double last_drift_ms = 0;
-  sim::PeriodicTimer load(sim, milliseconds(10), [&] {
+  runtime::PeriodicTimer load(env, milliseconds(10), [&] {
     ++total;
     if (const auto ts = node.serve_timestamp()) {
       ++served;

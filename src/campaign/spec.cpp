@@ -126,7 +126,11 @@ bool set_spec_value(CampaignSpec* spec, std::string_view key,
     for (const std::string& item : split_list(value)) {
       std::uint64_t lo = 0, hi = 0;
       if (!parse_seed_range(item, &lo, &hi)) return bad("seeds");
-      for (std::uint64_t s = lo; s <= hi; ++s) spec->seeds.push_back(s);
+      // Stop at hi itself: ++ past hi == 2^64-1 would wrap to 0.
+      for (std::uint64_t s = lo;; ++s) {
+        spec->seeds.push_back(s);
+        if (s == hi) break;
+      }
     }
     if (spec->seeds.empty()) return bad("seeds");
   } else if (key == "attacks") {

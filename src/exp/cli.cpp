@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -43,8 +44,9 @@ std::string cli_usage() {
       "  --env E            per-node AEX env: triad | low | none\n"
       "                     (repeat per node; missing default to triad)\n"
       "  --no-machine-interrupts   disable correlated residual interrupts\n"
-      "  --machine M        machine index for the next node (repeat per\n"
-      "                     node; geo-distributed deployments)\n"
+      "  --machine M        machine index 0..N (N = --nodes) for the next\n"
+      "                     node (repeat per node; geo-distributed\n"
+      "                     deployments)\n"
       "  --wan-delay D      one-way delay between machines (default 20ms)\n"
       "  --attested         derive channel keys from X25519 attestation\n"
       "                     handshakes instead of a provisioned secret\n"
@@ -175,6 +177,10 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   if (options.seed_range && options.repeat > 1) {
     return fail("--repeat and --seeds are mutually exclusive");
   }
+  if (options.repeat - 1 >
+      std::numeric_limits<std::uint64_t>::max() - options.seed) {
+    return fail("bad --repeat: --seed + N - 1 exceeds 2^64-1");
+  }
   if (is_sweep(options) && (options.outputs.metrics || options.outputs.trace)) {
     return fail(
         "--metrics/--trace are per-run outputs; for sweeps use "
@@ -185,6 +191,11 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   }
   if (options.machines.size() > options.nodes) {
     return fail("more --machine entries than nodes");
+  }
+  // One machine per node plus the TA's machine 0 covers every placement;
+  // Scenario builds one interrupt hub per machine index up to the largest.
+  for (const std::size_t machine : options.machines) {
+    if (machine > options.nodes) return fail("--machine exceeds --nodes");
   }
   if (std::string message = obs::check_one_stdout(cli_outputs(options));
       !message.empty()) {
@@ -229,8 +240,11 @@ std::vector<std::uint64_t> sweep_seeds(const CliOptions& options) {
   }
   std::vector<std::uint64_t> seeds;
   seeds.reserve(hi - lo + 1);
-  for (std::uint64_t s = lo; s <= hi; ++s) seeds.push_back(s);
-  return seeds;
+  // Stop at hi itself: ++ past hi == 2^64-1 would wrap to 0.
+  for (std::uint64_t s = lo;; ++s) {
+    seeds.push_back(s);
+    if (s == hi) return seeds;
+  }
 }
 
 int run_cli(const CliOptions& options, std::ostream& out) {

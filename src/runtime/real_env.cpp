@@ -525,97 +525,13 @@ void EpollLoop::run_until(RealScheduler& scheduler, const Clock& clock,
 }
 
 // --- RealScheduler -----------------------------------------------------
-// Min-heap on (time, seq): std::push_heap builds a max-heap under the
-// comparator, so "later entry sorts first" ordering puts the earliest
-// (time, seq) on top — the simulator's FIFO-at-equal-deadline rule.
-
-TimerId RealScheduler::schedule_at(SimTime t, std::function<void()> fn) {
-  std::uint32_t slot;
-  if (free_head_ != kNoFreeSlot) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.live = true;
-  const std::uint64_t id =
-      (static_cast<std::uint64_t>(s.generation) << 32) |
-      (static_cast<std::uint64_t>(slot) + 1);
-  heap_.push_back(Entry{t, next_seq_++, id});
-  std::push_heap(heap_.begin(), heap_.end(), [](const Entry& a,
-                                                const Entry& b) {
-    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-  });
-  ++live_count_;
-  return TimerId{id};
-}
-
-TimerId RealScheduler::schedule_after(Duration delay,
-                                      std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  return schedule_at(clock_.now() + delay, std::move(fn));
-}
-
-bool RealScheduler::cancel(TimerId id) {
-  if (!id.valid()) return false;
-  const std::uint32_t slot = slot_of(id.value);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.live || s.generation != generation_of(id.value)) return false;
-  s.live = false;
-  s.fn = nullptr;
-  ++s.generation;  // stale heap entries stop matching
-  s.next_free = free_head_;
-  free_head_ = slot;
-  --live_count_;
-  return true;
-}
-
-void RealScheduler::purge_dead_top() {
-  const auto entry_after = [](const Entry& a, const Entry& b) {
-    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-  };
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    const std::uint32_t slot = slot_of(top.id);
-    if (slot < slots_.size() && slots_[slot].live &&
-        slots_[slot].generation == generation_of(top.id)) {
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), entry_after);
-    heap_.pop_back();
-  }
-}
-
-std::optional<SimTime> RealScheduler::next_deadline() {
-  purge_dead_top();
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().time;
-}
 
 void RealScheduler::fire_due(SimTime now) {
-  const auto entry_after = [](const Entry& a, const Entry& b) {
-    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-  };
   for (;;) {
-    purge_dead_top();
-    if (heap_.empty() || heap_.front().time > now) return;
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), entry_after);
-    heap_.pop_back();
-    const std::uint32_t slot = slot_of(top.id);
-    Slot& s = slots_[slot];
-    std::function<void()> fn = std::move(s.fn);
-    s.fn = nullptr;
-    s.live = false;
-    ++s.generation;
-    s.next_free = free_head_;
-    free_head_ = slot;
-    --live_count_;
-    fn();  // may schedule/cancel; heap_ and slots_ are consistent here
+    SimTime at = 0;
+    std::function<void()> fn;
+    if (!queue_.pop_due(now, &at, &fn)) return;
+    fn();  // may schedule/cancel: its slot is already recycled
   }
 }
 

@@ -6,7 +6,8 @@
 // TrustedTimeClient — run unmodified against real sockets. What carries
 // over from the determinism contract (DESIGN.md, "Runtime layer"):
 //   * one event loop per environment totally orders callbacks; timers
-//     with equal deadlines fire in scheduling order (FIFO);
+//     with equal deadlines fire in scheduling order (FIFO), by the same
+//     runtime::TimerQueue sim::Simulation runs on;
 //   * packet delivery runs through the same loop as timers;
 //   * all protocol randomness still flows from Env::fork_rng streams.
 // What obviously does not: now() is wall time, so runs are not
@@ -21,6 +22,7 @@
 // through the UdpSocket/EpollLoop/RealEnv wrappers declared here.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -36,6 +38,7 @@
 #include "obs/trace.h"
 #include "runtime/env.h"
 #include "runtime/monotonic_timer.h"
+#include "runtime/timer_queue.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -271,50 +274,34 @@ class EpollLoop {
   std::atomic<bool> stop_requested_{false};
 };
 
-/// Timer min-heap with the simulator's FIFO-at-equal-deadline ordering
-/// and slab-style cancellable ids. Driven by EpollLoop; single-threaded
-/// (loop thread only), like every other Scheduler binding.
+/// The simulator's TimerQueue read against a wall Clock. Unlike
+/// Simulation it clamps a negative delay to 0 and accepts a past
+/// deadline (it fires on the next fire_due). Driven by EpollLoop;
+/// single-threaded (loop thread only), like every Scheduler binding.
 class RealScheduler final : public Scheduler {
  public:
   explicit RealScheduler(const Clock& clock) : clock_(clock) {}
 
-  TimerId schedule_at(SimTime t, std::function<void()> fn) override;
-  TimerId schedule_after(Duration delay, std::function<void()> fn) override;
-  bool cancel(TimerId id) override;
+  TimerId schedule_at(SimTime t, std::function<void()> fn) override {
+    return queue_.push(t, std::move(fn));
+  }
+  TimerId schedule_after(Duration delay, std::function<void()> fn) override {
+    return schedule_at(clock_.now() + std::max<Duration>(delay, 0),
+                       std::move(fn));
+  }
+  bool cancel(TimerId id) override { return queue_.cancel(id); }
 
   /// Next pending deadline, or nullopt when idle.
-  [[nodiscard]] std::optional<SimTime> next_deadline();
+  [[nodiscard]] std::optional<SimTime> next_deadline() {
+    return queue_.next_deadline();
+  }
   /// Fires every timer with deadline <= now, in (time, FIFO) order.
   void fire_due(SimTime now);
-  [[nodiscard]] std::size_t pending() const { return live_count_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
  private:
-  struct Slot {
-    std::function<void()> fn;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = 0;
-    bool live = false;
-  };
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint64_t id;
-  };
-  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
-  static std::uint32_t slot_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  }
-  static std::uint32_t generation_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-  void purge_dead_top();
-
   const Clock& clock_;
-  std::uint64_t next_seq_ = 1;
-  std::size_t live_count_ = 0;
-  std::vector<Entry> heap_;  // min-heap via std::push_heap/pop_heap
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoFreeSlot;
+  TimerQueue queue_;
 };
 
 /// Statistics mirroring net::NetworkStats for the real transport.

@@ -34,32 +34,8 @@ void Simulation::bind_obs(obs::Registry* registry) {
   obs_fired_ = registry->counter("triad_sim_events_fired_total");
   obs_cancelled_ = registry->counter("triad_sim_events_cancelled_total");
   registry->gauge_fn(this, "triad_sim_queue_depth", {}, [this] {
-    return static_cast<double>(live_count_);
+    return static_cast<double>(queue_.size());
   });
-}
-
-std::uint32_t Simulation::acquire_slot(std::function<void()> fn) {
-  std::uint32_t index;
-  if (free_head_ != kNoFreeSlot) {
-    index = free_head_;
-    free_head_ = slots_[index].next_free;
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[index];
-  slot.fn = std::move(fn);
-  slot.live = true;
-  return index;
-}
-
-void Simulation::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.fn = nullptr;
-  slot.live = false;
-  ++slot.generation;  // invalidates outstanding EventIds for this slot
-  slot.next_free = free_head_;
-  free_head_ = index;
 }
 
 EventId Simulation::schedule_at(SimTime t, std::function<void()> fn) {
@@ -69,14 +45,8 @@ EventId Simulation::schedule_at(SimTime t, std::function<void()> fn) {
   if (!fn) {
     throw std::invalid_argument("Simulation::schedule_at: empty handler");
   }
-  const std::uint32_t index = acquire_slot(std::move(fn));
-  const std::uint64_t id =
-      (static_cast<std::uint64_t>(slots_[index].generation) << 32) |
-      (index + 1);
-  heap_.push(Event{t, next_seq_++, id});
-  ++live_count_;
   obs_scheduled_.inc();
-  return EventId{id};
+  return queue_.push(t, std::move(fn));
 }
 
 EventId Simulation::schedule_after(Duration delay, std::function<void()> fn) {
@@ -87,44 +57,17 @@ EventId Simulation::schedule_after(Duration delay, std::function<void()> fn) {
 }
 
 bool Simulation::cancel(EventId id) {
-  if (!id.valid()) return false;
-  const std::uint32_t index = slot_of(id.value);
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (!slot.live || slot.generation != generation_of(id.value)) return false;
-  // Drop the handler now (frees any captured state immediately); the
-  // heap entry stays behind as a tombstone and recycles the slot when
-  // it reaches the top.
-  slot.fn = nullptr;
-  slot.live = false;
-  --live_count_;
+  if (!queue_.cancel(id)) return false;
   obs_cancelled_.inc();
   return true;
 }
 
-void Simulation::purge_dead_top() {
-  while (!heap_.empty()) {
-    const std::uint32_t index = slot_of(heap_.top().id);
-    if (slots_[index].live) return;
-    release_slot(index);
-    heap_.pop();
-  }
-}
-
 bool Simulation::step() {
   PROF_SCOPE("sim/dispatch");
-  purge_dead_top();
-  if (heap_.empty()) return false;
-  const Event ev = heap_.top();
-  heap_.pop();
-  const std::uint32_t index = slot_of(ev.id);
-  // Move the handler out before invoking: the handler may schedule new
-  // events (growing or recycling the slab), or even re-enter step()
-  // indirectly through helper objects.
-  std::function<void()> fn = std::move(slots_[index].fn);
-  release_slot(index);
-  --live_count_;
-  now_ = ev.time;
+  // The handler is moved out and its slot recycled before it runs, so
+  // it may schedule and cancel freely, at the current time too.
+  std::function<void()> fn;
+  if (!queue_.pop_due(kSimTimeMax, &now_, &fn)) return false;
   ++events_executed_;
   obs_fired_.inc();
   fn();
@@ -135,11 +78,10 @@ void Simulation::run_until(SimTime t) {
   if (t < now_) {
     throw std::logic_error("Simulation::run_until: time is in the past");
   }
-  for (;;) {
-    // Tombstones must be purged before peeking: a cancelled head with
-    // time <= t must not let an event after t slip through step().
-    purge_dead_top();
-    if (heap_.empty() || heap_.top().time > t) break;
+  // Peek before step(): the profiler counts one sim/dispatch scope per
+  // executed event, and step() opens its scope before popping.
+  for (auto next = queue_.next_deadline(); next && *next <= t;
+       next = queue_.next_deadline()) {
     step();
   }
   now_ = t;
@@ -155,35 +97,6 @@ void Simulation::run_for(Duration d) {
 void Simulation::run() {
   while (step()) {
   }
-}
-
-PeriodicTimer::PeriodicTimer(Simulation& sim, Duration period,
-                             std::function<void()> fn)
-    : PeriodicTimer(sim, sim.now() + period, period, std::move(fn)) {}
-
-PeriodicTimer::PeriodicTimer(Simulation& sim, SimTime first, Duration period,
-                             std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
-  if (period_ <= 0) {
-    throw std::invalid_argument("PeriodicTimer: period must be positive");
-  }
-  arm(first);
-}
-
-PeriodicTimer::~PeriodicTimer() { stop(); }
-
-void PeriodicTimer::stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  sim_.cancel(pending_);
-}
-
-void PeriodicTimer::arm(SimTime t) {
-  pending_ = sim_.schedule_at(t, [this] {
-    if (stopped_) return;
-    fn_();
-    if (!stopped_) arm(sim_.now() + period_);
-  });
 }
 
 }  // namespace triad::sim

@@ -9,21 +9,18 @@
 //
 // Simulation implements runtime::Clock and runtime::Scheduler, so it can
 // be handed to protocol components directly through runtime::SimEnv.
-//
-// Handlers live in a slab with an intrusive free list rather than an
-// unordered_map: scheduling and cancelling are array indexing plus one
-// std::function move, with no hashing and no per-event node allocation.
-// Cancellation clears the slot in place; the heap entry remains as a
-// tombstone and returns the slot to the free list when it surfaces.
+// Its queue is runtime::TimerQueue, the one the daemon's RealScheduler
+// uses too; Simulation adds only the virtual clock, the schedule-time
+// checks and the event-loop metrics. Periodic work goes through
+// runtime::PeriodicTimer over an Env on this Simulation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "runtime/env.h"
+#include "runtime/timer_queue.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -77,7 +74,7 @@ class Simulation final : public runtime::Clock, public runtime::Scheduler {
   }
 
   /// Exact number of currently pending (non-cancelled) events.
-  [[nodiscard]] std::size_t pending_events() const { return live_count_; }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Registers the event loop's metrics with `registry` (null detaches):
   /// counters triad_sim_events_{scheduled,fired,cancelled}_total plus a
@@ -86,76 +83,14 @@ class Simulation final : public runtime::Clock, public runtime::Scheduler {
   void bind_obs(obs::Registry* registry);
 
  private:
-  /// One handler slot in the slab. A slot is bound to exactly one heap
-  /// entry at a time and is recycled (generation bumped) only when that
-  /// entry pops, so an id's generation mismatching the slot's means the
-  /// event already fired or was cancelled long ago.
-  struct Slot {
-    std::function<void()> fn;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = 0;
-    bool live = false;  // scheduled and not (yet) cancelled or fired
-  };
-
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
-    std::uint64_t id;
-    // Ordering for a min-heap via std::greater.
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
-  static std::uint32_t slot_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  }
-  static std::uint32_t generation_of(std::uint64_t id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-
-  std::uint32_t acquire_slot(std::function<void()> fn);
-  void release_slot(std::uint32_t index);
-  /// Pops tombstoned heap entries so heap_.top() (if any) is live.
-  void purge_dead_top();
-
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
-  std::size_t live_count_ = 0;
   obs::Registry* obs_registry_ = nullptr;
   obs::Counter obs_scheduled_;
   obs::Counter obs_fired_;
   obs::Counter obs_cancelled_;
   Rng rng_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoFreeSlot;
-};
-
-/// Periodic callback helper built on Simulation; cancels itself on
-/// destruction (RAII) so samplers cannot outlive their owners.
-class PeriodicTimer {
- public:
-  /// Fires fn every `period` starting at now()+period (or `first` if given).
-  PeriodicTimer(Simulation& sim, Duration period, std::function<void()> fn);
-  PeriodicTimer(Simulation& sim, SimTime first, Duration period,
-                std::function<void()> fn);
-  ~PeriodicTimer();
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  void stop();
-
- private:
-  void arm(SimTime t);
-  Simulation& sim_;
-  Duration period_;
-  std::function<void()> fn_;
-  sim::EventId pending_{};
-  bool stopped_ = false;
+  runtime::TimerQueue queue_;
 };
 
 }  // namespace triad::sim

@@ -96,6 +96,12 @@ TEST(CampaignSpec, ParsesKeyValueText) {
   EXPECT_EQ(spec->attack_delay, milliseconds(250));
   EXPECT_EQ(spec->victim, 3u);
   EXPECT_FALSE(spec->machine_interrupts);
+  // A range ending at 2^64-1 stops there rather than wrapping to 0.
+  const auto top = parse_spec(
+      "seeds = 18446744073709551614..18446744073709551615\n", &error);
+  ASSERT_TRUE(top.has_value()) << error;
+  EXPECT_EQ(top->seeds, (std::vector<std::uint64_t>{18446744073709551614u,
+                                                    18446744073709551615u}));
 }
 
 TEST(CampaignSpec, ParseRejectsBadSpecs) {

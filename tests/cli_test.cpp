@@ -94,6 +94,15 @@ TEST(CliParser, GeoAndAttestationFlags) {
   EXPECT_FALSE(parse({"--nodes", "1", "--machine", "0", "--machine", "1"},
                      &error)
                    .has_value());
+  // Machines 0..N cover N nodes plus the TA's machine 0; Scenario sizes
+  // its interrupt-hub table by the largest index.
+  EXPECT_FALSE(parse({"--nodes", "3", "--machine", "4"}, &error).has_value());
+  EXPECT_NE(error.find("--machine"), std::string::npos);
+  EXPECT_FALSE(
+      parse({"--machine", "18446744073709551615"}, &error).has_value());
+  const auto last = parse({"--nodes", "3", "--machine", "3"});
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->machines, (std::vector<std::size_t>{3}));
 }
 
 TEST(CliParser, SeedSweepFlags) {
@@ -125,6 +134,18 @@ TEST(CliParser, SeedSweepFlags) {
   ASSERT_TRUE(plain.has_value());
   EXPECT_FALSE(is_sweep(*plain));
   EXPECT_EQ(sweep_seeds(*plain), (std::vector<std::uint64_t>{10}));
+
+  // A range ending at 2^64-1 stops there rather than wrapping to 0.
+  const auto top =
+      parse({"--seeds", "18446744073709551614..18446744073709551615"});
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(sweep_seeds(*top),
+            (std::vector<std::uint64_t>{18446744073709551614u,
+                                        18446744073709551615u}));
+  const auto top_repeat =
+      parse({"--seed", "18446744073709551614", "--repeat", "2"});
+  ASSERT_TRUE(top_repeat.has_value());
+  EXPECT_EQ(sweep_seeds(*top_repeat), sweep_seeds(*top));
 }
 
 TEST(CliParser, RejectsConflictingSeedFlags) {
@@ -146,6 +167,11 @@ TEST(CliParser, RejectsBadSweepValues) {
   EXPECT_FALSE(parse({"--seeds", "abc"}, &error).has_value());
   EXPECT_FALSE(parse({"--seeds", "1.."}, &error).has_value());
   EXPECT_FALSE(parse({"--repeat", "0"}, &error).has_value());
+  // seed + N - 1 past 2^64-1.
+  EXPECT_FALSE(parse({"--seed", "18446744073709551614", "--repeat", "3"},
+                     &error)
+                   .has_value());
+  EXPECT_NE(error.find("--repeat"), std::string::npos);
   EXPECT_FALSE(parse({"--jobs", "0"}, &error).has_value());
   // Per-run outputs are rejected in sweep mode.
   EXPECT_FALSE(

@@ -127,7 +127,7 @@ TEST(EndToEndFuzz, GarbageDatagramStormDoesNotDisturbProtocol) {
 
   // A malicious host injects garbage at every participant continuously.
   Rng rng(99);
-  sim::PeriodicTimer storm(sc.simulation(), milliseconds(3), [&] {
+  runtime::PeriodicTimer storm(sc.env(), milliseconds(3), [&] {
     const NodeId target = static_cast<NodeId>(1 + rng.next_below(4));
     sc.network().send(77, target, random_bytes(rng, 96));
   });

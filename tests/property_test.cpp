@@ -99,7 +99,7 @@ TEST_P(LossResilience, TimestampsStayMonotonicUnderLoss) {
 
   SimTime prev = 0;
   bool violated = false;
-  sim::PeriodicTimer sampler(sc.simulation(), milliseconds(50), [&] {
+  runtime::PeriodicTimer sampler(sc.env(), milliseconds(50), [&] {
     for (std::size_t i = 0; i < 3; ++i) {
       if (const auto ts = sc.node(i).serve_timestamp()) {
         // Per-node monotonicity only; use node 1's stream.
@@ -135,11 +135,10 @@ TEST_P(AexStorm, FrequentInterruptsDegradeAvailabilityNotSafety) {
   // Storm: attacker interrupts node 1 every `period` ms for 2 minutes.
   const Duration period = milliseconds(GetParam());
   auto& thread = sc.node(0).monitoring_thread();
-  sim::PeriodicTimer storm(sc.simulation(), period,
-                           [&] { thread.deliver_aex(); });
+  runtime::PeriodicTimer storm(sc.env(), period, [&] { thread.deliver_aex(); });
   SimTime prev = 0;
   bool violated = false;
-  sim::PeriodicTimer sampler(sc.simulation(), milliseconds(25), [&] {
+  runtime::PeriodicTimer sampler(sc.env(), milliseconds(25), [&] {
     if (const auto ts = sc.node(0).serve_timestamp()) {
       if (*ts <= prev) violated = true;
       prev = *ts;

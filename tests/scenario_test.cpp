@@ -79,7 +79,7 @@ TEST(ScenarioIntegration, TimestampsMonotonicThroughoutScenario) {
   // Sample timestamps from node 1 every 100 ms for 5 minutes.
   SimTime prev = 0;
   bool violated = false;
-  sim::PeriodicTimer sampler(sc.simulation(), milliseconds(100), [&] {
+  runtime::PeriodicTimer sampler(sc.env(), milliseconds(100), [&] {
     const auto ts = sc.node(0).serve_timestamp();
     if (ts) {
       if (*ts <= prev) violated = true;
@@ -245,7 +245,7 @@ TEST(ScenarioIntegration, RampAttackPoisonsLongWindowRefinement) {
 
     sc->start();
     double worst_f_err_ppm = 0;
-    sim::PeriodicTimer sampler(sc->simulation(), seconds(10), [&] {
+    runtime::PeriodicTimer sampler(sc->env(), seconds(10), [&] {
       const double f = sc->node(2).calibrated_frequency_hz();
       if (f > 0) {
         worst_f_err_ppm =

@@ -1,16 +1,22 @@
 // Unit tests for the discrete-event simulation engine: ordering,
-// cancellation, determinism, periodic timers.
+// cancellation, determinism, periodic timers (runtime::PeriodicTimer over
+// an Env on the Simulation). The reference-model fuzz also drives the
+// daemon's RealScheduler, which shares Simulation's runtime::TimerQueue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <vector>
 
+#include "runtime/env.h"
+#include "runtime/real_env.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
 namespace triad::sim {
 namespace {
+
+using runtime::PeriodicTimer;
 
 TEST(Simulation, StartsAtTimeZero) {
   Simulation s;
@@ -195,85 +201,130 @@ TEST(Simulation, DeterministicAcrossRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-TEST(Simulation, FuzzAgainstReferenceModel) {
-  // Random schedule/cancel sequences executed both by the event queue
-  // and by a naive reference (sorted vector); executed event sets and
-  // times must match exactly.
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    Simulation sim(seed);
-    struct Ref {
-      SimTime time;
-      int tag;
-      bool cancelled = false;
-    };
-    std::vector<Ref> reference;
-    std::vector<EventId> ids;
-    std::vector<std::pair<int, SimTime>> executed;
-
-    SimTime horizon = 0;
-    for (int op = 0; op < 400; ++op) {
-      if (rng.chance(0.7) || ids.empty()) {
-        const SimTime at = sim.now() + rng.uniform_int(0, 1000);
-        const int tag = static_cast<int>(reference.size());
-        ids.push_back(sim.schedule_at(
-            at, [tag, &executed, &sim] {
-              executed.emplace_back(tag, sim.now());
-            }));
-        reference.push_back({at, tag});
-        horizon = std::max(horizon, at);
-      } else {
-        const std::size_t pick = rng.next_below(ids.size());
-        const bool did = sim.cancel(ids[pick]);
-        // Mirror in the reference: cancellable iff not yet executed and
-        // not already cancelled.
-        Ref& ref = reference[pick];
-        const bool expected = !ref.cancelled &&
-                              !(ref.time <= sim.now() &&
-                                std::any_of(executed.begin(), executed.end(),
-                                            [&](const auto& e) {
-                                              return e.first == ref.tag;
-                                            }));
-        EXPECT_EQ(did, expected) << "seed " << seed << " op " << op;
-        ref.cancelled = true;
-      }
-      // Occasionally advance time part-way.
-      if (rng.chance(0.2)) {
-        sim.run_until(sim.now() + rng.uniform_int(0, 300));
-      }
+/// RealScheduler under a settable clock, driven the way EpollLoop drives
+/// it (next_deadline, then fire_due) but with time jumping straight to
+/// each deadline, so it can stand in for a Simulation in the fuzz below.
+class ManualRealScheduler {
+ public:
+  [[nodiscard]] SimTime now() const { return clock_.now(); }
+  EventId schedule_at(SimTime t, std::function<void()> fn) {
+    return scheduler_.schedule_at(t, std::move(fn));
+  }
+  bool cancel(EventId id) { return scheduler_.cancel(id); }
+  void run_until(SimTime t) {
+    for (auto next = scheduler_.next_deadline(); next && *next <= t;
+         next = scheduler_.next_deadline()) {
+      clock_.at = *next;
+      scheduler_.fire_due(*next);
     }
-    sim.run_until(horizon + 1);
+    clock_.at = t;
+  }
 
-    // Reference: every non-cancelled event executes exactly once, at its
-    // scheduled time, in (time, insertion) order.
-    std::vector<std::pair<int, SimTime>> expected;
-    std::vector<std::size_t> order(reference.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return reference[a].time < reference[b].time;
-                     });
-    // Events that were cancelled *after* execution still count; replicate
-    // by checking what actually executed instead of reconstructing
-    // cancellation timing — the invariant checked here is that executed
-    // events are a subset of scheduled ones, at the right time, in a
-    // time-sorted order.
-    SimTime prev = -1;
-    std::set<int> seen;
-    for (const auto& [tag, at] : executed) {
-      EXPECT_TRUE(seen.insert(tag).second) << "duplicate execution";
-      const auto& ref = reference[static_cast<std::size_t>(tag)];
-      EXPECT_EQ(at, ref.time);
-      EXPECT_GE(at, prev);
-      prev = at;
+ private:
+  struct Clock final : runtime::Clock {
+    [[nodiscard]] SimTime now() const override { return at; }
+    SimTime at = 0;
+  };
+  Clock clock_;
+  runtime::RealScheduler scheduler_{clock_};
+};
+
+/// Random schedule/cancel sequences executed both by `queue` (a
+/// Simulation or a ManualRealScheduler) and by a naive reference
+/// (sorted vector); executed event sets, times and order must match.
+template <class Queue>
+void fuzz_against_reference_model(Queue& queue, std::uint64_t seed) {
+  Rng rng(seed);
+  struct Ref {
+    SimTime time;
+    int tag;
+    bool cancelled = false;  // cancelled while still pending
+  };
+  std::vector<Ref> reference;
+  std::vector<EventId> ids;
+  std::vector<std::pair<int, SimTime>> executed;
+
+  SimTime horizon = 0;
+  for (int op = 0; op < 400; ++op) {
+    if (rng.chance(0.7) || ids.empty()) {
+      const SimTime at = queue.now() + rng.uniform_int(0, 1000);
+      const int tag = static_cast<int>(reference.size());
+      ids.push_back(queue.schedule_at(at, [tag, &executed, &queue] {
+        executed.emplace_back(tag, queue.now());
+      }));
+      reference.push_back({at, tag});
+      horizon = std::max(horizon, at);
+    } else {
+      const std::size_t pick = rng.next_below(ids.size());
+      const bool did = queue.cancel(ids[pick]);
+      // Mirror in the reference: cancellable iff not yet executed and
+      // not already cancelled.
+      Ref& ref = reference[pick];
+      const bool expected = !ref.cancelled &&
+                            !(ref.time <= queue.now() &&
+                              std::any_of(executed.begin(), executed.end(),
+                                          [&](const auto& e) {
+                                            return e.first == ref.tag;
+                                          }));
+      EXPECT_EQ(did, expected) << "seed " << seed << " op " << op;
+      if (expected) ref.cancelled = true;
+    }
+    // Occasionally advance time part-way.
+    if (rng.chance(0.2)) {
+      queue.run_until(queue.now() + rng.uniform_int(0, 300));
+    }
+  }
+  queue.run_until(horizon + 1);
+
+  // Reference: every event not cancelled while pending executes exactly
+  // once, at its scheduled time, in (time, insertion) order.
+  std::vector<std::size_t> order(reference.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return reference[a].time < reference[b].time;
+                   });
+  std::vector<std::pair<int, SimTime>> expected;
+  for (const std::size_t i : order) {
+    if (!reference[i].cancelled) {
+      expected.emplace_back(reference[i].tag, reference[i].time);
+    }
+  }
+  SimTime prev = -1;
+  std::set<int> seen;
+  for (const auto& [tag, at] : executed) {
+    EXPECT_TRUE(seen.insert(tag).second) << "duplicate execution";
+    const auto& ref = reference[static_cast<std::size_t>(tag)];
+    EXPECT_EQ(at, ref.time);
+    EXPECT_GE(at, prev);
+    prev = at;
+  }
+  EXPECT_EQ(executed, expected) << "seed " << seed;
+}
+
+TEST(Simulation, FuzzAgainstReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    {
+      SCOPED_TRACE("Simulation");
+      Simulation sim(seed);
+      fuzz_against_reference_model(sim, seed);
+    }
+    {
+      SCOPED_TRACE("RealScheduler");
+      ManualRealScheduler scheduler;
+      fuzz_against_reference_model(scheduler, seed);
     }
   }
 }
 
+/// The Env a protocol component would get over `s` (no transport).
+runtime::Env env_of(Simulation& s) { return {s, s, nullptr, s.rng()}; }
+
 TEST(PeriodicTimer, FiresAtFixedPeriod) {
   Simulation s;
   std::vector<SimTime> times;
-  PeriodicTimer timer(s, seconds(10), [&] { times.push_back(s.now()); });
+  PeriodicTimer timer(env_of(s), seconds(10),
+                      [&] { times.push_back(s.now()); });
   s.run_until(seconds(35));
   EXPECT_EQ(times, (std::vector<SimTime>{seconds(10), seconds(20),
                                          seconds(30)}));
@@ -282,7 +333,7 @@ TEST(PeriodicTimer, FiresAtFixedPeriod) {
 TEST(PeriodicTimer, CustomFirstFiring) {
   Simulation s;
   std::vector<SimTime> times;
-  PeriodicTimer timer(s, seconds(1), seconds(10),
+  PeriodicTimer timer(env_of(s), seconds(1), seconds(10),
                       [&] { times.push_back(s.now()); });
   s.run_until(seconds(25));
   EXPECT_EQ(times, (std::vector<SimTime>{seconds(1), seconds(11),
@@ -292,7 +343,7 @@ TEST(PeriodicTimer, CustomFirstFiring) {
 TEST(PeriodicTimer, StopPreventsFurtherFirings) {
   Simulation s;
   int count = 0;
-  PeriodicTimer timer(s, seconds(1), [&] { ++count; });
+  PeriodicTimer timer(env_of(s), seconds(1), [&] { ++count; });
   s.run_until(seconds(3));
   timer.stop();
   s.run_until(seconds(10));
@@ -303,7 +354,7 @@ TEST(PeriodicTimer, DestructionCancelsPending) {
   Simulation s;
   int count = 0;
   {
-    PeriodicTimer timer(s, seconds(1), [&] { ++count; });
+    PeriodicTimer timer(env_of(s), seconds(1), [&] { ++count; });
     s.run_until(seconds(2));
   }
   s.run_until(seconds(10));
@@ -314,7 +365,7 @@ TEST(PeriodicTimer, CanStopItselfFromCallback) {
   Simulation s;
   int count = 0;
   PeriodicTimer* self = nullptr;
-  PeriodicTimer timer(s, seconds(1), [&] {
+  PeriodicTimer timer(env_of(s), seconds(1), [&] {
     if (++count == 2) self->stop();
   });
   self = &timer;
@@ -324,7 +375,7 @@ TEST(PeriodicTimer, CanStopItselfFromCallback) {
 
 TEST(PeriodicTimer, NonPositivePeriodThrows) {
   Simulation s;
-  EXPECT_THROW(PeriodicTimer(s, 0, [] {}), std::invalid_argument);
+  EXPECT_THROW(PeriodicTimer(env_of(s), 0, [] {}), std::invalid_argument);
 }
 
 }  // namespace

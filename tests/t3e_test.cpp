@@ -188,7 +188,7 @@ TEST(T3eNode, BlockingTpmResponsesCausesStallNotSilentStretch) {
 
   tpm.set_response_delay_hook([] { return hours(10); });  // blockade
   int served = 0, refused = 0;
-  sim::PeriodicTimer load(sim, milliseconds(5), [&] {
+  runtime::PeriodicTimer load(env, milliseconds(5), [&] {
     if (node.serve_timestamp()) {
       ++served;
     } else {
