@@ -34,7 +34,6 @@ Row run(Duration base, Duration jitter) {
   exp::ScenarioConfig cfg;
   cfg.seed = 777;
   cfg.machine_of = {0, 1, 2};
-  cfg.ta_machine = 0;
   cfg.wan_base_delay = base;
   cfg.wan_jitter = jitter;
   cfg.node_template.peer_timeout = 2 * base + milliseconds(20);

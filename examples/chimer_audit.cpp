@@ -40,14 +40,14 @@ int main() {
   NodeId next_id = 1;
   cfg.policy_factory = [&tallies, &next_id] {
     const NodeId self = next_id++;
-    resilient::TriadPlusOptions options;
-    options.chimer.on_chimer_set =
+    resilient::TrueChimerConfig chimer;
+    chimer.on_chimer_set =
         [&tallies, self](const std::vector<NodeId>& chimers) {
           Tally& tally = tallies[self];
           ++tally.reports;
           for (NodeId peer : chimers) ++tally.seen[peer];
         };
-    return resilient::make_triad_plus_policy(options);
+    return resilient::make_triad_plus_policy(chimer);
   };
   exp::Scenario cluster(std::move(cfg));
 

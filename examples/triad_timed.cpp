@@ -34,6 +34,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ta/time_authority.h"
 #include "timed/service.h"
 #include "util/parse.h"
 #include "util/types.h"
@@ -78,7 +79,8 @@ std::string usage() {
       "  --duration S            run S seconds, then exit (default: until\n"
       "                          SIGTERM)\n"
       "  --calib-pairs N         calibration round-trip pairs (default 8)\n"
-      "  --calib-wait-high S     calibration high wait (default 1.0)\n"
+      "  --calib-wait-high S     calibration high wait, at most 2 (the\n"
+      "                          TA drops longer waits; default 1.0)\n"
       "  --server ip:port        node serve endpoint to probe (client)\n"
       "  --server-id N           the probed node's identity (client)\n"
       "  --requests N            probes to issue (client, default 10)\n"
@@ -112,6 +114,12 @@ bool parse_seconds(std::string_view text, Duration* out) {
   if (!triad::parse_non_negative(text, &s) || s > 1e9) return false;
   *out = triad::from_seconds(s);
   return true;
+}
+
+// The TA drops a request asking for more than kMaxTaWait, so a node
+// probing longer would re-send forever and never calibrate.
+bool parse_calib_wait(std::string_view text, Duration* out) {
+  return parse_seconds(text, out) && *out <= triad::ta::kMaxTaWait;
 }
 
 bool parse_mhz(std::string_view text, double* hz) {
@@ -205,7 +213,7 @@ std::optional<Options> parse_args(int argc, char** argv, std::ostream& err) {
     } else if (arg == "--calib-pairs") {
       ok = take(parse_count, &service.node.calib_pairs);
     } else if (arg == "--calib-wait-high") {
-      ok = take(parse_seconds, &service.node.calib_wait_high);
+      ok = take(parse_calib_wait, &service.node.calib_wait_high);
     } else if (arg == "--requests") {
       ok = take(parse_count, &options.requests);
     } else if (arg == "--detectors") {

@@ -4,11 +4,19 @@
 
 namespace triad::attacks {
 
+namespace {
+
+// Responses whose request->response elapsed time reaches this are
+// classified as high-s probes (midpoint of Triad's 0 s / 1 s sweep).
+constexpr Duration kHighSThreshold = milliseconds(500);
+
+}  // namespace
+
 DelayAttack::DelayAttack(DelayAttackConfig config) : config_(config) {
   if (config_.victim == config_.ta_address) {
     throw std::invalid_argument("DelayAttack: victim must differ from TA");
   }
-  if (config_.added_delay < 0 || config_.classification_threshold <= 0) {
+  if (config_.added_delay < 0) {
     throw std::invalid_argument("DelayAttack: invalid delays");
   }
 }
@@ -28,7 +36,7 @@ net::Middlebox::Action DelayAttack::on_packet(const net::Packet& packet,
     ++stats_.responses_observed;
     if (!last_request_time_) return {};  // unsolicited; nothing to infer
     const Duration elapsed = now - *last_request_time_;
-    const bool high_s = elapsed >= config_.classification_threshold;
+    const bool high_s = elapsed >= kHighSThreshold;
     const bool target = config_.kind == AttackKind::kFPlus ? high_s : !high_s;
     if (target) {
       ++stats_.responses_delayed;

@@ -34,9 +34,6 @@ struct DelayAttackConfig {
   NodeId ta_address = 0;
   /// Extra delay injected into classified responses (paper: 100 ms).
   Duration added_delay = milliseconds(100);
-  /// Responses whose request->response elapsed time exceeds this are
-  /// classified as high-s probes (midpoint of Triad's 0 s / 1 s sweep).
-  Duration classification_threshold = milliseconds(500);
 };
 
 /// Middlebox mounting an F+ or F- attack on one victim's TA traffic.

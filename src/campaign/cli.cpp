@@ -70,7 +70,8 @@ std::string campaign_cli_usage() {
       "  --spec FILE        key=value spec file (see below); flags given\n"
       "                     after --spec override its values\n"
       "  --seeds LIST       seed axis; items are N or A..B ranges,\n"
-      "                     e.g. 1..32 or 1,2,7 (default 1)\n"
+      "                     e.g. 1..32 or 1,2,7 (default 1); at most\n"
+      "                     4096 seeds in all\n"
       "  --attack LIST      none | fplus | fminus (default none)\n"
       "  --policy LIST      original | triadplus (default original)\n"
       "  --env LIST         cluster-wide AEX env: triad | low | none\n"
@@ -80,7 +81,7 @@ std::string campaign_cli_usage() {
       "  --attack-delay D   injected delay (default 100ms)\n"
       "  --victim N         1-based attacked node; 0 = last (default 0)\n"
       "  --no-machine-interrupts   disable correlated residual interrupts\n"
-      "  --jobs N           worker threads (default 1)\n"
+      "  --jobs N           worker threads, 1..64 (default 1)\n"
       "  --json PATH        aggregate JSON report (default '-' when\n"
       "                     --csv is not given)\n"
       "  --csv PATH         aggregate CSV report\n"
@@ -151,9 +152,7 @@ std::optional<CampaignCliOptions> parse_campaign_cli(int argc,
       if (!spec) return fail(std::move(spec_error));
       options.spec = std::move(*spec);
     } else if (arg == "--jobs") {
-      std::uint64_t n = 0;
-      if (!parse_u64(v, &n) || n == 0) return fail("bad --jobs");
-      options.jobs = n;
+      if (!parse_jobs(v, &options.jobs)) return fail("bad --jobs (1..64)");
     } else if (arg == "--json") {
       options.json_path = std::string(v);
     } else if (arg == "--csv") {

@@ -125,7 +125,11 @@ bool set_spec_value(CampaignSpec* spec, std::string_view key,
     spec->seeds.clear();
     for (const std::string& item : split_list(value)) {
       std::uint64_t lo = 0, hi = 0;
-      if (!parse_seed_range(item, &lo, &hi)) return bad("seeds");
+      // Count before building: the whole axis holds at most kMaxSeeds.
+      if (!parse_seed_range(item, &lo, &hi) ||
+          hi - lo >= kMaxSeeds - spec->seeds.size()) {
+        return bad("seeds");
+      }
       // Stop at hi itself: ++ past hi == 2^64-1 would wrap to 0.
       for (std::uint64_t s = lo;; ++s) {
         spec->seeds.push_back(s);

@@ -32,9 +32,10 @@ std::string cli_usage() {
       "  --seed N           RNG seed (default 1)\n"
       "  --seeds A..B       seed sweep (inclusive): runs one scenario per\n"
       "                     seed via the campaign engine and prints the\n"
-      "                     aggregate report; excludes --seed\n"
+      "                     aggregate report; excludes --seed; at most\n"
+      "                     4096 seeds\n"
       "  --repeat N         shorthand for --seeds seed..seed+N-1\n"
-      "  --jobs N           worker threads for a sweep (default 1)\n"
+      "  --jobs N           worker threads for a sweep, 1..64 (default 1)\n"
       "  --nodes N          cluster size (default 3)\n"
       "  --duration D       virtual time, e.g. 30m, 8h, 90s (default 10m)\n"
       "  --attack KIND      none | fplus | fminus (default none)\n"
@@ -111,18 +112,20 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
       options.seed_set = true;
     } else if (arg == "--seeds") {
       std::uint64_t lo = 0, hi = 0;
-      if (!parse_seed_range(*v, &lo, &hi)) {
-        return fail("bad --seeds (use A..B with A <= B, e.g. 1..32)");
+      if (!parse_seed_range(*v, &lo, &hi) || hi - lo >= kMaxSeeds) {
+        return fail(
+            "bad --seeds (use A..B with A <= B and at most 4096 seeds, "
+            "e.g. 1..32)");
       }
       options.seed_range = {lo, hi};
     } else if (arg == "--repeat") {
       std::uint64_t n = 0;
-      if (!parse_u64(*v, &n) || n == 0) return fail("bad --repeat");
+      if (!parse_u64(*v, &n) || n == 0 || n > kMaxSeeds) {
+        return fail("bad --repeat (1..4096)");
+      }
       options.repeat = n;
     } else if (arg == "--jobs") {
-      std::uint64_t n = 0;
-      if (!parse_u64(*v, &n) || n == 0) return fail("bad --jobs");
-      options.jobs = n;
+      if (!parse_jobs(*v, &options.jobs)) return fail("bad --jobs (1..64)");
     } else if (arg == "--nodes") {
       std::uint64_t n = 0;
       if (!parse_u64(*v, &n) || n == 0) return fail("bad --nodes");

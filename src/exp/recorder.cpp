@@ -53,7 +53,6 @@ Recorder::Recorder(Scenario& scenario, Duration sample_period)
 
 void Recorder::sample() {
   const SimTime now = scenario_.simulation().now();
-  obs::Registry* registry = scenario_.metrics();
   for (std::size_t i = 0; i < scenario_.node_count(); ++i) {
     TriadNode& node = scenario_.node(i);
     if (node.calibrated_frequency_hz() > 0) {
@@ -61,35 +60,13 @@ void Recorder::sample() {
       drift_[i]->record(now, drift);
       drift_gauges_[i].set(drift);
     }
-    // With a registry attached, read back the exported series (the
-    // Recorder consumes the same numbers any scraper would see);
-    // otherwise fall back to the raw stats struct.
-    double ta_refs = 0.0;
-    double aex = 0.0;
-    if (registry != nullptr) {
-      const obs::Labels labels{
-          {"node", std::to_string(scenario_.node_address(i))}};
-      ta_refs =
-          registry->value("triad_node_ta_references_total", labels).value_or(0);
-      aex = registry->value("triad_node_aex_total", labels).value_or(0);
-    } else {
-      ta_refs = static_cast<double>(node.stats().ta_time_references);
-      aex = static_cast<double>(node.stats().aex_count);
-    }
-    ta_refs_[i]->record(now, ta_refs);
-    aex_[i]->record(now, aex);
+    ta_refs_[i]->record(now,
+                        static_cast<double>(node.stats().ta_time_references));
+    aex_[i]->record(now, static_cast<double>(node.stats().aex_count));
   }
-  if (registry != nullptr) {
-    net_bytes_sent_->record(
-        now, registry->value("triad_net_bytes_sent_total").value_or(0));
-    net_bytes_delivered_->record(
-        now, registry->value("triad_net_bytes_delivered_total").value_or(0));
-  } else {
-    const net::NetworkStats& net = scenario_.network().stats();
-    net_bytes_sent_->record(now, static_cast<double>(net.bytes_sent));
-    net_bytes_delivered_->record(now,
-                                 static_cast<double>(net.bytes_delivered));
-  }
+  const net::NetworkStats& net = scenario_.network().stats();
+  net_bytes_sent_->record(now, static_cast<double>(net.bytes_sent));
+  net_bytes_delivered_->record(now, static_cast<double>(net.bytes_delivered));
 }
 
 const stats::TimeSeries& Recorder::drift_ms(std::size_t node) const {

@@ -8,10 +8,10 @@
 // plus cluster-wide network traffic (bytes on the wire) and the
 // discrete clock-adoption (time-jump) events.
 //
-// When the scenario has a metrics registry (enable_metrics), the
-// Recorder is a *consumer* of the obs series: per-node counters and
-// network byte counts are read back through the registry instead of the
-// raw stats structs, and the sampled drift is mirrored into the
+// Counters are read from the node and network stats structs — the same
+// fields the registry's triad_node_*_total / triad_net_bytes_*_total
+// series export, so the two views agree. When the scenario has a metrics
+// registry (enable_metrics), the sampled drift is mirrored into the
 // triad_drift_ms gauge so the Prometheus export carries it too.
 #pragma once
 

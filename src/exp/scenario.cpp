@@ -14,16 +14,6 @@ Bytes demo_master_secret() {
   return Bytes(32, 0x42);
 }
 
-/// Detector thresholds with the TA address defaulted to the scenario's
-/// addressing scheme (node_count + 1) so TA adoptions are never flagged.
-obs::DetectorConfig detector_config_for(const ScenarioConfig& config) {
-  obs::DetectorConfig dc = config.detector_config;
-  if (dc.ta_address == 0) {
-    dc.ta_address = static_cast<NodeId>(config.node_count + 1);
-  }
-  return dc;
-}
-
 }  // namespace
 
 std::unique_ptr<enclave::AexDistribution> make_distribution(
@@ -63,8 +53,12 @@ Scenario::Scenario(ScenarioConfig config)
                  : nullptr),
       detectors_(config_.enable_detectors
                      ? std::make_unique<obs::DetectorBank>(
-                           detector_config_for(config_), metrics_.get(),
-                           trace_.get())
+                           // harness_ is not built yet: its TA address
+                           // is the one right after the last node.
+                           obs::DetectorConfig{
+                               .ta_address = static_cast<NodeId>(
+                                   config_.node_count + 1)},
+                           metrics_.get(), trace_.get())
                      : nullptr),
       trace_tee_(trace_ && detectors_ ? std::make_unique<obs::TeeTraceSink>()
                                       : nullptr),
@@ -93,7 +87,6 @@ Scenario::Scenario(ScenarioConfig config)
   for (std::size_t machine : config_.machine_of) {
     machine_count_ = std::max(machine_count_, machine + 1);
   }
-  machine_count_ = std::max(machine_count_, config_.ta_machine + 1);
 
   if (config_.attested_keys) {
     // Production path: every endpoint (nodes + TA) attests its X25519
@@ -140,7 +133,8 @@ Scenario::Scenario(ScenarioConfig config)
   // The TA caps the server-side sleep it will honour; keep it above the
   // configured calibration probe so wait-spread experiments work.
   const Duration ta_max_wait =
-      std::max(seconds(2), config_.node_template.calib_wait_high + seconds(1));
+      std::max(ta::kMaxTaWait,
+               config_.node_template.calib_wait_high + seconds(1));
   harness_.make_time_authority(ta_max_wait, &keyring_for(ta_address()));
 
   if (config_.machine_interrupts) {
@@ -180,7 +174,7 @@ Scenario::Scenario(ScenarioConfig config)
 
   // WAN delays between endpoints on different machines (both ways).
   auto endpoint_machine = [this](NodeId address) {
-    return address == ta_address() ? config_.ta_machine
+    return address == ta_address() ? std::size_t{0}
                                    : config_.machine_of[address - 1];
   };
   std::vector<NodeId> endpoints;

@@ -49,9 +49,9 @@ struct ScenarioConfig {
   /// Machine placement: machine index per node (missing entries default
   /// to machine 0 — the paper's single-machine testbed). Nodes on
   /// different machines get WAN link delays and independent interrupt
-  /// hubs; the iExec-style geo-distributed deployment.
+  /// hubs; the iExec-style geo-distributed deployment. The TA lives on
+  /// machine 0.
   std::vector<std::size_t> machine_of;
-  std::size_t ta_machine = 0;
   Duration wan_base_delay = milliseconds(20);
   Duration wan_jitter = milliseconds(2);
 
@@ -92,10 +92,9 @@ struct ScenarioConfig {
   /// verdicts via Scenario::detectors(). Alarm events land in the trace
   /// ring (when one exists) and alarm counters in the registry (when
   /// metrics are enabled).
+  /// The bank knows the scenario's TA address, so TA adoptions (ground
+  /// truth) are never flagged as suspicious jumps.
   bool enable_detectors = false;
-  /// Detector thresholds; ta_address is filled in automatically when
-  /// left 0 (TA adoptions are ground truth, not suspicious jumps).
-  obs::DetectorConfig detector_config;
 };
 
 class Scenario {

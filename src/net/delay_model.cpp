@@ -39,9 +39,4 @@ Duration ExponentialTailDelay::sample(Rng& rng) {
                      rng.exponential(static_cast<double>(mean_tail_)));
 }
 
-std::unique_ptr<DelayModel> make_default_lan_delay() {
-  return std::make_unique<JitterDelay>(microseconds(150), microseconds(50),
-                                       microseconds(20));
-}
-
 }  // namespace triad::net

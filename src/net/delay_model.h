@@ -7,8 +7,6 @@
 // paper measures — so the default model is base + truncated-normal jitter.
 #pragma once
 
-#include <memory>
-
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -54,9 +52,5 @@ class ExponentialTailDelay final : public DelayModel {
   Duration base_;
   Duration mean_tail_;
 };
-
-/// Default LAN-ish model used by the experiment scenarios: 150 µs base,
-/// 50 µs jitter, floor 20 µs.
-std::unique_ptr<DelayModel> make_default_lan_delay();
 
 }  // namespace triad::net

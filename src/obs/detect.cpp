@@ -39,7 +39,7 @@ class SlopeDetector final : public Detector {
     double reference = 0.0;
     if (config_.nominal_frequency_hz > 0.0) {
       reference = config_.nominal_frequency_hz;
-    } else if (latest_.size() >= config_.slope_quorum) {
+    } else if (latest_.size() >= kSlopeQuorum) {
       // Median including the node itself: with a single attacked node
       // the median sits on the honest consensus, so the victim's slope
       // shows its full ±10% deviation while honest nodes stay within
@@ -50,14 +50,14 @@ class SlopeDetector final : public Detector {
     }
     if (reference <= 0.0) return;
     const double deviation_ppm = (event.x - reference) / reference * 1e6;
-    if (std::abs(deviation_ppm) <= config_.slope_tolerance_ppm) return;
+    if (std::abs(deviation_ppm) <= kSlopeTolerancePpm) return;
     Alarm alarm;
     alarm.at = event.at;
     alarm.detector = DetectorKind::kSlope;
     alarm.node = event.node;
     alarm.span = event.span;
     alarm.value = deviation_ppm;  // sign carries the F−/F+ direction
-    alarm.threshold = config_.slope_tolerance_ppm;
+    alarm.threshold = kSlopeTolerancePpm;
     out->push_back(alarm);
   }
 
@@ -68,9 +68,6 @@ class SlopeDetector final : public Detector {
 
 class DisagreementDetector final : public Detector {
  public:
-  explicit DisagreementDetector(const DetectorConfig& config)
-      : config_(config) {}
-
   DetectorKind kind() const override { return DetectorKind::kDisagreement; }
 
   void on_event(const TraceEvent& event, std::vector<Alarm>* out) override {
@@ -84,7 +81,7 @@ class DisagreementDetector final : public Detector {
     const double median = median_of(values);
     if (median <= 0.0) return;
     const double width_ppm = (*max_it - *min_it) / median * 1e6;
-    if (width_ppm <= config_.disagreement_width_ppm) {
+    if (width_ppm <= kDisagreementWidthPpm) {
       active_ = false;  // spread healed; re-arm
       return;
     }
@@ -96,7 +93,7 @@ class DisagreementDetector final : public Detector {
     alarm.node = farthest_from(median);
     alarm.span = event.span;
     alarm.value = width_ppm;
-    alarm.threshold = config_.disagreement_width_ppm;
+    alarm.threshold = kDisagreementWidthPpm;
     out->push_back(alarm);
   }
 
@@ -122,7 +119,6 @@ class DisagreementDetector final : public Detector {
     return tied ? 0 : worst;
   }
 
-  DetectorConfig config_;
   SlopeMap latest_;
   bool active_ = false;
 };
@@ -140,11 +136,11 @@ class JumpDetector final : public Detector {
         static_cast<double>(event.b - event.a) / 1e6;
     if (step_ms <= 0.0) return;  // only forward jumps propagate attacks
 
-    double threshold = config_.jump_floor_ms;
+    double threshold = kJumpFloorMs;
     if (!window_.empty()) {
       threshold = std::max(
-          threshold, config_.jump_median_factor *
-                         median_of({window_.begin(), window_.end()}));
+          threshold,
+          kJumpMedianFactor * median_of({window_.begin(), window_.end()}));
     }
     if (step_ms > threshold) {
       Alarm alarm;
@@ -158,7 +154,7 @@ class JumpDetector final : public Detector {
       out->push_back(alarm);
     }
     window_.push_back(step_ms);
-    if (window_.size() > config_.jump_window) window_.pop_front();
+    if (window_.size() > kJumpWindow) window_.pop_front();
   }
 
  private:
@@ -170,7 +166,7 @@ std::vector<std::unique_ptr<Detector>> standard_detectors(
     const DetectorConfig& config) {
   std::vector<std::unique_ptr<Detector>> detectors;
   detectors.push_back(make_slope_detector(config));
-  detectors.push_back(make_disagreement_detector(config));
+  detectors.push_back(make_disagreement_detector());
   detectors.push_back(make_jump_detector(config));
   return detectors;
 }
@@ -190,9 +186,8 @@ std::unique_ptr<Detector> make_slope_detector(const DetectorConfig& config) {
   return std::make_unique<SlopeDetector>(config);
 }
 
-std::unique_ptr<Detector> make_disagreement_detector(
-    const DetectorConfig& config) {
-  return std::make_unique<DisagreementDetector>(config);
+std::unique_ptr<Detector> make_disagreement_detector() {
+  return std::make_unique<DisagreementDetector>();
 }
 
 std::unique_ptr<Detector> make_jump_detector(const DetectorConfig& config) {

@@ -41,38 +41,43 @@ enum class DetectorKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DetectorKind kind);
 
+// Detector thresholds. The live detectors and the forensic reports
+// (obs/forensic.cpp) share these, so an offline verdict matches the
+// online one.
+
+/// Slope detector: alarm when a node's calibrated frequency deviates
+/// more than this (ppm) from the cluster median — honest calibrations
+/// land within a few hundred ppm of each other; the paper's F+/F−
+/// poison by ±10% (±100000 ppm).
+inline constexpr double kSlopeTolerancePpm = 10000.0;
+/// Cluster-relative checks need at least this many calibrated nodes
+/// (a median of fewer is dominated by the outlier itself).
+inline constexpr std::size_t kSlopeQuorum = 3;
+
+/// Disagreement detector: alarm when (max−min)/median of the latest
+/// per-node slopes exceeds this width (ppm). Edge-triggered: one alarm
+/// per excursion above the threshold, re-armed when the spread heals.
+inline constexpr double kDisagreementWidthPpm = 10000.0;
+
+/// Jump detector: a peer-sourced forward step is suspicious when it
+/// exceeds max(kJumpFloorMs, kJumpMedianFactor × median of recent
+/// steps). The floor separates infection jumps (tens of ms and up,
+/// growing +~100 ms/s under the paper F−) from the sub-ms
+/// drift-repair steps of a healthy cluster.
+inline constexpr double kJumpFloorMs = 5.0;
+inline constexpr double kJumpMedianFactor = 8.0;
+/// How many recent steps feed the running median.
+inline constexpr std::size_t kJumpWindow = 64;
+
+/// What a detector needs to know about the deployment it watches.
 struct DetectorConfig {
   /// TA address: TA-sourced adoptions are ground truth and never count
   /// as suspicious jumps. 0 disables the exclusion.
   NodeId ta_address = 0;
-
-  /// Slope detector: alarm when a node's calibrated frequency deviates
-  /// more than this (ppm) from the cluster median — honest calibrations
-  /// land within a few hundred ppm of each other; the paper's F+/F−
-  /// poison by ±10% (±100000 ppm).
-  double slope_tolerance_ppm = 10000.0;
   /// Optional prior for the true TSC frequency (Hz). When set, slopes
   /// are also checked against it (works from the first calibration, no
   /// quorum needed); 0 = cluster-relative only.
   double nominal_frequency_hz = 0.0;
-  /// Cluster-relative checks need at least this many calibrated nodes
-  /// (a median of fewer is dominated by the outlier itself).
-  std::size_t slope_quorum = 3;
-
-  /// Disagreement detector: alarm when (max−min)/median of the latest
-  /// per-node slopes exceeds this width (ppm). Edge-triggered: one alarm
-  /// per excursion above the threshold, re-armed when the spread heals.
-  double disagreement_width_ppm = 10000.0;
-
-  /// Jump detector: a peer-sourced forward step is suspicious when it
-  /// exceeds max(jump_floor_ms, jump_median_factor × median of recent
-  /// steps). The floor separates infection jumps (tens of ms and up,
-  /// growing +~100 ms/s under the paper F−) from the sub-ms
-  /// drift-repair steps of a healthy cluster.
-  double jump_floor_ms = 5.0;
-  double jump_median_factor = 8.0;
-  /// How many recent steps feed the running median.
-  std::size_t jump_window = 64;
 };
 
 /// One detector verdict.
@@ -99,8 +104,7 @@ class Detector {
 
 [[nodiscard]] std::unique_ptr<Detector> make_slope_detector(
     const DetectorConfig& config);
-[[nodiscard]] std::unique_ptr<Detector> make_disagreement_detector(
-    const DetectorConfig& config);
+[[nodiscard]] std::unique_ptr<Detector> make_disagreement_detector();
 [[nodiscard]] std::unique_ptr<Detector> make_jump_detector(
     const DetectorConfig& config);
 

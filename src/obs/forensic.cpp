@@ -28,8 +28,7 @@ struct Analysis {
 Analysis analyze(const SpanIndex& index, const ForensicOptions& options) {
   Analysis a;
   const std::vector<TraceEvent>& events = index.events();
-  const DetectorConfig& config = options.detector_config;
-  a.replay = replay_detectors(events, config);
+  a.replay = replay_detectors(events, options.detector_config);
 
   // Latest calibrated slope per node, cluster median, worst outlier.
   std::map<NodeId, double> last_slope;
@@ -45,8 +44,8 @@ Analysis analyze(const SpanIndex& index, const ForensicOptions& options) {
   for (const auto& [node, f] : last_slope) {
     const SlopeFact fact{node, f, (f - median) / median * 1e6};
     a.slopes.push_back(fact);
-    if (last_slope.size() >= config.slope_quorum &&
-        std::abs(fact.ppm_vs_median) > config.slope_tolerance_ppm &&
+    if (last_slope.size() >= kSlopeQuorum &&
+        std::abs(fact.ppm_vs_median) > kSlopeTolerancePpm &&
         (!a.suspect || std::abs(fact.ppm_vs_median) >
                            std::abs(a.suspect->ppm_vs_median))) {
       a.suspect = fact;

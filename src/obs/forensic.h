@@ -23,9 +23,9 @@ struct ForensicOptions {
   /// Render a JSON object instead of the human-readable text report.
   bool json = false;
   /// Forward adoption steps below this are drift repair, not infection;
-  /// they stay out of the timeline (matches DetectorConfig::jump_floor_ms).
+  /// they stay out of the timeline (matches kJumpFloorMs).
   double min_jump_ms = 5.0;
-  /// Detector thresholds for the replay. ta_address 0 = infer it from
+  /// Detector settings for the replay. ta_address 0 = infer it from
   /// the trace (the endpoint serving kTaServe events).
   DetectorConfig detector_config;
 };

@@ -2,16 +2,16 @@
 
 namespace triad::resilient {
 
-TriadConfig harden(TriadConfig base, const TriadPlusOptions& options) {
-  base.refresh_deadline = options.refresh_deadline;
-  base.long_window_calibration = options.long_window_calibration;
-  base.long_window_min = options.long_window_min;
+TriadConfig harden(TriadConfig base) {
+  base.refresh_deadline = seconds(10);
+  base.long_window_calibration = true;
+  base.long_window_min = seconds(60);
   return base;
 }
 
 std::unique_ptr<UntaintPolicy> make_triad_plus_policy(
-    const TriadPlusOptions& options) {
-  return make_true_chimer_policy(options.chimer);
+    const TrueChimerConfig& chimer) {
+  return make_true_chimer_policy(chimer);
 }
 
 }  // namespace triad::resilient

@@ -9,6 +9,10 @@
 //      across TA timestamps minutes apart, cancelling the per-message
 //      delay bias that the F+/F- attacks inject into the short-window
 //      regression.
+//
+// The preset is fixed: a 10 s refresh deadline and long-window
+// refinement over TA samples at least 60 s apart. Ablations that vary
+// a knob set the TriadConfig field directly.
 #pragma once
 
 #include <memory>
@@ -18,18 +22,11 @@
 
 namespace triad::resilient {
 
-struct TriadPlusOptions {
-  Duration refresh_deadline = seconds(10);
-  bool long_window_calibration = true;
-  Duration long_window_min = seconds(60);
-  TrueChimerConfig chimer;
-};
-
 /// Applies the Triad+ hardening knobs to a base node config.
-TriadConfig harden(TriadConfig base, const TriadPlusOptions& options = {});
+TriadConfig harden(TriadConfig base);
 
 /// Policy factory matching the hardened config.
 std::unique_ptr<UntaintPolicy> make_triad_plus_policy(
-    const TriadPlusOptions& options = {});
+    const TrueChimerConfig& chimer = {});
 
 }  // namespace triad::resilient

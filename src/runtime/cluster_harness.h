@@ -66,7 +66,7 @@ class ClusterHarness {
   /// Creates the Time Authority at ta_address(). `keyring` overrides the
   /// shared cluster keyring (attested/session mode). Call at most once.
   ta::TimeAuthority& make_time_authority(
-      Duration max_wait = seconds(2),
+      Duration max_wait = ta::kMaxTaWait,
       const crypto::Keyring* keyring = nullptr);
 
   /// Creates the next Triad node from `node_template`, filling in its
@@ -80,7 +80,6 @@ class ClusterHarness {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] TriadNode& node(std::size_t i) { return *nodes_.at(i); }
   [[nodiscard]] ta::TimeAuthority& time_authority() { return *ta_; }
-  [[nodiscard]] bool has_time_authority() const { return ta_ != nullptr; }
 
   /// Starts every node (the TA is live from construction).
   void start();

@@ -114,7 +114,6 @@ class Env {
 
   [[nodiscard]] Clock& clock() const { return *clock_; }
   [[nodiscard]] Scheduler& scheduler() const { return *scheduler_; }
-  [[nodiscard]] bool has_transport() const { return transport_ != nullptr; }
   [[nodiscard]] Transport& transport() const;
 
   // Convenience forwarding, so call sites read like the old concrete API.
@@ -135,7 +134,6 @@ class Env {
   // --- observability ---------------------------------------------------
   /// Metrics registry, or null when the environment is unobserved.
   [[nodiscard]] obs::Registry* metrics() const { return obs_.metrics; }
-  [[nodiscard]] obs::TraceSink* trace_sink() const { return obs_.trace; }
   /// Guard for emit(): true only when a trace sink is attached. Call
   /// sites wrap event construction in `if (env.tracing())` so building
   /// the event costs nothing when tracing is off.

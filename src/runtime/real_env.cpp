@@ -45,7 +45,26 @@ std::string errno_string(const char* what) {
   return msg;
 }
 
+// The address `fd` is bound to (resolves port 0 to the kernel's pick).
+SockAddr bound_addr(const UniqueFd& fd) {
+  sockaddr_in native{};
+  socklen_t len = sizeof(native);
+  if (!fd.valid() ||
+      ::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&native), &len) !=
+          0) {
+    return SockAddr{};
+  }
+  return from_native(native);
+}
+
 }  // namespace
+
+// --- UniqueFd ----------------------------------------------------------
+
+void UniqueFd::reset() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
 
 // --- SockAddr ----------------------------------------------------------
 
@@ -108,83 +127,61 @@ struct UdpSocket::BatchBuffers {
   std::array<mmsghdr, kRecvBatch> msgs;
 };
 
-UdpSocket::UdpSocket(int fd) : fd_(fd) {}
-
-UdpSocket::~UdpSocket() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      buffers_(std::move(other.buffers_)) {}
-
-UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    buffers_ = std::move(other.buffers_);
-  }
-  return *this;
-}
+UdpSocket::UdpSocket() = default;
+UdpSocket::UdpSocket(UniqueFd fd) : fd_(std::move(fd)) {}
+UdpSocket::~UdpSocket() = default;
+UdpSocket::UdpSocket(UdpSocket&& other) noexcept = default;
+UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept = default;
 
 UdpSocket UdpSocket::bind(SockAddr addr, bool reuse_port, std::string* error) {
-  const int fd =
-      ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
+  UniqueFd fd(::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) {
     if (error != nullptr) *error = errno_string("socket");
     return UdpSocket{};
   }
   if (reuse_port) {
     const int one = 1;
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                     sizeof(one)) != 0) {
       if (error != nullptr) *error = errno_string("setsockopt(SO_REUSEPORT)");
-      ::close(fd);
       return UdpSocket{};
     }
   }
   sockaddr_in native = to_native(addr);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&native),
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&native),
              sizeof(native)) != 0) {
     if (error != nullptr) *error = errno_string("bind");
-    ::close(fd);
     return UdpSocket{};
   }
-  return UdpSocket{fd};
+  return UdpSocket{std::move(fd)};
 }
 
-SockAddr UdpSocket::local_addr() const {
-  sockaddr_in native{};
-  socklen_t len = sizeof(native);
-  if (fd_ < 0 || ::getsockname(fd_, reinterpret_cast<sockaddr*>(&native),
-                               &len) != 0) {
-    return SockAddr{};
-  }
-  return from_native(native);
-}
+SockAddr UdpSocket::local_addr() const { return bound_addr(fd_); }
 
 void UdpSocket::set_recv_timeout_ms(int ms) {
-  if (fd_ < 0) return;
-  const int flags = ::fcntl(fd_, F_GETFL);
+  if (!valid()) return;
+  const int fd = fd_.get();
+  const int flags = ::fcntl(fd, F_GETFL);
   if (ms > 0) {
-    ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK);
+    ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
     timeval tv{};
     tv.tv_sec = ms / 1000;
     tv.tv_usec = (ms % 1000) * 1000;
-    (void)::setsockopt(fd_, SOL_SOCKET,  // best-effort: a failed timeout
+    (void)::setsockopt(fd, SOL_SOCKET,  // best-effort: a failed timeout
                        SO_RCVTIMEO, &tv, sizeof(tv));  // just blocks longer
   } else {
-    ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     timeval tv{};
-    (void)::setsockopt(fd_, SOL_SOCKET,  // best-effort: fd stays usable
+    (void)::setsockopt(fd, SOL_SOCKET,  // best-effort: fd stays usable
                        SO_RCVTIMEO, &tv, sizeof(tv));
   }
 }
 
 bool UdpSocket::send_to(SockAddr to, BytesView datagram) {
-  if (fd_ < 0) return false;
+  if (!valid()) return false;
   const sockaddr_in native = to_native(to);
   const ssize_t n =
-      ::sendto(fd_, datagram.data(), datagram.size(), 0,
+      ::sendto(fd_.get(), datagram.data(), datagram.size(), 0,
                reinterpret_cast<const sockaddr*>(&native), sizeof(native));
   return n == static_cast<ssize_t>(datagram.size());
 }
@@ -194,7 +191,7 @@ void UdpSocket::ensure_buffers() {
 }
 
 std::size_t UdpSocket::recv_batch(std::array<RecvView, kRecvBatch>& out) {
-  if (fd_ < 0) return 0;
+  if (!valid()) return 0;
   ensure_buffers();
   BatchBuffers& b = *buffers_;
   for (std::size_t i = 0; i < kRecvBatch; ++i) {
@@ -210,7 +207,7 @@ std::size_t UdpSocket::recv_batch(std::array<RecvView, kRecvBatch>& out) {
   // only and drain the rest non-blocking — without it recvmmsg would sit
   // out the whole SO_RCVTIMEO hoping to fill the batch. No effect on the
   // non-blocking worker sockets.
-  const int n = ::recvmmsg(fd_, b.msgs.data(),
+  const int n = ::recvmmsg(fd_.get(), b.msgs.data(),
                            static_cast<unsigned>(kRecvBatch), MSG_WAITFORONE,
                            nullptr);
   if (n <= 0) return 0;
@@ -224,7 +221,7 @@ std::size_t UdpSocket::recv_batch(std::array<RecvView, kRecvBatch>& out) {
 }
 
 std::size_t UdpSocket::send_batch(const SendView* msgs, std::size_t count) {
-  if (fd_ < 0 || count == 0) return 0;
+  if (!valid() || count == 0) return 0;
   ensure_buffers();
   BatchBuffers& b = *buffers_;
   std::size_t sent = 0;
@@ -244,7 +241,7 @@ std::size_t UdpSocket::send_batch(const SendView* msgs, std::size_t count) {
     }
     // sendmmsg stops at the first datagram the kernel refuses and
     // returns the count before it (-1 when that is the first one).
-    const int n = ::sendmmsg(fd_, b.msgs.data(),
+    const int n = ::sendmmsg(fd_.get(), b.msgs.data(),
                              static_cast<unsigned>(batch), 0);
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
@@ -272,49 +269,31 @@ void set_io_timeouts(int fd, int timeout_ms) {
 
 }  // namespace
 
-TcpConn::~TcpConn() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-TcpConn::TcpConn(TcpConn&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      timeout_ms_(std::exchange(other.timeout_ms_, 0)) {}
-
-TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    timeout_ms_ = std::exchange(other.timeout_ms_, 0);
-  }
-  return *this;
-}
-
 TcpConn TcpConn::dial(SockAddr addr, int timeout_ms, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) {
     if (error != nullptr) *error = errno_string("socket");
     return TcpConn{};
   }
   // SO_SNDTIMEO bounds the blocking connect as well as later writes.
-  set_io_timeouts(fd, timeout_ms);
+  set_io_timeouts(fd.get(), timeout_ms);
   const sockaddr_in native = to_native(addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&native),
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&native),
                 sizeof(native)) != 0) {
     if (error != nullptr) *error = errno_string("connect");
-    ::close(fd);
     return TcpConn{};
   }
-  return TcpConn{fd, timeout_ms};
+  return TcpConn{std::move(fd), timeout_ms};
 }
 
 std::size_t TcpConn::read_some(std::uint8_t* buf, std::size_t max) {
-  if (fd_ < 0 || max == 0) return 0;
-  const ssize_t n = ::read(fd_, buf, max);
+  if (!valid() || max == 0) return 0;
+  const ssize_t n = ::read(fd_.get(), buf, max);
   return n > 0 ? static_cast<std::size_t>(n) : 0;
 }
 
 bool TcpConn::write_all(BytesView data) {
-  if (fd_ < 0) return false;
+  if (!valid()) return false;
   // SO_SNDTIMEO bounds each write() call, not the loop: a reader that
   // drains its socket one byte per interval keeps every partial write
   // under the per-call timeout. The cumulative deadline holds the
@@ -325,7 +304,8 @@ bool TcpConn::write_all(BytesView data) {
   std::size_t off = 0;
   while (off < data.size()) {
     if (timeout_ms_ > 0 && elapsed.elapsed_ns() > deadline_ns) return false;
-    const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::write(fd_.get(), data.data() + off, data.size() - off);
     if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }
@@ -333,101 +313,60 @@ bool TcpConn::write_all(BytesView data) {
 }
 
 void TcpConn::shutdown_write() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
-void TcpConn::close_now() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-TcpListener::~TcpListener() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
-
-TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
+  if (valid()) ::shutdown(fd_.get(), SHUT_WR);
 }
 
 TcpListener TcpListener::open(SockAddr addr, std::string* error) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
+  UniqueFd fd(
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) {
     if (error != nullptr) *error = errno_string("socket");
     return TcpListener{};
   }
   // Daemon restarts must re-bind the telemetry port without waiting out
   // TIME_WAIT conns left by scrapers.
   const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR,  // best-effort: if it
-                     &one, sizeof(one));  // fails, bind reports the error
+  (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR,  // best-effort: if
+                     &one, sizeof(one));  // it fails, bind reports the error
   sockaddr_in native = to_native(addr);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&native),
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&native),
              sizeof(native)) != 0) {
     if (error != nullptr) *error = errno_string("bind");
-    ::close(fd);
     return TcpListener{};
   }
-  if (::listen(fd, 16) != 0) {
+  if (::listen(fd.get(), 16) != 0) {
     if (error != nullptr) *error = errno_string("listen");
-    ::close(fd);
     return TcpListener{};
   }
-  return TcpListener{fd};
+  return TcpListener{std::move(fd)};
 }
 
-SockAddr TcpListener::local_addr() const {
-  sockaddr_in native{};
-  socklen_t len = sizeof(native);
-  if (fd_ < 0 || ::getsockname(fd_, reinterpret_cast<sockaddr*>(&native),
-                               &len) != 0) {
-    return SockAddr{};
-  }
-  return from_native(native);
-}
+SockAddr TcpListener::local_addr() const { return bound_addr(fd_); }
 
 TcpConn TcpListener::accept_client(int timeout_ms) {
-  if (fd_ < 0) return TcpConn{};
-  const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
-  if (fd < 0) return TcpConn{};
-  set_io_timeouts(fd, timeout_ms);
-  return TcpConn{fd, timeout_ms};
+  if (!valid()) return TcpConn{};
+  UniqueFd fd(::accept4(fd_.get(), nullptr, nullptr, SOCK_CLOEXEC));
+  if (!fd.valid()) return TcpConn{};
+  set_io_timeouts(fd.get(), timeout_ms);
+  return TcpConn{std::move(fd), timeout_ms};
 }
 
 // --- EpollLoop ---------------------------------------------------------
 
-EpollLoop::EpollLoop() {
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return;
-  wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakeup_fd_ < 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    return;
-  }
+EpollLoop::EpollLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (!epoll_fd_.valid()) return;
+  wakeup_fd_ = UniqueFd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = wakeup_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wakeup_fd_, &ev) != 0) {
+  ev.data.fd = wakeup_fd_.get();
+  if (!wakeup_fd_.valid() ||
+      ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wakeup_fd_.get(), &ev) !=
+          0) {
     // A loop that cannot be woken is worse than no loop: report invalid
     // rather than hanging the owner's stop() forever.
-    ::close(wakeup_fd_);
-    ::close(epoll_fd_);
-    wakeup_fd_ = -1;
-    epoll_fd_ = -1;
+    wakeup_fd_.reset();
+    epoll_fd_.reset();
   }
-}
-
-EpollLoop::~EpollLoop() {
-  if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 void EpollLoop::add_fd(int fd, std::function<void()> on_readable) {
@@ -435,7 +374,7 @@ void EpollLoop::add_fd(int fd, std::function<void()> on_readable) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
     // Registering the handler anyway would desynchronize handlers_ from
     // the epoll set; the fd's owner sees no readable callbacks either way.
     return;
@@ -448,7 +387,7 @@ void EpollLoop::remove_fd(int fd) {
       handlers_.begin(), handlers_.end(),
       [fd](const FdHandler& h) { return h.fd == fd; });
   if (it == handlers_.end()) return;
-  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL,  // a closed fd is already
+  (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL,  // a closed fd is already
                     fd, nullptr);              // gone from the epoll set
   handlers_.erase(it);
 }
@@ -457,7 +396,7 @@ void EpollLoop::drain_wakeup() const {
   std::uint64_t value = 0;
   // Non-blocking eventfd: one read clears the whole count.
   [[maybe_unused]] const ssize_t n =
-      ::read(wakeup_fd_, &value, sizeof(value));
+      ::read(wakeup_fd_.get(), &value, sizeof(value));
 }
 
 void EpollLoop::stop() {
@@ -465,17 +404,17 @@ void EpollLoop::stop() {
   // eventfd write is async-signal-safe; this is the SIGTERM path.
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
-      ::write(wakeup_fd_, &one, sizeof(one));
+      ::write(wakeup_fd_.get(), &one, sizeof(one));
 }
 
 void EpollLoop::poll_once(RealScheduler& scheduler, const Clock& clock,
                           int timeout_ms) {
   std::array<epoll_event, 64> events{};
-  const int n = ::epoll_wait(epoll_fd_, events.data(),
+  const int n = ::epoll_wait(epoll_fd_.get(), events.data(),
                              static_cast<int>(events.size()), timeout_ms);
   for (int i = 0; i < n; ++i) {
     const int fd = events[static_cast<std::size_t>(i)].data.fd;
-    if (fd == wakeup_fd_) {
+    if (fd == wakeup_fd_.get()) {
       drain_wakeup();
       continue;
     }
@@ -538,10 +477,10 @@ void RealScheduler::fire_due(SimTime now) {
 // --- UdpTransport ------------------------------------------------------
 
 UdpTransport::UdpTransport(EpollLoop& loop, const Clock& clock,
-                           SockAddr listen, bool reuse_port)
+                           SockAddr listen)
     : loop_(loop),
       clock_(clock),
-      socket_(UdpSocket::bind(listen, reuse_port, &bind_error_)) {
+      socket_(UdpSocket::bind(listen, /*reuse_port=*/false, &bind_error_)) {
   if (socket_.valid()) {
     loop_.add_fd(socket_.fd(), [this] { on_readable(); });
   }
@@ -640,7 +579,12 @@ void UdpTransport::on_readable() {
         ++stats_.decode_errors;
         continue;
       }
-      if (learn_peers_) set_peer(frame->src, views[i].from);
+      // Learn the sender's endpoint, so servers can answer clients that
+      // never appeared in static config. A spoofed src id can redirect
+      // *future* replies to the spoofer — which only withholds sealed
+      // (useless-to-them) frames, a capability the network attacker
+      // already has by dropping datagrams.
+      set_peer(frame->src, views[i].from);
       PacketHandler* handler = nullptr;
       for (auto& [id, h] : handlers_) {
         if (id == frame->dst) {
@@ -707,8 +651,7 @@ RealEnv::RealEnv(RealEnvConfig config)
       rng_(config.seed),
       env_(clock_, scheduler_, nullptr, rng_, config.obs) {
   if (config.listen.has_value()) {
-    transport_.emplace(loop_, clock_, *config.listen, config.reuse_port);
-    transport_->set_learn_peers(config.learn_peers);
+    transport_.emplace(loop_, clock_, *config.listen);
     if (transport_->valid()) {
       for (const auto& [peer, addr] : config.peers) {
         transport_->set_peer(peer, addr);

@@ -31,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/wire.h"
@@ -94,16 +95,44 @@ struct SendView {
   BytesView data;
 };
 
+/// Move-only owner of one file descriptor (-1 = none): closes it on
+/// destruction, on reset(), and when a move assigns over it. A moved-
+/// from owner holds -1. The socket and epoll wrappers below hold their
+/// fds in one, so none of them closes by hand.
+class UniqueFd {
+ public:
+  UniqueFd() = default;
+  explicit UniqueFd(int fd) : fd_(fd) {}
+  ~UniqueFd() { reset(); }
+  UniqueFd(UniqueFd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  UniqueFd& operator=(UniqueFd&& other) noexcept {
+    if (this != &other) {
+      reset();
+      fd_ = std::exchange(other.fd_, -1);
+    }
+    return *this;
+  }
+  UniqueFd(const UniqueFd&) = delete;
+  UniqueFd& operator=(const UniqueFd&) = delete;
+
+  [[nodiscard]] int get() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  /// Closes the held fd, if any; the owner then holds -1.
+  void reset();
+
+ private:
+  int fd_ = -1;
+};
+
 /// RAII non-blocking UDP socket with batched (recvmmsg/sendmmsg) IO.
 /// Move-only; the fd closes on destruction.
 class UdpSocket {
  public:
-  UdpSocket() = default;
+  // Out of line: BatchBuffers is complete only in real_env.cpp.
+  UdpSocket();
   ~UdpSocket();
   UdpSocket(UdpSocket&& other) noexcept;
   UdpSocket& operator=(UdpSocket&& other) noexcept;
-  UdpSocket(const UdpSocket&) = delete;
-  UdpSocket& operator=(const UdpSocket&) = delete;
 
   /// Binds a UDP socket on `addr` (port 0 = ephemeral). With `reuse_port`
   /// several sockets may bind the same address and the kernel shards
@@ -113,7 +142,7 @@ class UdpSocket {
   [[nodiscard]] static UdpSocket bind(SockAddr addr, bool reuse_port = false,
                                       std::string* error = nullptr);
 
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
+  [[nodiscard]] bool valid() const { return fd_.valid(); }
   /// The actually bound address (resolves port 0 to the kernel's pick).
   [[nodiscard]] SockAddr local_addr() const;
 
@@ -136,14 +165,14 @@ class UdpSocket {
   /// it was tried, so a caller that drops it resumes at r + 1.
   std::size_t send_batch(const SendView* msgs, std::size_t count);
 
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] int fd() const { return fd_.get(); }
 
  private:
-  explicit UdpSocket(int fd);
+  explicit UdpSocket(UniqueFd fd);
   struct BatchBuffers;  // recvmmsg scratch (iovecs, msghdrs, addresses)
   void ensure_buffers();
 
-  int fd_ = -1;
+  UniqueFd fd_;
   std::unique_ptr<BatchBuffers> buffers_;
 };
 
@@ -155,11 +184,6 @@ class UdpSocket {
 class TcpConn {
  public:
   TcpConn() = default;
-  ~TcpConn();
-  TcpConn(TcpConn&& other) noexcept;
-  TcpConn& operator=(TcpConn&& other) noexcept;
-  TcpConn(const TcpConn&) = delete;
-  TcpConn& operator=(const TcpConn&) = delete;
 
   /// Blocking client connect with `timeout_ms` applied to the connect
   /// itself and to subsequent reads/writes. Invalid conn on failure
@@ -167,8 +191,8 @@ class TcpConn {
   [[nodiscard]] static TcpConn dial(SockAddr addr, int timeout_ms = 2000,
                                     std::string* error = nullptr);
 
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_.valid(); }
+  [[nodiscard]] int fd() const { return fd_.get(); }
 
   /// Reads up to `max` bytes. Returns the count read; 0 on orderly EOF,
   /// timeout, or error (the caller closes either way).
@@ -181,13 +205,13 @@ class TcpConn {
   bool write_all(BytesView data);
   /// Half-close: signals EOF to the peer while reads stay open.
   void shutdown_write();
-  void close_now();
+  void close_now() { fd_.reset(); }
 
  private:
   friend class TcpListener;
-  explicit TcpConn(int fd, int timeout_ms = 0)
-      : fd_(fd), timeout_ms_(timeout_ms) {}
-  int fd_ = -1;
+  TcpConn(UniqueFd fd, int timeout_ms)
+      : fd_(std::move(fd)), timeout_ms_(timeout_ms) {}
+  UniqueFd fd_;
   int timeout_ms_ = 0;  // 0 = no cumulative write deadline
 };
 
@@ -197,19 +221,14 @@ class TcpConn {
 class TcpListener {
  public:
   TcpListener() = default;
-  ~TcpListener();
-  TcpListener(TcpListener&& other) noexcept;
-  TcpListener& operator=(TcpListener&& other) noexcept;
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
 
   /// Binds and listens on `addr` (port 0 = ephemeral). Invalid listener
   /// on failure (errno message in *error when non-null).
   [[nodiscard]] static TcpListener open(SockAddr addr,
                                         std::string* error = nullptr);
 
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] bool valid() const { return fd_.valid(); }
+  [[nodiscard]] int fd() const { return fd_.get(); }
   /// The actually bound address (resolves port 0 to the kernel's pick).
   [[nodiscard]] SockAddr local_addr() const;
 
@@ -218,8 +237,8 @@ class TcpListener {
   [[nodiscard]] TcpConn accept_client(int timeout_ms = 2000);
 
  private:
-  explicit TcpListener(int fd) : fd_(fd) {}
-  int fd_ = -1;
+  explicit TcpListener(UniqueFd fd) : fd_(std::move(fd)) {}
+  UniqueFd fd_;
 };
 
 class RealScheduler;
@@ -232,11 +251,10 @@ class RealScheduler;
 class EpollLoop {
  public:
   EpollLoop();
-  ~EpollLoop();
   EpollLoop(const EpollLoop&) = delete;
   EpollLoop& operator=(const EpollLoop&) = delete;
 
-  [[nodiscard]] bool valid() const { return epoll_fd_ >= 0; }
+  [[nodiscard]] bool valid() const { return epoll_fd_.valid(); }
 
   /// Registers a readability callback for `fd`. One callback per fd.
   void add_fd(int fd, std::function<void()> on_readable);
@@ -254,8 +272,6 @@ class EpollLoop {
   [[nodiscard]] bool stopped() const {
     return stop_requested_.load(std::memory_order_acquire);
   }
-  /// Re-arms a stopped loop (tests run the loop repeatedly).
-  void reset_stop() { stop_requested_.store(false, std::memory_order_release); }
 
  private:
   /// One pass: wait up to `timeout_ms`, dispatch fds, fire due timers.
@@ -268,8 +284,8 @@ class EpollLoop {
     std::function<void()> on_readable;
   };
 
-  int epoll_fd_ = -1;
-  int wakeup_fd_ = -1;  // eventfd: stop() and cross-thread nudges
+  UniqueFd epoll_fd_;
+  UniqueFd wakeup_fd_;  // eventfd: stop() and cross-thread nudges
   std::vector<FdHandler> handlers_;
   std::atomic<bool> stop_requested_{false};
 };
@@ -326,8 +342,7 @@ class UdpTransport final : public Transport {
  public:
   /// Binds `listen` (port 0 = ephemeral) and registers with `loop`.
   /// Check valid() afterwards; a failed bind leaves an inert transport.
-  UdpTransport(EpollLoop& loop, const Clock& clock, SockAddr listen,
-               bool reuse_port = false);
+  UdpTransport(EpollLoop& loop, const Clock& clock, SockAddr listen);
   ~UdpTransport() override;
 
   [[nodiscard]] bool valid() const { return socket_.valid(); }
@@ -335,15 +350,8 @@ class UdpTransport final : public Transport {
   [[nodiscard]] const std::string& bind_error() const { return bind_error_; }
 
   /// Maps a peer NodeId to its UDP endpoint (send() destinations).
+  /// Incoming frames also map their src id to their source endpoint.
   void set_peer(NodeId peer, SockAddr addr);
-
-  /// When on (the default), the source endpoint of each valid incoming
-  /// frame is recorded in the address book, so servers can answer
-  /// clients that never appeared in static config. A spoofed src id can
-  /// redirect *future* replies to the spoofer — which only withholds
-  /// sealed (useless-to-them) frames, a capability the network attacker
-  /// already has by dropping datagrams.
-  void set_learn_peers(bool on) { learn_peers_ = on; }
 
   void attach(NodeId addr, PacketHandler handler) override;
   void detach(NodeId addr) override;
@@ -368,7 +376,6 @@ class UdpTransport final : public Transport {
   std::string bind_error_;
   UdpSocket socket_;
   std::vector<std::pair<NodeId, SockAddr>> peers_;  // small, linear scan
-  bool learn_peers_ = true;
   std::vector<std::pair<NodeId, PacketHandler>> handlers_;
   std::uint64_t next_packet_id_ = 1;
   UdpTransportStats stats_;
@@ -385,8 +392,6 @@ struct RealEnvConfig {
   std::uint64_t seed = 1;
   /// UDP endpoint to bind; nullopt = no transport (timers only).
   std::optional<SockAddr> listen;
-  bool reuse_port = false;
-  bool learn_peers = true;  // see UdpTransport::set_learn_peers
   /// Initial address book (extendable later via transport().set_peer).
   std::vector<std::pair<NodeId, SockAddr>> peers;
   ObsBinding obs{};

@@ -21,13 +21,19 @@ struct TimeAuthorityStats {
   std::uint64_t rejected_waits = 0;    // wait above the allowed maximum
 };
 
+/// Longest server-side sleep a TA grants by default. Bounds what a client
+/// can make the TA hold (resource-holding defence); 2 s covers Triad's
+/// 0 s/1 s calibration probes. A request asking for more is dropped and
+/// counted in rejected_waits, so a node whose calib_wait_high exceeds
+/// the TA's cap never calibrates.
+inline constexpr Duration kMaxTaWait = seconds(2);
+
 class TimeAuthority {
  public:
-  /// max_wait bounds the server-side sleep a client may request (defends
-  /// the TA against resource-holding; 2 s covers Triad's 0 s/1 s probes).
+  /// max_wait bounds the server-side sleep a client may request.
   TimeAuthority(runtime::Env env, NodeId address,
                 const crypto::Keyring& keyring,
-                Duration max_wait = seconds(2));
+                Duration max_wait = kMaxTaWait);
   ~TimeAuthority();
   TimeAuthority(const TimeAuthority&) = delete;
   TimeAuthority& operator=(const TimeAuthority&) = delete;

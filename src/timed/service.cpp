@@ -10,6 +10,13 @@
 
 namespace triad::timed {
 
+namespace {
+
+// Snapshot publish period (node thread -> serve workers).
+constexpr Duration kSnapshotPeriod = milliseconds(1);
+
+}  // namespace
+
 // --- TimedService ------------------------------------------------------
 
 TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
@@ -37,7 +44,6 @@ TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
                                 /*normalize=*/false);
       return os.str();
     };
-    sources.trace_tail = config_.telemetry_trace_tail;
     sources.max_pending = config_.telemetry_max_pending;
     sources.request_deadline = config_.telemetry_request_deadline;
     // Runs on the node thread; the workers' gauges are atomics, so the
@@ -55,7 +61,7 @@ TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
 
   if (config_.role == Role::kTa) {
     authority_ = std::make_unique<ta::TimeAuthority>(
-        env_->env(), config_.ta_id, keyring_, config_.ta_max_wait);
+        env_->env(), config_.ta_id, keyring_);
     return;
   }
 
@@ -119,7 +125,7 @@ void TimedService::start() {
     };
     publish();
     publisher_ = std::make_unique<runtime::PeriodicTimer>(
-        env_->env(), config_.snapshot_period, publish);
+        env_->env(), kSnapshotPeriod, publish);
   }
   for (auto& worker : workers_) worker->start();
 }

@@ -13,7 +13,7 @@
 //     (send counters, replay windows) sees a consistent per-client
 //     stream — sharding the crypto state instead of locking it;
 //   * the node thread publishes a clock snapshot (time, monotonic
-//     anchor, error bound, availability) a few times per millisecond;
+//     anchor, error bound, availability) once per millisecond;
 //     workers answer requests by extrapolating the snapshot at rate 1,
 //     clamped per-worker monotone. TriadNode itself is never touched
 //     off the node thread.
@@ -168,7 +168,7 @@ struct ServiceConfig {
   runtime::SockAddr serve{runtime::kLoopbackAny};
   int workers = 1;
   /// Static protocol address book: peers + TA. Unlisted peers are
-  /// learned from incoming frames (see UdpTransport::set_learn_peers).
+  /// learned from incoming frames (see UdpTransport::on_readable).
   std::vector<std::pair<NodeId, runtime::SockAddr>> peers;
   /// Cluster master secret (stand-in for remote attestation; must match
   /// across the cluster and its clients).
@@ -178,9 +178,6 @@ struct ServiceConfig {
   /// service's wire identity; for the TA role `ta_id` is.
   TriadConfig node;
   NodeId ta_id = 0;
-  Duration ta_max_wait = seconds(2);
-  /// Snapshot publish period (node thread -> serve workers).
-  Duration snapshot_period = milliseconds(1);
 
   // --- live telemetry (PR 9) -------------------------------------------
   /// Internal trace ring capacity (0 = none). The ring records the
@@ -196,12 +193,10 @@ struct ServiceConfig {
   obs::DetectorConfig detectors;
   /// Telemetry listener (plain TCP, read-only; nullopt = none).
   std::optional<runtime::SockAddr> telemetry;
-  /// Most events one /trace answer ships (tail of the ring).
-  std::size_t telemetry_trace_tail = std::size_t{1} << 16;
   /// Most simultaneous pending telemetry connections (oldest evicted).
   std::size_t telemetry_max_pending = 32;
   /// Telemetry connections that have not completed a request line within
-  /// this deadline are closed (0 disables the sweep).
+  /// this deadline are closed.
   Duration telemetry_request_deadline = seconds(5);
 };
 

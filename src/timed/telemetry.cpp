@@ -14,6 +14,9 @@ namespace {
 // telemetry client.
 constexpr std::size_t kMaxRequestBytes = 4096;
 
+// Most events one /trace answer ships (tail of the ring).
+constexpr std::size_t kTraceTail = std::size_t{1} << 16;
+
 std::string http_response(int status, std::string_view content_type,
                           std::string_view body) {
   std::string out;
@@ -38,14 +41,12 @@ TelemetryServer::TelemetryServer(runtime::EpollLoop& loop, runtime::Env env,
       listener_(runtime::TcpListener::open(addr, &error_)) {
   if (!listener_.valid()) return;
   loop_.add_fd(listener_.fd(), [this] { on_accept(); });
-  if (sources_.request_deadline > 0) {
-    // Half the deadline keeps worst-case lingering under 1.5x the
-    // configured value without waking the loop often.
-    const Duration period =
-        std::max<Duration>(sources_.request_deadline / 2, milliseconds(10));
-    sweeper_ = std::make_unique<runtime::PeriodicTimer>(
-        env_, period, [this] { sweep_stale_conns(); });
-  }
+  // Half the deadline keeps worst-case lingering under 1.5x the
+  // configured value without waking the loop often.
+  const Duration period =
+      std::max<Duration>(sources_.request_deadline / 2, milliseconds(10));
+  sweeper_ = std::make_unique<runtime::PeriodicTimer>(
+      env_, period, [this] { sweep_stale_conns(); });
 }
 
 TelemetryServer::~TelemetryServer() {
@@ -115,7 +116,7 @@ void TelemetryServer::close_conn(int fd) {
 }
 
 void TelemetryServer::sweep_stale_conns() {
-  if (conns_.empty() || sources_.request_deadline <= 0) return;
+  if (conns_.empty()) return;
   const std::uint64_t now_ns = runtime::MonotonicTimer::now_ns();
   const auto deadline_ns =
       static_cast<std::uint64_t>(sources_.request_deadline);
@@ -161,7 +162,7 @@ std::string TelemetryServer::render(std::string_view path,
   }
   if (path == "/trace" && sources_.trace != nullptr) {
     const std::vector<obs::TraceEvent> events = sources_.trace->events();
-    const std::size_t tail = std::min(events.size(), sources_.trace_tail);
+    const std::size_t tail = std::min(events.size(), kTraceTail);
     std::ostringstream os;
     for (std::size_t i = events.size() - tail; i < events.size(); ++i) {
       obs::write_json_line(events[i], os);

@@ -12,9 +12,9 @@
 // Endpoints (HTTP/1.0, Connection: close, GET only):
 //   /metrics   Prometheus text exposition (obs::write_prometheus) —
 //              byte-identical families to the exit dump, values live;
-//   /trace     bounded tail of the trace ring as JSONL (obs schema,
-//              parse_jsonl-compatible) — ships the node's protocol
-//              trace for triad_mon's cluster merge;
+//   /trace     the last 2^16 events of the trace ring as JSONL (obs
+//              schema, parse_jsonl-compatible) — ships the node's
+//              protocol trace for triad_mon's cluster merge;
 //   /prof      profiler scope table (obs::Profiler), empty tree when
 //              profiling is off. Exact only while instrumented worker
 //              threads are quiescent (merge()'s standing caveat).
@@ -52,13 +52,11 @@ class TelemetryServer {
     const obs::RingTraceSink* trace = nullptr;
     /// Renders /prof; empty function disables the endpoint.
     std::function<std::string()> prof;
-    /// Most events one /trace answer ships (tail of the ring).
-    std::size_t trace_tail = std::size_t{1} << 16;
     /// Most simultaneous pending connections; accepting past the cap
     /// evicts the oldest, so stalled clients cannot exhaust fds.
     std::size_t max_pending = 32;
     /// Connections that have not completed a request line within this
-    /// deadline are closed by a periodic sweep (0 disables the sweep).
+    /// deadline (> 0) are closed by a periodic sweep.
     Duration request_deadline = seconds(5);
     /// Invoked (on the node thread) whenever the last open scraper
     /// connection closes — the active_conns() 1 -> 0 edge. TimedService

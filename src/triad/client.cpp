@@ -18,10 +18,6 @@ TrustedTimeClient::TrustedTimeClient(runtime::Env env,
   if (config_.node_timeout <= 0) {
     throw std::invalid_argument("TrustedTimeClient: bad timeout");
   }
-  if (config_.max_attempts == 0 ||
-      config_.max_attempts > config_.cluster.size()) {
-    config_.max_attempts = config_.cluster.size();
-  }
   env_.transport().attach(
       config_.id, [this](const runtime::Packet& packet) { on_packet(packet); });
 }
@@ -44,7 +40,7 @@ void TrustedTimeClient::request_timestamp(Callback callback) {
 }
 
 void TrustedTimeClient::try_next(Pending pending) {
-  if (pending.attempt >= config_.max_attempts) {
+  if (pending.attempt >= config_.cluster.size()) {
     finish(pending, std::nullopt);
     return;
   }

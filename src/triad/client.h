@@ -28,10 +28,9 @@ namespace triad {
 struct ClientConfig {
   NodeId id = 0;
   std::vector<NodeId> cluster;  // node addresses to query, in preference order
-  /// Per-node timeout before trying the next node.
+  /// Per-node timeout before trying the next node. A request tries each
+  /// cluster node once before it fails.
   Duration node_timeout = milliseconds(5);
-  /// Maximum nodes tried per request (defaults to the whole cluster).
-  std::size_t max_attempts = 0;
 };
 
 struct ClientStats {

@@ -59,6 +59,13 @@ bool parse_seed_range(std::string_view text, std::uint64_t* lo,
          parse_u64(text.substr(dots + 2), hi) && *lo <= *hi;
 }
 
+bool parse_jobs(std::string_view text, std::size_t* out) {
+  std::uint64_t n = 0;
+  if (!parse_u64(text, &n) || n == 0 || n > kMaxJobs) return false;
+  *out = static_cast<std::size_t>(n);
+  return true;
+}
+
 bool parse_non_negative(std::string_view text, double* out) {
   return parse_whole(text, out) && std::isfinite(*out) && *out >= 0;
 }

@@ -6,6 +6,7 @@
 // default or an exception.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -23,6 +24,19 @@ bool parse_duration(std::string_view text, Duration* out);
 /// "A..B" (inclusive, A <= B) or a single "A" into [*lo, *hi].
 bool parse_seed_range(std::string_view text, std::uint64_t* lo,
                       std::uint64_t* hi);
+
+/// Most seeds one sweep or campaign grid may list (the paper's grids use
+/// at most 32). Parsers check it from a range's bounds before building
+/// any list, so a range like 0..18446744073709551615 is a bad value
+/// rather than an allocation that exhausts memory.
+inline constexpr std::uint64_t kMaxSeeds = 4096;
+
+/// Most worker threads --jobs may start: the bound triad_timed's
+/// --workers has.
+inline constexpr std::size_t kMaxJobs = 64;
+
+/// A --jobs value: a decimal integer in 1..kMaxJobs.
+bool parse_jobs(std::string_view text, std::size_t* out);
 
 /// A finite, non-negative decimal number (e.g. milliseconds or seconds).
 bool parse_non_negative(std::string_view text, double* out);

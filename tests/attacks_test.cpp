@@ -17,8 +17,7 @@ struct AttackFixture {
   DelayAttackConfig config{.kind = AttackKind::kFPlus,
                            .victim = 3,
                            .ta_address = 100,
-                           .added_delay = milliseconds(100),
-                           .classification_threshold = milliseconds(500)};
+                           .added_delay = milliseconds(100)};
 };
 
 TEST(DelayAttack, FPlusDelaysOnlySlowResponses) {
@@ -146,10 +145,6 @@ TEST(DelayAttack, InvalidConfigThrows) {
   EXPECT_THROW(DelayAttack({.victim = 1,
                             .ta_address = 2,
                             .added_delay = -1}),
-               std::invalid_argument);
-  EXPECT_THROW(DelayAttack({.victim = 1,
-                            .ta_address = 2,
-                            .classification_threshold = 0}),
                std::invalid_argument);
 }
 

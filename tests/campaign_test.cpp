@@ -14,6 +14,7 @@
 #include "campaign/spec.h"
 #include "exp/recorder.h"
 #include "exp/scenario.h"
+#include "util/parse.h"
 
 namespace triad::campaign {
 namespace {
@@ -111,6 +112,14 @@ TEST(CampaignSpec, ParseRejectsBadSpecs) {
   EXPECT_FALSE(parse_spec("seeds 1..4\n", &error));
   EXPECT_NE(error.find("key = value"), std::string::npos);
   EXPECT_FALSE(parse_spec("seeds = 4..1\n", &error));
+  // The seed axis holds at most kMaxSeeds in all, counted from each
+  // range's bounds before any seed list is built.
+  EXPECT_FALSE(parse_spec("seeds = 0..18446744073709551615\n", &error));
+  EXPECT_NE(error.find("seeds"), std::string::npos);
+  EXPECT_FALSE(parse_spec("seeds = 1..4000, 5001..5097\n", &error));
+  const auto cap = parse_spec("seeds = 1..4000, 5001..5096\n", &error);
+  ASSERT_TRUE(cap.has_value()) << error;
+  EXPECT_EQ(cap->seeds.size(), kMaxSeeds);
   EXPECT_FALSE(parse_spec("duration = 10\n", &error));
   EXPECT_FALSE(parse_spec("attacks = chaos\n", &error));
   EXPECT_NE(error.find("attack"), std::string::npos);
@@ -322,6 +331,11 @@ TEST(CampaignCli, RejectsBadInput) {
   EXPECT_FALSE(parse({"--attack", "chaos"}, &error).has_value());
   EXPECT_FALSE(parse({"--nodes", "0"}, &error).has_value());
   EXPECT_FALSE(parse({"--jobs", "0"}, &error).has_value());
+  EXPECT_FALSE(parse({"--jobs", "65"}, &error).has_value());
+  EXPECT_NE(error.find("--jobs"), std::string::npos);
+  EXPECT_TRUE(parse({"--jobs", "64"}).has_value());
+  EXPECT_FALSE(parse({"--seeds", "0..18446744073709551615"}, &error)
+                   .has_value());
   EXPECT_FALSE(parse({"--victim", "9"}, &error).has_value());
   EXPECT_FALSE(
       parse({"--json", "-", "--csv", "-"}, &error).has_value());

@@ -173,6 +173,21 @@ TEST(CliParser, RejectsBadSweepValues) {
                    .has_value());
   EXPECT_NE(error.find("--repeat"), std::string::npos);
   EXPECT_FALSE(parse({"--jobs", "0"}, &error).has_value());
+  // Seed lists hold at most kMaxSeeds, checked from the bounds (nothing
+  // is materialized here), and --jobs at most kMaxJobs threads.
+  EXPECT_FALSE(
+      parse({"--seeds", "0..18446744073709551615"}, &error).has_value());
+  EXPECT_NE(error.find("--seeds"), std::string::npos);
+  EXPECT_FALSE(parse({"--seeds", "1..4097"}, &error).has_value());
+  EXPECT_TRUE(parse({"--seeds", "1..4096"}).has_value());
+  EXPECT_FALSE(parse({"--repeat", "10000000000"}, &error).has_value());
+  EXPECT_NE(error.find("--repeat"), std::string::npos);
+  EXPECT_FALSE(parse({"--repeat", "4097"}, &error).has_value());
+  EXPECT_TRUE(parse({"--repeat", "4096"}).has_value());
+  EXPECT_FALSE(parse({"--jobs", "65"}, &error).has_value());
+  EXPECT_NE(error.find("--jobs"), std::string::npos);
+  EXPECT_FALSE(parse({"--jobs", "18446744073709551615"}, &error).has_value());
+  EXPECT_TRUE(parse({"--jobs", "64"}).has_value());
   // Per-run outputs are rejected in sweep mode.
   EXPECT_FALSE(
       parse({"--seeds", "1..4", "--metrics", "-"}, &error).has_value());

@@ -125,7 +125,6 @@ TEST(Scenario, WanLinksApplyBetweenMachinesOnly) {
   cfg.seed = 11;
   cfg.machine_interrupts = false;
   cfg.machine_of = {0, 0, 1};
-  cfg.ta_machine = 0;
   cfg.wan_base_delay = milliseconds(50);
   cfg.wan_jitter = microseconds(100);
   Scenario sc(std::move(cfg));
@@ -168,7 +167,6 @@ TEST(Scenario, GeoDistributedClusterStillCalibrates) {
   ScenarioConfig cfg;
   cfg.seed = 12;
   cfg.machine_of = {0, 1, 2};  // one node per site
-  cfg.ta_machine = 0;
   Scenario sc(std::move(cfg));
   sc.start();
   sc.run_until(minutes(10));

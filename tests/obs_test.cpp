@@ -442,7 +442,7 @@ TEST(Detectors, SlopeNeedsQuorumThenFlagsTheOutlier) {
   EXPECT_EQ(alarms[0].detector, DetectorKind::kSlope);
   EXPECT_EQ(alarms[0].node, 3u);
   EXPECT_EQ(alarms[0].span, make_span_id(3, 1));
-  EXPECT_LT(alarms[0].value, -config.slope_tolerance_ppm);  // F-: slow slope
+  EXPECT_LT(alarms[0].value, -kSlopeTolerancePpm);  // F-: slow slope
 }
 
 TEST(Detectors, SlopeUsesNominalPriorWithoutQuorum) {
@@ -457,8 +457,7 @@ TEST(Detectors, SlopeUsesNominalPriorWithoutQuorum) {
 }
 
 TEST(Detectors, DisagreementEdgeTriggersAndAttributesTheOutlier) {
-  const DetectorConfig config;
-  const auto detector = make_disagreement_detector(config);
+  const auto detector = make_disagreement_detector();
   std::vector<Alarm> alarms;
   detector->on_event(calibration_event(1, 1, make_span_id(1, 1), 2.9e9),
                      &alarms);

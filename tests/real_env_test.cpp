@@ -164,6 +164,31 @@ TEST(UdpSocketTest, FramingRoundTripOverLoopback) {
   EXPECT_EQ(views[0].from, client.local_addr());
 }
 
+TEST(UdpSocketTest, MoveTransfersTheFdAndInvalidatesTheSource) {
+  SKIP_WITHOUT_SOCKETS();
+  UdpSocket original = UdpSocket::bind(kLoopbackAny);
+  ASSERT_TRUE(original.valid());
+  const SockAddr addr = original.local_addr();
+
+  UdpSocket moved(std::move(original));
+  EXPECT_FALSE(original.valid());
+  EXPECT_EQ(original.local_addr(), SockAddr{});
+  UdpSocket server;
+  server = std::move(moved);
+  EXPECT_FALSE(moved.valid());
+  ASSERT_TRUE(server.valid());
+  EXPECT_EQ(server.local_addr(), addr);
+
+  // The moved-to socket still owns the open, bound fd.
+  server.set_recv_timeout_ms(2000);
+  UdpSocket client = UdpSocket::bind(kLoopbackAny);
+  const Bytes datagram = net::wire::encode_frame(7, 9, Bytes{1, 2, 3});
+  ASSERT_TRUE(client.send_to(addr, datagram));
+  std::array<RecvView, kRecvBatch> views;
+  ASSERT_EQ(server.recv_batch(views), 1u);
+  EXPECT_EQ(Bytes(views[0].data.begin(), views[0].data.end()), datagram);
+}
+
 // Payloads received on `socket` until `want` arrived or a receive timed
 // out.
 std::vector<Bytes> receive_payloads(UdpSocket& socket, std::size_t want) {
