@@ -28,16 +28,13 @@ struct ClusterFacts {
   std::vector<JumpFact> jumps;  // cross-node adoptions off the merged index
 };
 
-// `streams` must already be in merge order (node_stream_less) so the
-// per-node table matches the merged timeline's node order.
-ClusterFacts analyze(const std::vector<NodeStream>& streams,
-                     const SpanIndex& merged,
-                     const ClusterReportOptions& options) {
+// The per-node half of the analysis, run before the streams move into
+// the merged index. `streams` must already be in merge order
+// (node_stream_less) so the per-node table matches the merged timeline's
+// node order.
+ClusterFacts analyze_nodes(const std::vector<NodeStream>& streams,
+                           const ClusterReportOptions& options) {
   ClusterFacts c;
-  c.ta_address = options.forensic.detector_config.ta_address != 0
-                     ? options.forensic.detector_config.ta_address
-                     : infer_ta(merged.events());
-
   for (const NodeStream& stream : streams) {
     NodeFacts facts;
     facts.node = stream.node;
@@ -76,14 +73,20 @@ ClusterFacts analyze(const std::vector<NodeStream>& streams,
     const auto [lo, hi] = std::minmax_element(slopes.begin(), slopes.end());
     c.width_ppm = (*hi - *lo) / c.slope_median_hz * 1e6;
   }
-
-  // Infection timeline off the merged span index: a kTaServe in the
-  // TA's stream and the requester's events merge into one span, so
-  // chains cross stream boundaries here even though no single node's
-  // file contains the whole story.
-  c.jumps = significant_jumps(merged, c.ta_address,
-                              options.forensic.min_jump_ms);
   return c;
+}
+
+// The cluster half, off the merged span index: a kTaServe in the TA's
+// stream and the requester's events merge into one span, so chains cross
+// stream boundaries here even though no single node's file contains the
+// whole story.
+void analyze_cluster(const SpanIndex& merged,
+                     const ClusterReportOptions& options, ClusterFacts* c) {
+  c->ta_address = options.forensic.detector_config.ta_address != 0
+                      ? options.forensic.detector_config.ta_address
+                      : infer_ta(merged.events());
+  c->jumps = significant_jumps(merged, c->ta_address,
+                               options.forensic.min_jump_ms);
 }
 
 std::string render_text(const SpanIndex& merged, const ClusterFacts& c,
@@ -184,8 +187,9 @@ std::string render_json(const SpanIndex& merged, const ClusterFacts& c,
 std::string cluster_report(std::vector<NodeStream> streams,
                            const ClusterReportOptions& options) {
   std::sort(streams.begin(), streams.end(), node_stream_less);
-  const SpanIndex merged(streams);  // copies; `streams` stays usable
-  const ClusterFacts c = analyze(streams, merged, options);
+  ClusterFacts c = analyze_nodes(streams, options);
+  const SpanIndex merged(std::move(streams));
+  analyze_cluster(merged, options, &c);
   return options.json ? render_json(merged, c, options)
                       : render_text(merged, c, options);
 }

@@ -5,12 +5,15 @@
 
 namespace triad::obs {
 
-double median_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
+double median_of(std::span<double> values) {
   const std::size_t n = values.size();
   if (n == 0) return 0.0;
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  const auto middle = values.begin() + static_cast<std::ptrdiff_t>(n / 2);
+  std::nth_element(values.begin(), middle, values.end());
+  if (n % 2 == 1) return *middle;
+  // Everything before `middle` is <= it, so the lower middle of the
+  // sorted order is the largest of them.
+  return (*std::max_element(values.begin(), middle) + *middle) / 2.0;
 }
 
 namespace {
@@ -44,7 +47,8 @@ class SlopeDetector final : public Detector {
       // the median sits on the honest consensus, so the victim's slope
       // shows its full ±10% deviation while honest nodes stay within
       // calibration noise.
-      reference = median_of(slope_values(latest_));
+      std::vector<double> values = slope_values(latest_);
+      reference = median_of(values);
     } else {
       return;  // no baseline yet
     }
@@ -75,11 +79,11 @@ class DisagreementDetector final : public Detector {
     latest_[event.node] = event.x;
     if (latest_.size() < 2) return;
 
-    const std::vector<double> values = slope_values(latest_);
-    const auto [min_it, max_it] =
-        std::minmax_element(values.begin(), values.end());
+    std::vector<double> values = slope_values(latest_);
     const double median = median_of(values);
     if (median <= 0.0) return;
+    const auto [min_it, max_it] =
+        std::minmax_element(values.begin(), values.end());
     const double width_ppm = (*max_it - *min_it) / median * 1e6;
     if (width_ppm <= kDisagreementWidthPpm) {
       active_ = false;  // spread healed; re-arm
@@ -138,9 +142,9 @@ class JumpDetector final : public Detector {
 
     double threshold = kJumpFloorMs;
     if (!window_.empty()) {
-      threshold = std::max(
-          threshold,
-          kJumpMedianFactor * median_of({window_.begin(), window_.end()}));
+      scratch_.assign(window_.begin(), window_.end());
+      threshold =
+          std::max(threshold, kJumpMedianFactor * median_of(scratch_));
     }
     if (step_ms > threshold) {
       Alarm alarm;
@@ -160,6 +164,7 @@ class JumpDetector final : public Detector {
  private:
   DetectorConfig config_;
   std::deque<double> window_;
+  std::vector<double> scratch_;  // median_of reorders; window_ keeps order
 };
 
 std::vector<std::unique_ptr<Detector>> standard_detectors(

@@ -25,6 +25,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -110,8 +111,9 @@ class Detector {
 
 /// Median of a value set, 0 when empty; even counts average the two
 /// middles. The slope detectors measure against it, and the forensic
-/// reports' "ppm vs median" uses the same one.
-[[nodiscard]] double median_of(std::vector<double> values);
+/// reports' "ppm vs median" uses the same one. Reorders `values` (a
+/// partial sort, linear on average), so callers can pass a reused buffer.
+[[nodiscard]] double median_of(std::span<double> values);
 
 /// Owns a detector set and fans trace events through it.
 ///

@@ -1,6 +1,8 @@
 #include "obs/export.h"
 
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -31,21 +33,10 @@ const char* outcome_name(std::int64_t outcome) {
   return "?";
 }
 
-}  // namespace
-
-void write_prometheus(const Registry& registry, std::ostream& out) {
-  PROF_SCOPE("obs/export_prometheus");
-  registry.write_prometheus(out);
-}
-
-void write_csv(const Registry& registry, std::ostream& out) {
-  PROF_SCOPE("obs/export_csv");
-  registry.write_csv(out);
-}
-
-void write_json_line(const TraceEvent& event, std::ostream& out) {
-  std::string line = "{";
-  JsonFields w(&line);
+/// Appends one event's JSON object (no newline) onto *line.
+void append_json_line(const TraceEvent& event, std::string* line) {
+  *line += '{';
+  JsonFields w(line);
   w.integer("t", event.at);
   w.str("type", to_string(event.type));
   if (event.node != 0) w.integer("node", event.node);
@@ -137,16 +128,42 @@ void write_json_line(const TraceEvent& event, std::ostream& out) {
       w.number("threshold", event.y);
       break;
   }
-  line += '}';
+  *line += '}';
+}
+
+}  // namespace
+
+void write_prometheus(const Registry& registry, std::ostream& out) {
+  PROF_SCOPE("obs/export_prometheus");
+  registry.write_prometheus(out);
+}
+
+void write_csv(const Registry& registry, std::ostream& out) {
+  PROF_SCOPE("obs/export_csv");
+  registry.write_csv(out);
+}
+
+void write_json_line(const TraceEvent& event, std::ostream& out) {
+  std::string line;
+  append_json_line(event, &line);
   out << line;
 }
 
 void write_jsonl(const RingTraceSink& sink, std::ostream& out) {
   PROF_SCOPE("obs/export_jsonl");
-  sink.for_each([&out](const TraceEvent& event) {
-    write_json_line(event, out);
-    out << '\n';
+  // One buffer for all lines, handed to the stream in 64 KiB chunks.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string chunk;
+  chunk.reserve(kChunk + 512);
+  sink.for_each([&](const TraceEvent& event) {
+    append_json_line(event, &chunk);
+    chunk += '\n';
+    if (chunk.size() >= kChunk) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      chunk.clear();
+    }
   });
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
 }
 
 namespace {
@@ -156,17 +173,23 @@ namespace {
 // The writer emits a flat object of number/string/bool fields with no
 // escapes (string values are enum names), so a tiny hand scanner is
 // enough — no JSON library needed, and strictness (nullopt on any
-// surprise) keeps the two sides honest.
+// surprise) keeps the two sides honest. Tokens are views into the line:
+// nothing is copied except the rare double, which strtod needs
+// NUL-terminated.
+
+bool is_skipped_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// A bare token ends at a separator or at any whitespace skip_ws skips.
+bool ends_bare_token(char c) {
+  return c == ',' || c == '}' || is_skipped_ws(c);
+}
 
 struct JsonScanner {
   std::string_view text;
   std::size_t pos = 0;
 
   void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\r')) {
-      ++pos;
-    }
+    while (pos < text.size() && is_skipped_ws(text[pos])) ++pos;
   }
   bool accept(char c) {
     skip_ws();
@@ -195,23 +218,56 @@ struct JsonScanner {
   bool bare_token(std::string_view* out) {
     skip_ws();
     const std::size_t start = pos;
-    while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-           text[pos] != ' ') {
-      ++pos;
-    }
+    while (pos < text.size() && !ends_bare_token(text[pos])) ++pos;
     *out = text.substr(start, pos - start);
     return !out->empty();
   }
+  /// Reads a bare token of the writer's integer form, '-'? and 1 to 18
+  /// digits (too few to overflow), in the same pass as its value. On any
+  /// other token it moves nothing and returns false; bare_token and
+  /// parse_i64 then read and judge it.
+  bool bare_integer(std::int64_t* out) {
+    std::size_t end = pos;
+    const bool negative = end < text.size() && text[end] == '-';
+    if (negative) ++end;
+    const std::size_t digits = end;
+    std::uint64_t magnitude = 0;
+    while (end < text.size() && text[end] >= '0' && text[end] <= '9') {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text[end] - '0');
+      ++end;
+    }
+    if (end == digits || end - digits > 18) return false;
+    if (end < text.size() && !ends_bare_token(text[end])) return false;
+    const auto value = static_cast<std::int64_t>(magnitude);
+    *out = negative ? -value : value;
+    pos = end;
+    return true;
+  }
 };
 
+/// strtoll(token, base 10) without the copy, accepting exactly what it
+/// accepts: leading C-locale whitespace, one optional sign, digits, and
+/// nothing after them. An empty token (only a quoted "" reaches here)
+/// reads 0, as strtoll reports it.
 bool parse_i64(std::string_view token, std::int64_t* out) {
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
+  if (token.empty()) {
+    *out = 0;
+    return true;
+  }
+  std::size_t i = 0;
+  while (i < token.size() &&
+         (is_skipped_ws(token[i]) || token[i] == '\n' || token[i] == '\v' ||
+          token[i] == '\f')) {
+    ++i;
+  }
+  // from_chars takes '-' but not '+'; after a '+' only digits may follow.
+  if (i < token.size() && token[i] == '+') {
+    ++i;
+    if (i == token.size() || token[i] < '0' || token[i] > '9') return false;
+  }
+  const char* last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data() + i, last, *out);
+  return error == std::errc() && end == last;
 }
 
 bool parse_f64(std::string_view token, double* out) {
@@ -236,11 +292,25 @@ bool parse_bool(std::string_view token, std::int64_t* out) {
   return false;
 }
 
+/// `known == name` for a non-empty `known`, testing length and first
+/// character before the full compare: most table entries fail there.
+bool same_key(std::string_view known, std::string_view name) {
+  return known.size() == name.size() && known[0] == name[0] && known == name;
+}
+
+constexpr int kEventTypes =
+    static_cast<int>(TraceEventType::kDetectorAlarm) + 1;
+
 std::optional<TraceEventType> type_from_name(std::string_view name) {
-  for (int i = 0; i <= static_cast<int>(TraceEventType::kDetectorAlarm);
-       ++i) {
-    const auto type = static_cast<TraceEventType>(i);
-    if (name == to_string(type)) return type;
+  static const auto names = [] {
+    std::array<std::string_view, kEventTypes> table;
+    for (int i = 0; i < kEventTypes; ++i) {
+      table[i] = to_string(static_cast<TraceEventType>(i));
+    }
+    return table;
+  }();
+  for (int i = 0; i < kEventTypes; ++i) {
+    if (same_key(names[i], name)) return static_cast<TraceEventType>(i);
   }
   return std::nullopt;
 }
@@ -259,99 +329,126 @@ bool from_name(std::string_view name, std::int64_t count, NameOf name_of,
   return false;
 }
 
-/// Applies one key/value pair. The key→slot mapping is global: every
-/// key the writer emits names the same TraceEvent slot regardless of
-/// event type, so the parser needs no per-type dispatch.
-bool apply_field(TraceEvent* event, std::string_view key,
-                 std::string_view value, bool quoted) {
+const char* detector_name(std::int64_t v) {
+  return to_string(static_cast<DetectorKind>(v));
+}
+
+/// What a key's value is and which TraceEvent slot it fills. The
+/// key→slot mapping is global: every key the writer emits names the same
+/// slot regardless of event type, so the parser needs no per-type
+/// dispatch.
+enum class Value : std::uint8_t {
+  kEndpoint,  // non-negative integer
+  kInteger,
+  kBoolean,
+  kDouble,
+  kOutcome,  // quoted enum names
+  kReason,
+  kDetector,
+};
+enum class Slot : std::uint8_t {
+  kAt, kNode, kPeer, kSpan, kA, kB, kX, kY,
+  kNone,  // parsed and checked, then dropped
+};
+
+struct Field {
+  std::string_view key;
+  Value value;
+  Slot slot;
+};
+
+// Most frequent keys first: packet events dominate a trace.
+constexpr Field kFields[] = {
+    {"t", Value::kInteger, Slot::kAt},
+    {"node", Value::kEndpoint, Slot::kNode},
+    {"span", Value::kEndpoint, Slot::kSpan},
+    {"dst", Value::kEndpoint, Slot::kPeer},
+    {"src", Value::kEndpoint, Slot::kPeer},
+    {"packet", Value::kInteger, Slot::kA},
+    {"bytes", Value::kInteger, Slot::kB},
+    {"request", Value::kInteger, Slot::kA},
+    {"peer", Value::kEndpoint, Slot::kPeer},
+    {"source", Value::kEndpoint, Slot::kPeer},
+    {"client", Value::kEndpoint, Slot::kPeer},
+    {"from", Value::kInteger, Slot::kA},
+    {"count", Value::kInteger, Slot::kA},
+    {"samples", Value::kInteger, Slot::kA},
+    {"offset_ns", Value::kInteger, Slot::kA},
+    {"before", Value::kInteger, Slot::kA},
+    {"to", Value::kInteger, Slot::kB},
+    {"adopted", Value::kInteger, Slot::kB},
+    {"ta_time", Value::kInteger, Slot::kB},
+    {"n", Value::kInteger, Slot::kB},
+    {"step_ns", Value::kInteger, Slot::kNone},  // adopted - before
+    {"window_failed", Value::kBoolean, Slot::kA},
+    {"ok", Value::kBoolean, Slot::kA},
+    {"continuity_failed", Value::kBoolean, Slot::kB},
+    {"proactive", Value::kBoolean, Slot::kB},
+    {"tainted", Value::kBoolean, Slot::kB},
+    {"f_hz", Value::kDouble, Slot::kX},
+    {"wait_s", Value::kDouble, Slot::kX},
+    {"value", Value::kDouble, Slot::kX},
+    {"r2", Value::kDouble, Slot::kY},
+    {"threshold", Value::kDouble, Slot::kY},
+    {"outcome", Value::kOutcome, Slot::kB},
+    {"reason", Value::kReason, Slot::kB},
+    {"detector", Value::kDetector, Slot::kA},
+};
+
+const Field* find_field(std::string_view key) {
+  for (const Field& field : kFields) {
+    if (same_key(field.key, key)) return &field;
+  }
+  return nullptr;
+}
+
+/// Judges a value token of `field`; integers, booleans and enum values
+/// land in *i64, doubles in *f64.
+bool parse_value(const Field& field, std::string_view token, bool quoted,
+                 std::int64_t* i64, double* f64) {
+  switch (field.value) {
+    case Value::kEndpoint:
+    case Value::kInteger: return parse_i64(token, i64);
+    case Value::kBoolean: return parse_bool(token, i64);
+    case Value::kDouble: return parse_f64(token, f64);
+    case Value::kOutcome:
+      return quoted && from_name(token, 4, outcome_name, i64);
+    case Value::kReason:
+      return quoted && from_name(token, 3, drop_reason_name, i64);
+    case Value::kDetector:
+      return quoted && from_name(token, 3, detector_name, i64);
+  }
+  return false;
+}
+
+/// Reads the value of `field` at the scanner and stores it into its
+/// slot; false on a bad value.
+bool read_field(JsonScanner* scan, const Field& field, bool quoted,
+                TraceEvent* event) {
   std::int64_t i64 = 0;
   double f64 = 0.0;
-
-  // Endpoint slots.
-  if (key == "node" || key == "peer" || key == "source" || key == "dst" ||
-      key == "src" || key == "client") {
-    if (!parse_i64(value, &i64) || i64 < 0) return false;
-    if (key == "node") {
-      event->node = static_cast<NodeId>(i64);
-    } else {
-      event->peer = static_cast<NodeId>(i64);
+  const bool integer =
+      field.value == Value::kEndpoint || field.value == Value::kInteger;
+  if (!integer || quoted || !scan->bare_integer(&i64)) {
+    std::string_view token;
+    if (quoted ? !scan->string_token(&token) : !scan->bare_token(&token)) {
+      return false;
     }
-    return true;
+    if (!parse_value(field, token, quoted, &i64, &f64)) return false;
   }
-  if (key == "span") {
-    if (!parse_i64(value, &i64) || i64 < 0) return false;
-    event->span = static_cast<SpanId>(i64);
-    return true;
+  if (field.value == Value::kEndpoint && i64 < 0) return false;
+  switch (field.slot) {
+    case Slot::kAt: event->at = i64; break;
+    case Slot::kNode: event->node = static_cast<NodeId>(i64); break;
+    case Slot::kPeer: event->peer = static_cast<NodeId>(i64); break;
+    case Slot::kSpan: event->span = static_cast<SpanId>(i64); break;
+    case Slot::kA: event->a = i64; break;
+    case Slot::kB: event->b = i64; break;
+    case Slot::kX: event->x = f64; break;
+    case Slot::kY: event->y = f64; break;
+    case Slot::kNone: break;
   }
-  if (key == "t") {
-    if (!parse_i64(value, &i64)) return false;
-    event->at = i64;
-    return true;
-  }
-
-  // Integer a/b slots.
-  if (key == "from" || key == "count" || key == "request" ||
-      key == "packet" || key == "samples" || key == "offset_ns" ||
-      key == "before") {
-    if (!parse_i64(value, &i64)) return false;
-    event->a = i64;
-    return true;
-  }
-  if (key == "to" || key == "adopted" || key == "ta_time" ||
-      key == "bytes" || key == "n") {
-    if (!parse_i64(value, &i64)) return false;
-    event->b = i64;
-    return true;
-  }
-  if (key == "step_ns") {  // derived from before/adopted; ignore
-    return parse_i64(value, &i64);
-  }
-
-  // Booleans.
-  if (key == "window_failed" || key == "ok") {
-    if (!parse_bool(value, &i64)) return false;
-    event->a = i64;
-    return true;
-  }
-  if (key == "continuity_failed" || key == "proactive" ||
-      key == "tainted") {
-    if (!parse_bool(value, &i64)) return false;
-    event->b = i64;
-    return true;
-  }
-
-  // Doubles.
-  if (key == "f_hz" || key == "wait_s" || key == "value") {
-    if (!parse_f64(value, &f64)) return false;
-    event->x = f64;
-    return true;
-  }
-  if (key == "r2" || key == "threshold") {
-    if (!parse_f64(value, &f64)) return false;
-    event->y = f64;
-    return true;
-  }
-
-  // Enum names.
-  if (key == "outcome") {
-    if (!quoted || !from_name(value, 4, outcome_name, &i64)) return false;
-    event->b = i64;
-    return true;
-  }
-  if (key == "reason") {
-    if (!quoted || !from_name(value, 3, drop_reason_name, &i64)) return false;
-    event->b = i64;
-    return true;
-  }
-  if (key == "detector") {
-    const auto detector_name = [](std::int64_t v) {
-      return to_string(static_cast<DetectorKind>(v));
-    };
-    if (!quoted || !from_name(value, 3, detector_name, &i64)) return false;
-    event->a = i64;
-    return true;
-  }
-  return false;  // unknown key
+  return true;
 }
 
 }  // namespace
@@ -364,20 +461,21 @@ std::optional<TraceEvent> parse_json_line(std::string_view line) {
   while (!scan.accept('}')) {
     std::string_view key;
     if (!scan.string_token(&key) || !scan.accept(':')) return std::nullopt;
-    std::string_view value;
     const bool quoted = scan.peek() == '"';
-    if (quoted ? !scan.string_token(&value) : !scan.bare_token(&value)) {
-      return std::nullopt;
-    }
-    if (key == "type") {
-      const auto type = quoted ? type_from_name(value) : std::nullopt;
+    if (key == "type") {  // a quoted event type name
+      std::string_view name;
+      if (!quoted || !scan.string_token(&name)) return std::nullopt;
+      const auto type = type_from_name(name);
       if (!type) return std::nullopt;
       event.type = *type;
       have_type = true;
-    } else if (!apply_field(&event, key, value, quoted)) {
-      return std::nullopt;
+    } else {
+      const Field* field = find_field(key);
+      if (field == nullptr || !read_field(&scan, *field, quoted, &event)) {
+        return std::nullopt;
+      }
     }
-    if (scan.peek() == ',') scan.accept(',');
+    if (scan.peek() == ',') ++scan.pos;
   }
   scan.skip_ws();
   if (!have_type || scan.pos != line.size()) return std::nullopt;
@@ -387,6 +485,12 @@ std::optional<TraceEvent> parse_json_line(std::string_view line) {
 std::vector<TraceEvent> parse_jsonl(std::string_view text,
                                     std::size_t* rejected) {
   std::vector<TraceEvent> events;
+  std::size_t lines = 1;
+  for (std::size_t at = text.find('\n'); at != std::string_view::npos;
+       at = text.find('\n', at + 1)) {
+    ++lines;
+  }
+  events.reserve(lines);
   if (rejected != nullptr) *rejected = 0;
   std::size_t start = 0;
   while (start <= text.size()) {

@@ -40,7 +40,7 @@ Analysis analyze(const SpanIndex& index, const ForensicOptions& options) {
   std::vector<double> values;
   values.reserve(last_slope.size());
   for (const auto& [node, f] : last_slope) values.push_back(f);
-  const double median = median_of(std::move(values));
+  const double median = median_of(values);
   for (const auto& [node, f] : last_slope) {
     const SlopeFact fact{node, f, (f - median) / median * 1e6};
     a.slopes.push_back(fact);

@@ -1,13 +1,18 @@
 // The one compact JSON writer of src/obs: JSONL trace lines (export.cpp)
 // and the forensic and cluster reports write their objects through it.
-// Numbers use fixed formats (%.10g, PRId64, PRIu64), so equal inputs give
-// equal bytes. Internal to src/obs: no public header includes it.
+// Numbers use fixed formats, so equal inputs give equal bytes: integers
+// in plain decimal (what PRId64/PRIu64 print) and doubles as std::to_chars
+// general with precision 10, which is specified to print exactly what
+// printf's %.10g prints. Internal to src/obs: no public header includes
+// it.
 #pragma once
 
 #include <algorithm>
-#include <cinttypes>
+#include <charconv>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -32,14 +37,14 @@ class JsonFields {
   explicit JsonFields(std::string* out, bool first = true)
       : out_(out), first_(first) {}
 
-  void integer(const char* key, std::int64_t value) {
-    append(out_, "%s\"%s\":%" PRId64, sep(), key, value);
-  }
-  void uinteger(const char* key, std::uint64_t value) {
-    append(out_, "%s\"%s\":%" PRIu64, sep(), key, value);
-  }
+  void integer(const char* key, std::int64_t value) { decimal(key, value); }
+  void uinteger(const char* key, std::uint64_t value) { decimal(key, value); }
   void number(const char* key, double value) {
-    append(out_, "%s\"%s\":%.10g", sep(), key, value);
+    char buffer[32];  // "-1.797693135e+308" is the longest
+    char* end = std::to_chars(buffer, std::end(buffer), value,
+                              std::chars_format::general, 10)
+                    .ptr;
+    open(key).append(buffer, end);
   }
   void str(const char* key, const char* value) {
     open(key).append(1, '"').append(value).append(1, '"');
@@ -49,6 +54,12 @@ class JsonFields {
   }
 
  private:
+  template <typename Int>
+  void decimal(const char* key, Int value) {
+    char buffer[24];  // 20 digits and a sign at most
+    char* end = std::to_chars(buffer, std::end(buffer), value).ptr;
+    open(key).append(buffer, end);
+  }
   const char* sep() { return std::exchange(first_, false) ? "" : ","; }
   std::string& open(const char* key) {
     return out_->append(sep()).append(1, '"').append(key).append("\":");

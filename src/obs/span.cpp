@@ -61,7 +61,6 @@ SpanIndex::SpanIndex(const RingTraceSink& sink) : events_(sink.events()) {
 }
 
 void SpanIndex::build() {
-  std::unordered_map<SpanId, std::size_t> index;  // id -> spans_ position
   // The span in which each node last completed a frequency calibration,
   // as of the current trace position. An adoption *from* that node is
   // causally downstream of it: the source's clock (rate and offset) is
@@ -71,7 +70,7 @@ void SpanIndex::build() {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const TraceEvent& event = events_[i];
     if (event.span == 0) continue;
-    auto [it, fresh] = index.try_emplace(event.span, spans_.size());
+    auto [it, fresh] = positions_.try_emplace(event.span, spans_.size());
     if (fresh) {
       Span span;
       span.id = event.span;
@@ -110,10 +109,8 @@ void SpanIndex::build() {
 }
 
 const Span* SpanIndex::find(SpanId id) const {
-  for (const Span& span : spans_) {
-    if (span.id == id) return &span;
-  }
-  return nullptr;
+  const auto it = positions_.find(id);
+  return it != positions_.end() ? &spans_[it->second] : nullptr;
 }
 
 std::vector<const Span*> SpanIndex::chain(SpanId id) const {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.h"
@@ -126,12 +127,14 @@ class SpanIndex {
   }
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
 
-  /// Looks a span up by id; nullptr when the id never appeared.
+  /// Looks a span up by id; nullptr when the id never appeared. One
+  /// hash lookup.
   [[nodiscard]] const Span* find(SpanId id) const;
 
   /// Walks the cross-node cause chain starting at `id`: the span itself,
   /// then its cause, then that span's cause… Cycle-safe (each span is
-  /// visited at most once); empty when `id` is unknown.
+  /// visited at most once); empty when `id` is unknown. One find per
+  /// link.
   [[nodiscard]] std::vector<const Span*> chain(SpanId id) const;
 
  private:
@@ -139,6 +142,9 @@ class SpanIndex {
 
   std::vector<TraceEvent> events_;
   std::vector<Span> spans_;
+  /// Span id -> position in spans_. Positions, not pointers, so copies
+  /// and moves of the index stay valid; never iterated.
+  std::unordered_map<SpanId, std::size_t> positions_;
 };
 
 }  // namespace triad::obs

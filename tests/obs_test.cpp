@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cinttypes>
+#include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +24,7 @@
 #include "obs/cluster.h"
 #include "obs/export.h"
 #include "obs/forensic.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -226,6 +233,58 @@ TEST(TeeTraceSink, FansOutToEverySink) {
 
 // --- JSONL export ---------------------------------------------------------
 
+std::string printf_field(const char* format, ...) {
+  char buffer[64];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buffer, sizeof(buffer), format, args);
+  va_end(args);
+  return std::string("\"k\":") + buffer;
+}
+
+TEST(JsonFields, NumbersAreByteEqualToTheirPrintfFormats) {
+  // JsonFields writes through std::to_chars; its bytes must be those of
+  // the printf formats that define the JSON number forms (PRId64, PRIu64,
+  // %.10g), which the stored report digests pin.
+  const auto integer = [](std::int64_t v) {
+    std::string out;
+    JsonFields(&out).integer("k", v);
+    return out;
+  };
+  const auto uinteger = [](std::uint64_t v) {
+    std::string out;
+    JsonFields(&out).uinteger("k", v);
+    return out;
+  };
+  const auto number = [](double v) {
+    std::string out;
+    JsonFields(&out).number("k", v);
+    return out;
+  };
+  for (const std::int64_t v : {INT64_MIN, std::int64_t{-1}, std::int64_t{0},
+                               std::int64_t{42}, INT64_MAX}) {
+    EXPECT_EQ(integer(v), printf_field("%" PRId64, v));
+  }
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{7},
+                                std::uint64_t{INT64_MAX} + 1, UINT64_MAX}) {
+    EXPECT_EQ(uinteger(v), printf_field("%" PRIu64, v));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 2.5e-310,
+        DBL_MIN, 0.1, 1e-5, 1e-4, 0.5, 1.0 / 3.0, 2.5e9, 9999999999.5,
+        1e10, 1e21, 123456789012.0, -123456789012.0, DBL_MAX, -DBL_MAX, inf,
+        -inf, nan, -nan}) {
+    EXPECT_EQ(number(v), printf_field("%.10g", v));
+  }
+  std::string out;
+  JsonFields two(&out);
+  two.integer("a", 1);
+  two.number("b", 0.25);
+  EXPECT_EQ(out, "\"a\":1,\"b\":0.25");
+}
+
 TEST(TraceExport, JsonLineRendersTypedFields) {
   TraceEvent event;
   event.at = 1500000000;
@@ -353,6 +412,51 @@ TEST(SpanIndex, ChainIsCycleSafe) {
   const SpanIndex index(events);
   EXPECT_EQ(index.chain(a).size(), 2u);
   EXPECT_EQ(index.chain(b).size(), 2u);
+}
+
+TEST(SpanIndex, LongChainsCopiesAndMoves) {
+  // Span i calibrates on node i+1, then adopts node i's clock: its cause
+  // is span i-1, so the last span's chain walks all of them back.
+  constexpr std::uint32_t kSpans = 10000;
+  const auto id_of = [](std::uint32_t i) {
+    return make_span_id(i % 1000 + 1, i / 1000 + 1);
+  };
+  std::vector<TraceEvent> events;
+  for (std::uint32_t i = 0; i < kSpans; ++i) {
+    events.push_back(calibration_event(10 * i, i + 1, id_of(i), 2.9e9));
+    if (i > 0) {
+      events.push_back(adoption_event(10 * i + 5, i + 1, i, id_of(i), 0, 10));
+    }
+  }
+  const auto check = [&](const SpanIndex& index) {
+    const std::vector<const Span*> chain = index.chain(id_of(kSpans - 1));
+    ASSERT_EQ(chain.size(), kSpans);
+    for (std::uint32_t k = 0; k < kSpans; ++k) {
+      ASSERT_EQ(chain[k]->id, id_of(kSpans - 1 - k)) << k;
+    }
+    for (const std::uint32_t i : {0u, 1u, 4999u, kSpans - 1}) {
+      const Span* span = index.find(id_of(i));
+      ASSERT_NE(span, nullptr);
+      EXPECT_EQ(span, &index.spans()[i]);
+    }
+    EXPECT_EQ(index.find(make_span_id(1001, 1)), nullptr);
+    EXPECT_EQ(index.find(0), nullptr);
+    EXPECT_TRUE(index.chain(make_span_id(1001, 1)).empty());
+  };
+  SpanIndex index(events);
+  check(index);
+  const SpanIndex copy(index);  // find() must answer from the copy's spans
+  check(copy);
+  SpanIndex moved(std::move(index));
+  check(moved);
+  index = SpanIndex(std::vector<TraceEvent>(events.begin(),
+                                            events.begin() + 3));
+  ASSERT_EQ(index.spans().size(), 2u);
+  EXPECT_EQ(index.find(id_of(1)), &index.spans()[1]);
+  EXPECT_EQ(index.chain(id_of(1)).size(), 2u);
+  EXPECT_EQ(index.find(id_of(2)), nullptr);
+  index = copy;
+  check(index);
 }
 
 // --- multi-stream merge ---------------------------------------------------
@@ -596,6 +700,83 @@ TEST(TraceExport, ParserRejectsMalformedInput) {
   EXPECT_FALSE(parse_json_line("{\"t\":1,\"type\":2}").has_value());
   EXPECT_TRUE(parse_json_line("{\"t\":1,\"type\":\"aex\",\"count\":3}")
                   .has_value());
+  // A bare value ends at any whitespace the scanner skips.
+  EXPECT_TRUE(parse_json_line("{\"t\":1 ,\"type\":\"aex\"}").has_value());
+  EXPECT_TRUE(parse_json_line("{\"t\":1\t,\"type\":\"aex\"}").has_value());
+}
+
+// What one value token parses to in an integer slot (`count`) and in a
+// double slot (`f_hz`), bare and quoted. The table pins the accepted set
+// as strtoll/strtod define it: a leading '+', a quoted empty value read
+// as 0, nan and inf for doubles, out-of-range integers and doubles
+// refused.
+std::optional<std::int64_t> int_slot(const std::string& value) {
+  const auto event =
+      parse_json_line("{\"t\":1,\"type\":\"aex\",\"count\":" + value + "}");
+  if (!event) return std::nullopt;
+  return event->a;
+}
+
+std::optional<double> double_slot(const std::string& value) {
+  const auto event = parse_json_line(
+      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":" + value + "}");
+  if (!event) return std::nullopt;
+  return event->x;
+}
+
+TEST(TraceExport, ParserTokenTable) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr auto kNo = std::nullopt;
+  struct Row {
+    const char* token;
+    std::optional<std::int64_t> as_int;
+    std::optional<double> as_double;
+  };
+  const Row rows[] = {
+      {"+5", 5, 5.0},
+      {"+-5", kNo, kNo},
+      {"-0", 0, -0.0},
+      {"9223372036854775807", INT64_MAX, 9223372036854775807.0},
+      {"9223372036854775808", kNo, 9223372036854775808.0},
+      {"-9223372036854775808", INT64_MIN, -9223372036854775808.0},
+      {"0x10", kNo, 16.0},
+      {"1.0", kNo, 1.0},
+      {"", 0, 0.0},  // reaches the slot only quoted; bare it is refused
+      {"nan", kNo, kNan},
+      {"-nan", kNo, -kNan},
+      {"inf", kNo, kInf},
+      {"-inf", kNo, -kInf},
+      {"1e-320", kNo, kNo},
+      {"1e400", kNo, kNo},
+  };
+  const auto same = [](std::optional<double> got,
+                       std::optional<double> want) {
+    if (got.has_value() != want.has_value()) return false;
+    if (!got) return true;
+    if (std::isnan(*want)) {
+      return std::isnan(*got) && std::signbit(*got) == std::signbit(*want);
+    }
+    return *got == *want && std::signbit(*got) == std::signbit(*want);
+  };
+  for (const Row& row : rows) {
+    const std::string bare = row.token;
+    const std::string quoted = "\"" + bare + "\"";
+    const bool bare_ok = !bare.empty();
+    EXPECT_EQ(int_slot(bare), bare_ok ? row.as_int : kNo) << bare;
+    EXPECT_EQ(int_slot(quoted), row.as_int) << quoted;
+    EXPECT_TRUE(same(double_slot(bare), bare_ok ? row.as_double : kNo))
+        << bare;
+    EXPECT_TRUE(same(double_slot(quoted), row.as_double)) << quoted;
+  }
+  // Inside quotes, leading whitespace is skipped and trailing is not.
+  EXPECT_EQ(int_slot("\" 5\""), 5);
+  EXPECT_EQ(int_slot("\"\v\f5\""), 5);
+  EXPECT_EQ(int_slot("\"5 \""), kNo);
+  EXPECT_EQ(int_slot("\" \""), kNo);
+  EXPECT_EQ(int_slot("\"+ 5\""), kNo);
+  EXPECT_TRUE(same(double_slot("\" 2.5\""), 2.5));
+  EXPECT_TRUE(same(double_slot("\"2.5 \""), kNo));
 }
 
 TEST(TraceExport, ParseJsonlCountsRejectedLines) {

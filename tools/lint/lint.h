@@ -20,7 +20,8 @@
 //   R2  no range-for / .begin() iteration over unordered_map/set in
 //       byte-stable export/aggregate/forensic files;
 //   R3  no %f/%g/%e printf conversions without an explicit precision in
-//       exporter/report files (the %.9g byte-stability rule);
+//       exporter/report files (the %.9g byte-stability rule), and no
+//       std::to_chars naming a chars_format without a precision;
 //   R4  no raw new/malloc/std::function construction in designated
 //       hot-path files;
 //   R5  compile-time invariant audit — invariants_source() emits a

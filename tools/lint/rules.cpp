@@ -127,8 +127,42 @@ void check_r2(const std::string& path, const std::vector<Token>& tokens,
   }
 }
 
+namespace {
+
+/// R3's second form: a floating std::to_chars call that names
+/// chars_format but passes no precision prints the shortest round-trip
+/// digits, not a pinned %.Ng. Counts the call's top-level arguments:
+/// (first, last, value, format) lacks the fifth, the precision.
+void check_r3_to_chars(const std::string& path,
+                       const std::vector<Token>& tokens,
+                       std::vector<Diagnostic>* out) {
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].text != "to_chars" || tokens[i + 1].text != "(") continue;
+    int depth = 0;
+    std::size_t args = 1;
+    bool names_format = false;
+    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
+      const std::string& text = tokens[j].text;
+      if (text == "(" || text == "[" || text == "{") ++depth;
+      if (text == ")" || text == "]" || text == "}") --depth;
+      if (depth == 0) break;
+      if (depth == 1 && text == ",") ++args;
+      names_format |= text == "chars_format";
+    }
+    if (!names_format || args >= 5) continue;
+    out->push_back(Diagnostic{
+        "R3", path, tokens[i].line, "to_chars",
+        "std::to_chars with a chars_format but no precision prints the "
+        "shortest round-trip digits, not a pinned precision; pass one "
+        "(chars_format::general, 10 prints what %.10g prints)"});
+  }
+}
+
+}  // namespace
+
 void check_r3(const std::string& path, const std::vector<Token>& tokens,
               std::vector<Diagnostic>* out) {
+  check_r3_to_chars(path, tokens, out);
   for (const Token& t : tokens) {
     if (t.kind != TokKind::kString) continue;
     const std::string& s = t.text;

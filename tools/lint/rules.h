@@ -24,7 +24,8 @@ void check_r1(const std::string& path, const std::vector<Token>& tokens,
 void check_r2(const std::string& path, const std::vector<Token>& tokens,
               std::vector<Diagnostic>* out);
 
-/// R3: %f/%g/%e printf conversions without an explicit precision.
+/// R3: %f/%g/%e printf conversions without an explicit precision, and
+/// std::to_chars calls that name a chars_format but pass no precision.
 void check_r3(const std::string& path, const std::vector<Token>& tokens,
               std::vector<Diagnostic>* out);
 
