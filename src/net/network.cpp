@@ -119,11 +119,24 @@ DelayModel& Network::model_for(NodeId src, NodeId dst) {
   return it != link_delays_.end() ? *it->second : *default_delay_;
 }
 
-void Network::send(NodeId src, NodeId dst, Bytes payload) {
+void Network::send(NodeId src, NodeId dst, BytesView payload) {
   PROF_SCOPE("net/send");
   ++stats_.sent;
   stats_.bytes_sent += payload.size();
-  Packet packet{src, dst, std::move(payload), sim_.now(), next_packet_id_++};
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  }
+  Packet& packet = in_flight_[slot];
+  packet.src = src;
+  packet.dst = dst;
+  packet.payload.assign(payload.begin(), payload.end());
+  packet.sent_at = sim_.now();
+  packet.id = next_packet_id_++;
   if (trace_ != nullptr) {
     trace_packet(obs::TraceEventType::kPacketSend, packet,
                  static_cast<std::int64_t>(packet.payload.size()));
@@ -134,9 +147,12 @@ void Network::send(NodeId src, NodeId dst, Bytes payload) {
     if (trace_ != nullptr) {
       trace_packet(obs::TraceEventType::kPacketDrop, packet, 0);
     }
+    free_slots_.push_back(slot);
     return;
   }
 
+  // Middleboxes do not send (see Middlebox::on_packet), so `packet`
+  // stays a valid reference into the slab throughout.
   Duration delay = model_for(src, dst).sample(rng_);
   for (Middlebox* box : middleboxes_) {
     const Middlebox::Action action = box->on_packet(packet, sim_.now());
@@ -147,38 +163,37 @@ void Network::send(NodeId src, NodeId dst, Bytes payload) {
       }
       TRIAD_LOG_DEBUG("triad.net") << "packet " << packet.id << " " << src << "->"
                              << dst << " dropped by middlebox";
+      free_slots_.push_back(slot);
       return;
     }
     if (action.extra_delay < 0) {
+      free_slots_.push_back(slot);
       throw std::logic_error("Middlebox returned negative extra delay");
     }
     delay += action.extra_delay;
   }
-
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = std::move(packet);
-  } else {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(std::move(packet));
-  }
   sim_.schedule_after(delay, [this, slot] { deliver(slot); });
+}
+
+void Network::release(std::uint32_t slot, Bytes payload) {
+  in_flight_[slot].payload = std::move(payload);
+  free_slots_.push_back(slot);
 }
 
 void Network::deliver(std::uint32_t slot) {
   PROF_SCOPE("net/deliver");
-  // Move the packet out first: the handler may send more packets and
-  // reallocate or recycle the slab.
+  // The handler sees a local copy whose payload buffer is moved out of
+  // the slot (no allocation): the handler may send, and so grow the slab
+  // and move its elements. The slot stays taken until the handler
+  // returns, then gets its buffer back for the next send to reuse.
   Packet packet = std::move(in_flight_[slot]);
-  free_slots_.push_back(slot);
   const auto it = handlers_.find(packet.dst);
   if (it == handlers_.end()) {
     ++stats_.dropped_no_receiver;
     if (trace_ != nullptr) {
       trace_packet(obs::TraceEventType::kPacketDrop, packet, 2);
     }
+    release(slot, std::move(packet.payload));
     return;
   }
   ++stats_.delivered;
@@ -189,6 +204,7 @@ void Network::deliver(std::uint32_t slot) {
                  static_cast<std::int64_t>(packet.payload.size()));
   }
   it->second(packet);
+  release(slot, std::move(packet.payload));
 }
 
 }  // namespace triad::net

@@ -23,7 +23,8 @@
 
 namespace triad::net {
 
-/// A datagram in flight.
+/// A datagram in flight. The network owns it: a receive handler or a
+/// middlebox sees it only for the duration of its call.
 struct Packet {
   NodeId src = 0;
   NodeId dst = 0;
@@ -42,6 +43,8 @@ class Middlebox {
   };
 
   virtual ~Middlebox() = default;
+  /// Observes a packet on the wire. Must not send on the network: the
+  /// packet is a view into the network's in-flight slab.
   virtual Action on_packet(const Packet& packet, SimTime now) = 0;
 };
 
@@ -84,9 +87,17 @@ class Network {
   void remove_middlebox(Middlebox* box);
 
   /// Sends a datagram. Delivery (if any) is scheduled on the simulation.
-  void send(NodeId src, NodeId dst, Bytes payload);
+  /// The payload is copied into an in-flight slot, so the caller's
+  /// buffer is free again when send() returns.
+  void send(NodeId src, NodeId dst, BytesView payload);
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
+  /// Packets sent and neither delivered nor dropped yet.
+  [[nodiscard]] std::size_t packets_in_flight() const {
+    return in_flight_.size() - free_slots_.size();
+  }
+  /// Slots in the in-flight slab: the most packets ever in flight at once.
+  [[nodiscard]] std::size_t slab_slots() const { return in_flight_.size(); }
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
 
   /// Folds NetworkStats into `registry` as triad_net_* callback series
@@ -99,6 +110,7 @@ class Network {
  private:
   DelayModel& model_for(NodeId src, NodeId dst);
   void deliver(std::uint32_t slot);
+  void release(std::uint32_t slot, Bytes payload);
   void trace_packet(obs::TraceEventType type, const Packet& packet,
                     std::int64_t b) const;
 
@@ -115,8 +127,9 @@ class Network {
   obs::TraceSink* trace_ = nullptr;
   obs::Histogram delivery_delay_;
   // Packets in flight live in a slab; the delivery closure captures only
-  // (this, slot), which fits std::function's inline storage, so neither
-  // the payload nor the closure is copied or heap-allocated per send.
+  // (this, slot), which fits std::function's inline storage. A slot keeps
+  // its payload buffer when it is freed, so once the slab is warm a send
+  // copies the payload into capacity it already has and allocates nothing.
   std::vector<Packet> in_flight_;
   std::vector<std::uint32_t> free_slots_;
 };

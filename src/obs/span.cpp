@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace triad::obs {
 
@@ -115,15 +116,16 @@ const Span* SpanIndex::find(SpanId id) const {
 
 std::vector<const Span*> SpanIndex::chain(SpanId id) const {
   std::vector<const Span*> out;
-  SpanId next = id;
-  while (next != 0) {
-    const Span* span = find(next);
-    if (span == nullptr) break;
-    bool seen = false;
-    for (const Span* visited : out) seen |= visited == span;
-    if (seen) break;  // defensive: malformed traces must not loop us
-    out.push_back(span);
-    next = span->cause;
+  // Positions already on the chain. A malformed trace's cause links may
+  // loop; the walk stops before the first repeat, and a set (not a scan
+  // of `out`) keeps a long chain linear.
+  std::unordered_set<std::size_t> visited;
+  for (SpanId next = id; next != 0;) {
+    const auto it = positions_.find(next);
+    if (it == positions_.end() || !visited.insert(it->second).second) break;
+    const Span& span = spans_[it->second];
+    out.push_back(&span);
+    next = span.cause;
   }
   return out;
 }

@@ -6,17 +6,19 @@
 namespace triad::resilient {
 
 MarzulloResult marzullo(const std::vector<Interval>& intervals) {
+  std::vector<SweepEvent> events;
+  return marzullo(intervals, events);
+}
+
+MarzulloResult marzullo(std::span<const Interval> intervals,
+                        std::vector<SweepEvent>& events) {
   MarzulloResult result;
+  events.clear();
   if (intervals.empty()) return result;
 
   // Sweep events: +1 at interval start, -1 past interval end. Starts
   // sort before ends at equal offsets so touching intervals count as
   // overlapping (closed intervals).
-  struct Event {
-    SimTime at;
-    int delta;  // +1 start, -1 end
-  };
-  std::vector<Event> events;
   events.reserve(intervals.size() * 2);
   for (const Interval& iv : intervals) {
     if (iv.hi < iv.lo) {
@@ -25,10 +27,11 @@ MarzulloResult marzullo(const std::vector<Interval>& intervals) {
     events.push_back({iv.lo, +1});
     events.push_back({iv.hi, -1});
   }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.delta > b.delta;  // starts before ends
-  });
+  std::sort(events.begin(), events.end(),
+            [](const SweepEvent& a, const SweepEvent& b) {
+              if (a.at != b.at) return a.at < b.at;
+              return a.delta > b.delta;  // starts before ends
+            });
 
   std::size_t current = 0;
   SimTime best_lo = 0;
@@ -49,7 +52,7 @@ MarzulloResult marzullo(const std::vector<Interval>& intervals) {
   // maximal).
   current = 0;
   bool in_best = false;
-  for (const Event& ev : events) {
+  for (const SweepEvent& ev : events) {
     if (ev.delta > 0) {
       ++current;
       if (current == result.count && ev.at == best_lo) in_best = true;
@@ -69,12 +72,18 @@ MarzulloResult marzullo(const std::vector<Interval>& intervals) {
 std::vector<std::size_t> overlapping(const std::vector<Interval>& intervals,
                                      const Interval& window) {
   std::vector<std::size_t> out;
+  overlapping(intervals, window, out);
+  return out;
+}
+
+void overlapping(std::span<const Interval> intervals, const Interval& window,
+                 std::vector<std::size_t>& out) {
+  out.clear();
   for (std::size_t i = 0; i < intervals.size(); ++i) {
     if (intervals[i].hi >= window.lo && intervals[i].lo <= window.hi) {
       out.push_back(i);
     }
   }
-  return out;
 }
 
 }  // namespace triad::resilient

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/types.h"
@@ -27,12 +28,29 @@ struct MarzulloResult {
   }
 };
 
+/// One event of marzullo()'s sweep: +1 at an interval's start, -1 at
+/// its end.
+struct SweepEvent {
+  SimTime at = 0;
+  int delta = 0;
+};
+
 /// Computes the best intersection. Empty input yields count == 0.
 /// Throws std::invalid_argument on an interval with hi < lo.
 MarzulloResult marzullo(const std::vector<Interval>& intervals);
 
+/// marzullo() with caller-provided sweep storage: `events` is overwritten
+/// and its capacity reused, so a warm caller allocates nothing.
+MarzulloResult marzullo(std::span<const Interval> intervals,
+                        std::vector<SweepEvent>& events);
+
 /// Indices of intervals overlapping `window` (the true-chimer set).
 std::vector<std::size_t> overlapping(const std::vector<Interval>& intervals,
                                      const Interval& window);
+
+/// overlapping() into caller memory: `out` is overwritten, its capacity
+/// reused.
+void overlapping(std::span<const Interval> intervals, const Interval& window,
+                 std::vector<std::size_t>& out);
 
 }  // namespace triad::resilient

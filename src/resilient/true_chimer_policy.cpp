@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "resilient/marzullo.h"
-
 namespace triad::resilient {
 
 TrueChimerPolicy::TrueChimerPolicy(TrueChimerConfig config)
@@ -45,17 +43,16 @@ UntaintPolicy::Decision TrueChimerPolicy::decide(
   }
 
   // Intervals: index 0 is the local clock, then one per peer sample.
-  std::vector<Interval> intervals;
-  intervals.reserve(samples.size() + 1);
+  intervals_.clear();
   const Duration own_e = local_error + config_.margin;
-  intervals.push_back({local_now - own_e, local_now + own_e});
+  intervals_.push_back({local_now - own_e, local_now + own_e});
   for (const PeerSample& s : samples) {
     const Duration e = s.error_bound + config_.margin;
-    intervals.push_back({s.timestamp - e, s.timestamp + e});
+    intervals_.push_back({s.timestamp - e, s.timestamp + e});
   }
 
-  const MarzulloResult best = marzullo(intervals);
-  const auto total = intervals.size();
+  const MarzulloResult best = marzullo(intervals_, events_);
+  const auto total = intervals_.size();
   const auto quorum = static_cast<std::size_t>(
                           config_.quorum_fraction *
                           static_cast<double>(total)) +
@@ -73,16 +70,16 @@ UntaintPolicy::Decision TrueChimerPolicy::decide(
   // majority intersection is a chimer. If our own clock is one, we keep
   // it — stepping onto the intersection midpoint here would let a tight
   // but false peer interval ratchet the whole cluster.
-  const auto chimers = overlapping(intervals, best.best);
+  overlapping(intervals_, best.best, chimers_);
   if (config_.on_chimer_set) {
-    std::vector<NodeId> peer_chimers;
-    for (std::size_t idx : chimers) {
-      if (idx != 0) peer_chimers.push_back(samples[idx - 1].peer);
+    peer_chimers_.clear();
+    for (std::size_t idx : chimers_) {
+      if (idx != 0) peer_chimers_.push_back(samples[idx - 1].peer);
     }
-    config_.on_chimer_set(peer_chimers);
+    config_.on_chimer_set(peer_chimers_);
   }
   const bool own_consistent =
-      std::find(chimers.begin(), chimers.end(), 0u) != chimers.end();
+      std::find(chimers_.begin(), chimers_.end(), 0u) != chimers_.end();
   if (own_consistent) {
     decision.action = Decision::Action::kKeepLocal;
     decide_keep_local_.inc();
@@ -93,7 +90,7 @@ UntaintPolicy::Decision TrueChimerPolicy::decide(
   // the whole clique is high-quality; a wide honest interval would let a
   // tight attacker capture the intersection, so prefer the TA then.
   Duration widest = 0;
-  for (std::size_t idx : chimers) {
+  for (std::size_t idx : chimers_) {
     if (idx == 0) continue;  // self
     widest = std::max(widest, samples[idx - 1].error_bound);
   }
@@ -107,7 +104,7 @@ UntaintPolicy::Decision TrueChimerPolicy::decide(
   decide_adopt_.inc();
   decision.adopted_time = best.midpoint();
   Duration best_error = kSimTimeMax;
-  for (std::size_t idx : chimers) {
+  for (std::size_t idx : chimers_) {
     if (idx == 0) continue;  // self
     const PeerSample& s = samples[idx - 1];
     if (s.error_bound < best_error) {

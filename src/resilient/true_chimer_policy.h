@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "resilient/marzullo.h"
 #include "triad/policy.h"
 
 namespace triad::resilient {
@@ -59,6 +60,12 @@ class TrueChimerPolicy final : public UntaintPolicy {
 
  private:
   TrueChimerConfig config_;
+  // decide()'s working storage, reused across calls so a warm policy
+  // allocates nothing per decision.
+  std::vector<Interval> intervals_;
+  std::vector<SweepEvent> events_;
+  std::vector<std::size_t> chimers_;
+  std::vector<NodeId> peer_chimers_;
   obs::Counter decide_keep_local_;
   obs::Counter decide_adopt_;
   obs::Counter decide_ask_ta_;

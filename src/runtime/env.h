@@ -73,8 +73,9 @@ class Scheduler {
 };
 
 /// A received datagram, viewed without owning the payload. The payload
-/// bytes are only valid for the duration of the handler call; copy them
-/// (e.g. by decoding) before returning if they must outlive it.
+/// bytes are only valid for the duration of the handler call: the
+/// transport owns the buffer and reuses it once the handler returns.
+/// Copy them (e.g. by decoding) before returning if they must outlive it.
 struct Packet {
   NodeId src = 0;
   NodeId dst = 0;
@@ -95,8 +96,10 @@ class Transport {
   virtual void attach(NodeId addr, PacketHandler handler) = 0;
   virtual void detach(NodeId addr) = 0;
 
-  /// Sends a datagram. Delivery (if any) is asynchronous.
-  virtual void send(NodeId src, NodeId dst, Bytes payload) = 0;
+  /// Sends a datagram. Delivery (if any) is asynchronous. The payload is
+  /// borrowed: the transport copies it before returning, so the caller
+  /// may reuse its buffer right away.
+  virtual void send(NodeId src, NodeId dst, BytesView payload) = 0;
 };
 
 /// The environment handed to protocol components: non-owning pointers to

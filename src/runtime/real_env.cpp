@@ -537,7 +537,7 @@ void UdpTransport::trace_packet(obs::TraceEventType type, NodeId src,
   trace_->emit(event);
 }
 
-void UdpTransport::send(NodeId src, NodeId dst, Bytes payload) {
+void UdpTransport::send(NodeId src, NodeId dst, BytesView payload) {
   const std::uint64_t id = next_packet_id_++;
   const SockAddr* to = nullptr;
   for (const auto& [peer, addr] : peers_) {

@@ -355,7 +355,7 @@ class UdpTransport final : public Transport {
 
   void attach(NodeId addr, PacketHandler handler) override;
   void detach(NodeId addr) override;
-  void send(NodeId src, NodeId dst, Bytes payload) override;
+  void send(NodeId src, NodeId dst, BytesView payload) override;
 
   [[nodiscard]] const UdpTransportStats& stats() const { return stats_; }
 

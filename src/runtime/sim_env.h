@@ -22,8 +22,8 @@ class SimTransport final : public Transport {
 
   void attach(NodeId addr, PacketHandler handler) override;
   void detach(NodeId addr) override { network_.detach(addr); }
-  void send(NodeId src, NodeId dst, Bytes payload) override {
-    network_.send(src, dst, std::move(payload));
+  void send(NodeId src, NodeId dst, BytesView payload) override {
+    network_.send(src, dst, payload);
   }
 
  private:

@@ -30,6 +30,7 @@ TimeAuthority::TimeAuthority(runtime::Env env, NodeId address,
 }
 
 TimeAuthority::~TimeAuthority() {
+  for (const PendingReply& reply : pending_) env_.cancel(reply.timer);
   env_.transport().detach(address_);
   if (env_.metrics() != nullptr) env_.metrics()->unregister(this);
 }
@@ -37,12 +38,13 @@ TimeAuthority::~TimeAuthority() {
 SimTime TimeAuthority::reference_now() const { return env_.now(); }
 
 void TimeAuthority::on_packet(const runtime::Packet& packet) {
-  const auto opened = channel_.open(packet.payload);
-  if (!opened) {
+  const std::optional<NodeId> sender =
+      channel_.open_into(packet.payload, plaintext_);
+  if (!sender) {
     ++stats_.rejected_frames;
     return;
   }
-  const auto message = proto::decode(opened->plaintext);
+  const auto message = proto::decode(plaintext_);
   if (!message || !std::holds_alternative<proto::TaRequest>(*message)) {
     ++stats_.rejected_frames;
     return;
@@ -53,7 +55,7 @@ void TimeAuthority::on_packet(const runtime::Packet& packet) {
     return;
   }
 
-  const NodeId client = opened->sender;
+  const NodeId client = *sender;
   const std::uint64_t request_id = request.request_id;
   const Duration wait = request.wait;
   ++stats_.requests_served;
@@ -68,17 +70,35 @@ void TimeAuthority::on_packet(const runtime::Packet& packet) {
     env_.emit(event);
   }
 
-  env_.schedule_after(wait, [this, client, request_id, wait] {
-    proto::TaResponse response;
-    response.request_id = request_id;
-    response.ta_time = reference_now();
-    response.requested_wait = wait;
-    TRIAD_LOG_DEBUG("triad.ta") << "reply to node " << client << " req "
-                          << request_id << " wait " << to_seconds(wait)
-                          << "s";
-    env_.transport().send(address_, client,
-                          channel_.seal(client, proto::encode(response)));
-  });
+  std::uint32_t slot;
+  if (!free_pending_.empty()) {
+    slot = free_pending_.back();
+    free_pending_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  }
+  PendingReply& reply = pending_[slot];
+  reply.client = client;
+  reply.request_id = request_id;
+  reply.wait = wait;
+  reply.timer = env_.schedule_after(wait, [this, slot] { send_reply(slot); });
+}
+
+void TimeAuthority::send_reply(std::uint32_t slot) {
+  const PendingReply reply = pending_[slot];
+  pending_[slot].timer = {};
+  free_pending_.push_back(slot);
+  proto::TaResponse response;
+  response.request_id = reply.request_id;
+  response.ta_time = reference_now();
+  response.requested_wait = reply.wait;
+  TRIAD_LOG_DEBUG("triad.ta") << "reply to node " << reply.client << " req "
+                              << reply.request_id << " wait "
+                              << to_seconds(reply.wait) << "s";
+  proto::encode_into(response, plaintext_);
+  channel_.seal_into(reply.client, plaintext_, frame_);
+  env_.transport().send(address_, reply.client, frame_);
 }
 
 }  // namespace triad::ta

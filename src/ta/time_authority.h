@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "crypto/channel.h"
 #include "runtime/env.h"
@@ -47,13 +48,30 @@ class TimeAuthority {
   [[nodiscard]] const TimeAuthorityStats& stats() const { return stats_; }
 
  private:
+  /// A reply waiting out its requested wait.
+  struct PendingReply {
+    NodeId client = 0;
+    std::uint64_t request_id = 0;
+    Duration wait = 0;
+    runtime::TimerId timer{};  // invalid once fired (slot free)
+  };
+
   void on_packet(const runtime::Packet& packet);
+  void send_reply(std::uint32_t slot);
 
   runtime::Env env_;
   NodeId address_;
   crypto::SecureChannel channel_;
   Duration max_wait_;
   TimeAuthorityStats stats_;
+  // Pending replies live in a slab so the timer closure captures only
+  // (this, slot) and fits std::function's inline storage.
+  std::vector<PendingReply> pending_;
+  std::vector<std::uint32_t> free_pending_;
+  // Message-path scratch, reused by every request and reply: open_into ->
+  // decode, and encode_into -> seal_into -> Transport::send.
+  Bytes plaintext_;
+  Bytes frame_;
 };
 
 }  // namespace triad::ta

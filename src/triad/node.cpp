@@ -539,12 +539,13 @@ void TriadNode::begin_peer_round(bool proactive) {
     return;
   }
   ++stats_.peer_rounds;
+  peer_samples_.clear();
   PeerRound round;
   round.request_id = next_request_id_++;
   round.proactive = proactive;
   round.timeout =
       env_.schedule_after(config_.peer_timeout, [this] { finish_peer_round(); });
-  peer_round_ = std::move(round);
+  peer_round_ = round;
   if (env_.tracing()) {
     obs::TraceEvent event;
     event.type = obs::TraceEventType::kPeerQuery;
@@ -576,14 +577,13 @@ void TriadNode::on_peer_response(NodeId peer,
     env_.emit(event);
   }
   if (!response.tainted) {
-    peer_round_->samples.push_back(PeerSample{peer, response.timestamp,
-                                              response.error_bound,
-                                              env_.now()});
+    peer_samples_.push_back(PeerSample{peer, response.timestamp,
+                                       response.error_bound, env_.now()});
   }
 
   const bool first_response_mode =
       policy_->mode() == UntaintPolicy::Mode::kFirstResponse;
-  if (first_response_mode && !peer_round_->samples.empty()) {
+  if (first_response_mode && !peer_samples_.empty()) {
     finish_peer_round();
     return;
   }
@@ -595,7 +595,7 @@ void TriadNode::on_peer_response(NodeId peer,
 void TriadNode::finish_peer_round() {
   if (!peer_round_) return;
   env_.cancel(peer_round_->timeout);
-  const PeerRound round = std::move(*peer_round_);
+  const PeerRound round = *peer_round_;
   peer_round_.reset();
 
   const auto trace_outcome = [this, &round](std::int64_t outcome,
@@ -620,7 +620,7 @@ void TriadNode::finish_peer_round() {
     env_.emit(event);
   };
 
-  if (round.samples.empty()) {
+  if (peer_samples_.empty()) {
     trace_outcome(3, 0);
     if (round.proactive) return;  // stay Ok on our own clock
     ++stats_.ta_fallbacks;
@@ -630,14 +630,14 @@ void TriadNode::finish_peer_round() {
   }
 
   const UntaintPolicy::Decision decision = policy_->decide(
-      current_time(), current_error_bound(), round.samples);
+      current_time(), current_error_bound(), peer_samples_);
 
   switch (decision.action) {
     case UntaintPolicy::Decision::Action::kAdopt: {
       ++stats_.peer_adoptions;
       trace_outcome(0, decision.source);
       Duration source_error = config_.base_sync_error;
-      for (const PeerSample& s : round.samples) {
+      for (const PeerSample& s : peer_samples_) {
         if (s.peer == decision.source) {
           source_error += s.error_bound;
           break;
@@ -677,8 +677,9 @@ void TriadNode::answer_peer_request(NodeId peer,
 // Networking
 
 void TriadNode::send_message(NodeId to, const proto::Message& message) {
-  env_.transport().send(config_.id, to,
-                        channel_.seal(to, proto::encode(message)));
+  proto::encode_into(message, plaintext_);
+  channel_.seal_into(to, plaintext_, frame_);
+  env_.transport().send(config_.id, to, frame_);
 }
 
 void TriadNode::on_packet(const runtime::Packet& packet) {
@@ -693,18 +694,19 @@ void TriadNode::on_packet(const runtime::Packet& packet) {
       env_.emit(event);
     }
   };
-  const auto opened = channel_.open(packet.payload);
-  if (!opened) {
+  const std::optional<NodeId> sender =
+      channel_.open_into(packet.payload, plaintext_);
+  if (!sender) {
     bad_frame(packet.src);
     return;
   }
-  const auto message = proto::decode(opened->plaintext);
+  const auto message = proto::decode(plaintext_);
   if (!message) {
     bad_frame(packet.src);
     return;
   }
   std::visit(
-      [this, sender = opened->sender, &bad_frame](const auto& m) {
+      [this, sender = *sender, &bad_frame](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, proto::TaResponse>) {
           if (sender == config_.ta_address) on_ta_response(m);

@@ -278,14 +278,22 @@ class TriadNode {
   struct PeerRound {
     std::uint64_t request_id = 0;
     bool proactive = false;
-    std::vector<PeerSample> samples;
     std::size_t answers = 0;  // including tainted answers
     runtime::TimerId timeout{};
   };
   std::optional<PeerRound> peer_round_;
+  // The open round's untainted answers. Kept outside PeerRound so its
+  // capacity carries over from round to round.
+  std::vector<PeerSample> peer_samples_;
 
   // Triad+ in-TCB deadline timer.
   std::unique_ptr<runtime::PeriodicTimer> deadline_timer_;
+
+  // Scratch for the message path, reused by every send and receive so a
+  // warm node allocates nothing per message: encode_into -> seal_into ->
+  // Transport::send, and open_into -> decode.
+  Bytes plaintext_;
+  Bytes frame_;
 
   std::uint64_t next_request_id_ = 1;
   std::uint32_t span_seq_ = 0;       // per-node span sequence (obs/span.h)

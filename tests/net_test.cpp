@@ -1,6 +1,7 @@
 // Network substrate: delivery, delays, loss, middleboxes, link overrides.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "net/network.h"
@@ -52,7 +53,7 @@ TEST(Network, DeliversWithConfiguredDelay) {
     EXPECT_EQ(p.src, 1u);
     EXPECT_EQ(p.payload, Bytes({7, 8}));
   });
-  f.net.send(1, 2, {7, 8});
+  f.net.send(1, 2, Bytes{7, 8});
   f.sim.run();
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(arrivals[0], milliseconds(1));
@@ -63,7 +64,7 @@ TEST(Network, DeliversWithConfiguredDelay) {
 
 TEST(Network, NoReceiverCountsAsDrop) {
   Fixture f;
-  f.net.send(1, 9, {1});
+  f.net.send(1, 9, Bytes{1});
   f.sim.run();
   EXPECT_EQ(f.net.stats().dropped_no_receiver, 1u);
   EXPECT_EQ(f.net.stats().delivered, 0u);
@@ -76,10 +77,10 @@ TEST(Network, DetachStopsDelivery) {
   Fixture f;
   int received = 0;
   f.net.attach(2, [&](const Packet&) { ++received; });
-  f.net.send(1, 2, {1});
+  f.net.send(1, 2, Bytes{1});
   f.sim.run();
   f.net.detach(2);
-  f.net.send(1, 2, {2});
+  f.net.send(1, 2, Bytes{2});
   f.sim.run();
   EXPECT_EQ(received, 1);
 }
@@ -90,8 +91,8 @@ TEST(Network, LinkDelayOverridesDefault) {
   SimTime a_to_b = -1, b_to_a = -1;
   f.net.attach(2, [&](const Packet&) { a_to_b = f.sim.now(); });
   f.net.attach(1, [&](const Packet&) { b_to_a = f.sim.now(); });
-  f.net.send(1, 2, {1});
-  f.net.send(2, 1, {2});
+  f.net.send(1, 2, Bytes{1});
+  f.net.send(2, 1, Bytes{2});
   f.sim.run();
   EXPECT_EQ(a_to_b, seconds(1));        // overridden direction
   EXPECT_EQ(b_to_a, milliseconds(1));   // reverse keeps default
@@ -104,7 +105,7 @@ TEST(Network, LossDropsApproximatelyTheConfiguredFraction) {
   int received = 0;
   net.attach(2, [&](const Packet&) { ++received; });
   const int n = 5000;
-  for (int i = 0; i < n; ++i) net.send(1, 2, {1});
+  for (int i = 0; i < n; ++i) net.send(1, 2, Bytes{1});
   sim.run();
   EXPECT_NEAR(received / static_cast<double>(n), 0.7, 0.03);
   EXPECT_EQ(net.stats().dropped_by_loss + net.stats().delivered,
@@ -149,7 +150,7 @@ TEST(Network, MiddleboxDelayAccumulates) {
   f.net.add_middlebox(&box2);
   SimTime arrival = -1;
   f.net.attach(2, [&](const Packet&) { arrival = f.sim.now(); });
-  f.net.send(1, 2, {1});
+  f.net.send(1, 2, Bytes{1});
   f.sim.run();
   EXPECT_EQ(arrival, milliseconds(16));  // 1 base + 10 + 5
   EXPECT_EQ(box1.seen.size(), 1u);
@@ -162,7 +163,7 @@ TEST(Network, MiddleboxDropWins) {
   f.net.add_middlebox(&box);
   int received = 0;
   f.net.attach(2, [&](const Packet&) { ++received; });
-  f.net.send(1, 2, {1});
+  f.net.send(1, 2, Bytes{1});
   f.sim.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(f.net.stats().dropped_by_middlebox, 1u);
@@ -175,7 +176,7 @@ TEST(Network, RemoveMiddleboxRestoresTraffic) {
   f.net.remove_middlebox(&box);
   int received = 0;
   f.net.attach(2, [&](const Packet&) { ++received; });
-  f.net.send(1, 2, {1});
+  f.net.send(1, 2, Bytes{1});
   f.sim.run();
   EXPECT_EQ(received, 1);
 }
@@ -184,7 +185,7 @@ TEST(Network, MiddleboxSeesMetadataNotJustDelivered) {
   Fixture f;
   DelayBox box(0);
   f.net.add_middlebox(&box);
-  f.net.send(3, 4, {9});  // no receiver attached: still observed on wire
+  f.net.send(3, 4, Bytes{9});  // no receiver attached: still observed on wire
   f.sim.run();
   EXPECT_EQ(box.seen.size(), 1u);
 }
@@ -193,11 +194,123 @@ TEST(Network, PacketIdsAreUnique) {
   Fixture f;
   DelayBox box(0);
   f.net.add_middlebox(&box);
-  for (int i = 0; i < 10; ++i) f.net.send(1, 2, {1});
+  for (int i = 0; i < 10; ++i) f.net.send(1, 2, Bytes{1});
   f.sim.run();
   std::sort(box.seen.begin(), box.seen.end());
   EXPECT_EQ(std::adjacent_find(box.seen.begin(), box.seen.end()),
             box.seen.end());
+}
+
+// --- in-flight slab ------------------------------------------------------
+
+TEST(NetworkSlab, HandlerThatGrowsTheSlabStillReadsItsOwnPayload) {
+  Fixture f;
+  Bytes first(64);
+  std::iota(first.begin(), first.end(), std::uint8_t{1});
+  bool checked = false;
+  int echoes = 0;
+  f.net.attach(3, [&](const Packet&) { ++echoes; });
+  f.net.attach(2, [&](const Packet& p) {
+    if (p.payload != first) return;  // one of the fan-out packets
+    const std::size_t slots_before = f.net.slab_slots();
+    // Each send takes a fresh slot: the slot being delivered stays taken
+    // until this handler returns, so the slab must grow and move.
+    for (int i = 0; i < 100; ++i) f.net.send(2, 3, Bytes(200, 0xee));
+    EXPECT_GE(f.net.slab_slots(), slots_before + 100);
+    EXPECT_EQ(p.src, 1u);
+    EXPECT_EQ(p.dst, 2u);
+    EXPECT_EQ(p.payload, first);
+    checked = true;
+  });
+  f.net.send(1, 2, first);
+  f.sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(echoes, 100);
+  EXPECT_EQ(f.net.packets_in_flight(), 0u);
+}
+
+TEST(NetworkSlab, RecycledSlotsCarryTheRightPayload) {
+  // Payloads of varying size through few slots: a reused slot's buffer
+  // must hold exactly the new payload, not a longer leftover.
+  Fixture f;
+  std::vector<Bytes> received;
+  f.net.attach(2, [&](const Packet& p) {
+    received.emplace_back(p.payload.begin(), p.payload.end());
+  });
+  std::vector<Bytes> sent;
+  for (std::size_t i = 0; i < 20; ++i) {
+    sent.emplace_back((i * 37) % 11, static_cast<std::uint8_t>(i));
+    f.net.send(1, 2, sent.back());
+    f.sim.run();
+  }
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(f.net.slab_slots(), 1u);
+}
+
+TEST(NetworkSlab, DroppedPacketsGiveTheirSlotBack) {
+  Fixture f;
+  DropBox box;
+  int received = 0;
+  f.net.attach(2, [&](const Packet&) { ++received; });
+  // No receiver at 9.
+  for (int i = 0; i < 50; ++i) f.net.send(1, 9, Bytes{1});
+  f.sim.run();
+  // Loss.
+  f.net.set_loss_probability(1.0);
+  for (int i = 0; i < 50; ++i) f.net.send(1, 2, Bytes{2});
+  f.net.set_loss_probability(0.0);
+  // Middlebox.
+  f.net.add_middlebox(&box);
+  for (int i = 0; i < 50; ++i) f.net.send(1, 2, Bytes{3});
+  f.net.remove_middlebox(&box);
+  f.sim.run();
+  EXPECT_EQ(f.net.stats().dropped_no_receiver, 50u);
+  EXPECT_EQ(f.net.stats().dropped_by_loss, 50u);
+  EXPECT_EQ(f.net.stats().dropped_by_middlebox, 50u);
+  EXPECT_EQ(f.net.packets_in_flight(), 0u);
+  // Only the 50 packets to 9 were ever in flight together; the loss and
+  // middlebox drops reused one slot among them.
+  EXPECT_EQ(f.net.slab_slots(), 50u);
+  for (int i = 0; i < 50; ++i) f.net.send(1, 2, Bytes{4});
+  EXPECT_EQ(f.net.packets_in_flight(), 50u);
+  EXPECT_EQ(f.net.slab_slots(), 50u);
+  f.sim.run();
+  EXPECT_EQ(received, 50);
+  EXPECT_EQ(f.net.packets_in_flight(), 0u);
+}
+
+TEST(NetworkSlab, ByteCountersStayExact) {
+  sim::Simulation sim(7);
+  Network net(sim, std::make_unique<FixedDelay>(milliseconds(1)));
+  net.set_loss_probability(0.25);
+  std::uint64_t bytes_handed = 0;  // every payload given to send()
+  std::uint64_t bytes_seen = 0;    // every payload a handler saw
+  std::uint64_t handled = 0;
+  net.attach(2, [&](const Packet& p) {
+    ++handled;
+    bytes_seen += p.payload.size();
+    if (p.payload.size() % 2 == 0) {
+      // Forward the delivered payload itself, to an address nobody serves.
+      bytes_handed += p.payload.size();
+      net.send(2, 9, p.payload);
+    }
+  });
+  for (std::size_t i = 0; i < 500; ++i) {
+    const Bytes payload(i % 40, static_cast<std::uint8_t>(i));
+    bytes_handed += payload.size();
+    net.send(1, 2, payload);
+    if (i % 7 == 0) sim.run();
+  }
+  sim.run();
+  const NetworkStats& st = net.stats();
+  EXPECT_EQ(st.bytes_sent, bytes_handed);
+  EXPECT_EQ(st.bytes_delivered, bytes_seen);
+  EXPECT_EQ(st.delivered, handled);
+  EXPECT_EQ(st.sent,
+            st.delivered + st.dropped_by_loss + st.dropped_no_receiver);
+  EXPECT_GT(st.dropped_by_loss, 0u);
+  EXPECT_GT(st.dropped_no_receiver, 0u);
+  EXPECT_EQ(net.packets_in_flight(), 0u);
 }
 
 }  // namespace

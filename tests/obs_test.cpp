@@ -400,18 +400,48 @@ TEST(SpanIndex, ReconstructsEpisodesAndCauseEdges) {
 }
 
 TEST(SpanIndex, ChainIsCycleSafe) {
-  // Two calibration spans adopting each other's clocks: the cause edges
-  // form a loop; chain() must terminate.
+  // Cause edges that loop must not loop chain(): it stops before the
+  // first span it would visit twice.
+  const auto ids = [](const std::vector<const Span*>& chain) {
+    std::vector<SpanId> out;
+    for (const Span* span : chain) out.push_back(span->id);
+    return out;
+  };
   const SpanId a = make_span_id(1, 1);
   const SpanId b = make_span_id(2, 1);
-  std::vector<TraceEvent> events;
-  events.push_back(calibration_event(100, 1, a, 2.9e9));
-  events.push_back(calibration_event(200, 2, b, 2.9e9));
-  events.push_back(adoption_event(300, 1, 2, a, 0, 10));
-  events.push_back(adoption_event(400, 2, 1, b, 0, 10));
-  const SpanIndex index(events);
-  EXPECT_EQ(index.chain(a).size(), 2u);
-  EXPECT_EQ(index.chain(b).size(), 2u);
+  const SpanId c = make_span_id(3, 1);
+  {
+    // A -> B -> A: two calibration spans adopting each other's clocks.
+    std::vector<TraceEvent> events;
+    events.push_back(calibration_event(100, 1, a, 2.9e9));
+    events.push_back(calibration_event(200, 2, b, 2.9e9));
+    events.push_back(adoption_event(300, 1, 2, a, 0, 10));
+    events.push_back(adoption_event(400, 2, 1, b, 0, 10));
+    const SpanIndex index(events);
+    EXPECT_EQ(ids(index.chain(a)), (std::vector<SpanId>{a, b}));
+    EXPECT_EQ(ids(index.chain(b)), (std::vector<SpanId>{b, a}));
+  }
+  {
+    // A -> A: a node adopting from itself names its own calibration.
+    std::vector<TraceEvent> events;
+    events.push_back(calibration_event(100, 1, a, 2.9e9));
+    events.push_back(adoption_event(300, 1, 1, a, 0, 10));
+    const SpanIndex index(events);
+    EXPECT_EQ(ids(index.chain(a)), (std::vector<SpanId>{a}));
+  }
+  {
+    // A -> B -> C -> B: the loop starts after a tail.
+    std::vector<TraceEvent> events;
+    events.push_back(calibration_event(100, 1, a, 2.9e9));
+    events.push_back(calibration_event(110, 2, b, 2.9e9));
+    events.push_back(calibration_event(120, 3, c, 2.9e9));
+    events.push_back(adoption_event(300, 1, 2, a, 0, 10));
+    events.push_back(adoption_event(310, 2, 3, b, 0, 10));
+    events.push_back(adoption_event(320, 3, 2, c, 0, 10));
+    const SpanIndex index(events);
+    EXPECT_EQ(ids(index.chain(a)), (std::vector<SpanId>{a, b, c}));
+    EXPECT_EQ(ids(index.chain(c)), (std::vector<SpanId>{c, b}));
+  }
 }
 
 TEST(SpanIndex, LongChainsCopiesAndMoves) {
