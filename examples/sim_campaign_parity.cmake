@@ -1,10 +1,13 @@
 # triad_sim and triad_campaign must build the same scenario from the
 # same recipe: a single triad_sim run's --metrics/--trace files and a
 # one-seed triad_campaign run's --metrics-dir run_0.prom/run_0.jsonl are
-# byte-identical. Both tools map the scenario-axis names (attack,
-# policy, environment) to a ScenarioConfig on their own, so this pins
-# that the two mappings agree. Run by the `sim-campaign-parity` ctest
-# entry (see examples/CMakeLists.txt).
+# byte-identical. Both tools turn their flags into a RunSpec and build
+# it with the one campaign::build_scenario, which maps the axis names
+# (attack, policy, environment) through exp/axes.h; triad_sim adds its
+# deployment flags in a configure hook. The recipes stay as the
+# regression oracle for that shared path: each flag mapping into the
+# RunSpec, and the hook, must leave the bytes unchanged. Run by the
+# `sim-campaign-parity` ctest entry (see examples/CMakeLists.txt).
 # Inputs: -DTRIAD_SIM=<binary> -DCAMPAIGN=<binary> -DWORK_DIR=<dir>.
 
 # check_recipe(NAME [DURATION d] [EXPECT regex] [BOTH flags...]
@@ -71,3 +74,9 @@ check_recipe(fplus_low BOTH --attack fplus --victim 2
 check_recipe(low_machine_interrupt DURATION 6m EXPECT "\"type\":\"aex\""
              SIM --env low --env low --env low
              CAMPAIGN --env low)
+
+# The RunSpec fields no other recipe sets: cluster size, attack delay
+# and machine interrupts. --victim is explicit because the defaults
+# differ (triad_sim: node 3, triad_campaign: the last node).
+check_recipe(five_nodes_fplus BOTH --nodes 5 --victim 2 --attack fplus
+             --attack-delay 50ms --no-machine-interrupts)

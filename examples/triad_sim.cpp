@@ -6,8 +6,8 @@
 //
 // Machine-readable output sent to stdout ('-') moves the human summary
 // to stderr, so `triad_sim --metrics - | promtool check metrics` works.
-// All logic lives in exp/cli.{h,cpp} (unit-tested); this is the thin
-// entry point.
+// All logic lives in exp/cli.{h,cpp} (flags) and campaign/cli.{h,cpp}
+// (runs), both unit-tested; this is the thin entry point.
 #include <iostream>
 
 #include "campaign/cli.h"
@@ -24,5 +24,5 @@ int main(int argc, char** argv) {
   if (!options->help && triad::exp::is_sweep(*options)) {
     return triad::campaign::run_sim_sweep(*options, std::cout, std::cerr);
   }
-  return triad::exp::run_cli(*options, std::cout, std::cerr);
+  return triad::campaign::run_cli(*options, std::cout, std::cerr);
 }

@@ -340,7 +340,8 @@ int run_service(const Options& options, std::ostream& out,
 
   profile.finish(&registry);
 
-  // --- final summary + dumps (same shape as triad_sim's run_cli) ------
+  // --- final summary + dumps (the shape of triad_sim's single-run
+  // summary, campaign::run_cli in src/campaign/cli.cpp) ---------------
   if (triad::TriadNode* node = service.node(); node != nullptr) {
     summary << "node " << id
             << ": state=" << triad::to_string(node->state())

@@ -61,17 +61,6 @@ void write_stat_json(std::ostream& out, const Stat& stat) {
 
 }  // namespace
 
-const std::vector<std::string>& builtin_metric_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const BuiltinMetric& metric : kBuiltins) {
-      out.emplace_back(metric.name);
-    }
-    return out;
-  }();
-  return names;
-}
-
 Stat Stat::of(std::vector<double> values) {
   Stat stat;
   stat.n = values.size();

@@ -66,9 +66,6 @@ struct CampaignReport {
   void write_csv(std::ostream& out) const;
 };
 
-/// The names of the built-in RunResult metrics, in report order.
-const std::vector<std::string>& builtin_metric_names();
-
 /// Per-cell wall-clock timing: how long runs took (wall_ms) and how
 /// long they queued before a worker picked them up (queue_ms).
 ///

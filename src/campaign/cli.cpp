@@ -2,12 +2,17 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <utility>
 
 #include "campaign/aggregate.h"
 #include "campaign/runner.h"
+#include "exp/axes.h"
+#include "exp/recorder.h"
 #include "exp/scenario.h"
+#include "obs/export.h"
+#include "util/log.h"
 #include "util/parse.h"
 
 namespace triad::campaign {
@@ -60,6 +65,38 @@ int run_and_report(
     return code;
   }
   return result.failures == 0 ? 0 : 1;
+}
+
+// triad_sim's flags as a campaign grid: a single run is its one-seed
+// grid (sweep_seeds gives {seed}), a sweep one cell of several seeds.
+CampaignSpec sim_spec(const exp::CliOptions& options) {
+  return {.seeds = exp::sweep_seeds(options),
+          .attacks = {options.attack},
+          .policies = {options.policy},
+          .node_counts = {options.nodes},
+          .duration = options.duration,
+          .attack_delay = options.attack_delay,
+          .victim = options.victim,
+          .machine_interrupts = options.machine_interrupts};
+}
+
+// The triad_sim flags the grid has no axis for, as every run's configure
+// hook: per-node environments, machines, WAN delay, attestation, and the
+// trace ring of --trace (which a sweep refuses at parse time).
+RunOptions sim_run(const exp::CliOptions& options) {
+  RunOptions run;
+  run.configure = [&options](const RunSpec&, exp::ScenarioConfig& cfg) {
+    cfg.environments.clear();
+    for (const std::string& env : options.environments) {
+      cfg.environments.push_back(exp::kEnvironments.at(env));
+    }
+    cfg.machine_of = options.machines;
+    cfg.wan_base_delay = options.wan_delay;
+    cfg.wan_jitter = std::max<Duration>(options.wan_delay / 10, 1);
+    cfg.attested_keys = options.attested;
+    if (options.outputs.trace) cfg.trace_capacity = kRunTraceCapacity;
+  };
+  return run;
 }
 
 }  // namespace
@@ -205,26 +242,78 @@ int run_campaign_cli(const CampaignCliOptions& options, std::ostream& out,
       });
 }
 
+int run_cli(const exp::CliOptions& options, std::ostream& out,
+            std::ostream& err) {
+  if (options.help) {
+    out << exp::cli_usage();
+    return 0;
+  }
+
+  const obs::OutputRouter router(out, err, exp::cli_outputs(options));
+  std::ostream& summary = router.summary();
+  obs::ProfileSession profile(options.outputs);
+
+  const std::unique_ptr<exp::Scenario> scenario_ptr =
+      build_scenario(sim_spec(options).expand().front(), sim_run(options));
+  exp::Scenario& scenario = *scenario_ptr;
+  // Log lines carry the same virtual-time tag the trace events do.
+  const ScopedLogTime log_time([env = scenario.env()] { return env.now(); });
+
+  exp::Recorder recorder(scenario);
+  scenario.start();
+  scenario.run_until(options.duration);
+
+  profile.finish(scenario.metrics());
+
+  summary << "scenario: nodes=" << options.nodes << " seed=" << options.seed
+          << " duration=" << to_seconds(options.duration) << "s attack="
+          << options.attack << " policy=" << options.policy << "\n";
+  for (std::size_t i = 0; i < scenario.node_count(); ++i) {
+    TriadNode& node = scenario.node(i);
+    const stats::TimeSeries& drift = recorder.drift_ms(i);
+    summary << "node " << (i + 1) << ": state=" << to_string(node.state())
+            << " F_calib=" << node.calibrated_frequency_hz() / 1e6
+            << "MHz availability=" << node.availability() * 100.0
+            << "% aex=" << node.stats().aex_count
+            << " ta_refs=" << node.stats().ta_time_references
+            << " drift_ms=[";
+    if (drift.empty()) {
+      summary << "n/a]\n";
+    } else {
+      summary << drift.min_value() << ".." << drift.max_value() << "]\n";
+    }
+  }
+  summary << "ta requests served: "
+          << scenario.time_authority().stats().requests_served << "\n";
+  summary << "adoption events: " << recorder.adoptions().size() << "\n";
+  if (scenario.trace() != nullptr) {
+    summary << "trace events: " << scenario.trace()->total() << " (dropped "
+            << scenario.trace()->dropped() << ")\n";
+  }
+  // build_scenario always runs the detectors.
+  const obs::DetectorBank& bank = *scenario.detectors();
+  summary << "detector alarms: " << bank.alarms().size();
+  if (!bank.alarms().empty()) {
+    summary << " (first at " << to_seconds(bank.first_alarm_at()) << "s)";
+  }
+  summary << "\n";
+
+  return router.write(
+      {{options.csv_path, "series",
+        [&](std::ostream& os) { recorder.series().write_csv(os); }},
+       {options.outputs.metrics, "metrics",
+        [&](std::ostream& os) { scenario.metrics()->write_prometheus(os); }},
+       {options.outputs.trace, "trace",
+        [&](std::ostream& os) { obs::write_jsonl(*scenario.trace(), os); }},
+       profile.table(), profile.chrome_trace()});
+}
+
 int run_sim_sweep(const exp::CliOptions& options, std::ostream& out,
                   std::ostream& err) {
-  CampaignSpec spec;
-  spec.seeds = exp::sweep_seeds(options);
-  spec.attacks = {options.attack};
-  spec.policies = {options.policy};
-  spec.node_counts = {options.nodes};
-  spec.duration = options.duration;
-  spec.attack_delay = options.attack_delay;
-  spec.victim = options.victim;
-  spec.machine_interrupts = options.machine_interrupts;
-
+  const CampaignSpec spec = sim_spec(options);
   RunnerOptions runner_options;
   runner_options.jobs = options.jobs;
-  // execute_run covers attack/policy/uniform environments; the
-  // remaining triad_sim knobs apply identically to every seed here.
-  runner_options.run.configure = [&options](const RunSpec&,
-                                            exp::ScenarioConfig& cfg) {
-    exp::apply_deployment(options, &cfg);
-  };
+  runner_options.run = sim_run(options);
   // --csv selects the aggregate CSV report: a sweep has no single
   // recorded series.
   return run_and_report(

@@ -1,5 +1,6 @@
 // Command-line front ends of the campaign engine: the `triad_campaign`
-// tool and triad_sim's sweep mode.
+// tool and both modes of `triad_sim` (one run, or a seed sweep). Every
+// one of them builds its scenarios with build_scenario (runner.h).
 //
 // triad_campaign builds a CampaignSpec from flags and/or a key=value
 // spec file, runs the sweep on a worker pool, and writes the
@@ -49,6 +50,12 @@ std::string campaign_cli_usage();
 /// process exit code; a completed campaign with failed runs exits 1.
 int run_campaign_cli(const CampaignCliOptions& options, std::ostream& out,
                      std::ostream& err);
+
+/// triad_sim's single run: a one-seed sweep's RunSpec, built and run
+/// once, with per-run outputs (summary, --csv series, --metrics, --trace,
+/// profiles) routed by the obs/cli_output.h rules. Returns an exit code.
+int run_cli(const exp::CliOptions& options, std::ostream& out,
+            std::ostream& err);
 
 /// triad_sim's sweep mode (--seeds A..B / --repeat N; requires
 /// exp::is_sweep): one run per seed, with every other triad_sim flag

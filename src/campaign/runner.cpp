@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "attacks/delay_attack.h"
+#include "exp/axes.h"
 #include "exp/recorder.h"
 #include "exp/scenario.h"
 #include "obs/export.h"
@@ -18,65 +19,55 @@
 #include "runtime/monotonic_timer.h"
 
 namespace triad::campaign {
-namespace {
 
-exp::AexEnvironment to_environment(const std::string& name) {
-  if (name == "triad") return exp::AexEnvironment::kTriadLike;
-  if (name == "low") return exp::AexEnvironment::kLowAex;
-  if (name == "none") return exp::AexEnvironment::kNone;
-  throw std::invalid_argument("bad environment '" + name + "'");
-}
-
-}  // namespace
-
-RunResult execute_run(const RunSpec& spec, const RunOptions& options) {
-  PROF_SCOPE("campaign/execute_run");
-  const runtime::MonotonicTimer timer;
+std::unique_ptr<exp::Scenario> build_scenario(const RunSpec& spec,
+                                              const RunOptions& options) {
   if (spec.nodes == 0) throw std::invalid_argument("run has zero nodes");
   if (spec.victim > spec.nodes) {
     throw std::invalid_argument("victim exceeds cluster size");
   }
+  const std::optional<attacks::AttackKind> attack =
+      exp::kAttacks.at(spec.attack);
+  const exp::Policy policy = exp::kPolicies.at(spec.policy);
 
-  std::optional<exp::Scenario> scenario_slot;
-  {
+  exp::ScenarioConfig cfg;
+  cfg.seed = spec.seed;
+  cfg.node_count = spec.nodes;
+  cfg.machine_interrupts = spec.machine_interrupts;
+  cfg.environments.assign(spec.nodes, exp::kEnvironments.at(spec.environment));
+  if (policy == exp::Policy::kTriadPlus) {
+    cfg.node_template = resilient::harden(cfg.node_template);
+    cfg.policy_factory = [] { return resilient::make_triad_plus_policy(); };
+  }
+  // Metrics and detectors are cheap, so every run has them; the trace
+  // ring only exists when a dump asks for it.
+  cfg.enable_metrics = true;
+  cfg.enable_detectors = true;
+  if (!options.metrics_dir.empty()) cfg.trace_capacity = kRunTraceCapacity;
+  if (options.configure) options.configure(spec, cfg);
+
+  auto scenario = std::make_unique<exp::Scenario>(std::move(cfg));
+  if (attack) {
+    attacks::DelayAttackConfig config;
+    config.kind = *attack;
+    config.victim = scenario->node_address(spec.victim_index());
+    config.ta_address = scenario->ta_address();
+    config.added_delay = spec.attack_delay;
+    scenario->add_delay_attack(config);
+  }
+  if (options.customize) options.customize(spec, *scenario);
+  return scenario;
+}
+
+RunResult execute_run(const RunSpec& spec, const RunOptions& options) {
+  PROF_SCOPE("campaign/execute_run");
+  const runtime::MonotonicTimer timer;
+  const std::unique_ptr<exp::Scenario> built = [&] {
     PROF_SCOPE("campaign/scenario_build");
-    exp::ScenarioConfig cfg;
-    cfg.seed = spec.seed;
-    cfg.node_count = spec.nodes;
-    cfg.machine_interrupts = spec.machine_interrupts;
-    cfg.environments.assign(spec.nodes, to_environment(spec.environment));
-    if (spec.policy == "triadplus") {
-      cfg.node_template = resilient::harden(cfg.node_template);
-      cfg.policy_factory = [] { return resilient::make_triad_plus_policy(); };
-    } else if (spec.policy != "original") {
-      throw std::invalid_argument("bad policy '" + spec.policy + "'");
-    }
-    cfg.enable_metrics = true;
-    cfg.enable_detectors = true;
-    if (!options.metrics_dir.empty()) {
-      cfg.trace_capacity = options.trace_capacity;
-    }
-    if (options.configure) options.configure(spec, cfg);
-    scenario_slot.emplace(std::move(cfg));
-  }
-  exp::Scenario& scenario = *scenario_slot;
+    return build_scenario(spec, options);
+  }();
+  exp::Scenario& scenario = *built;
   const std::size_t victim_index = spec.victim_index();
-  if (spec.attack != "none") {
-    attacks::DelayAttackConfig attack;
-    if (spec.attack == "fplus") {
-      attack.kind = attacks::AttackKind::kFPlus;
-    } else if (spec.attack == "fminus") {
-      attack.kind = attacks::AttackKind::kFMinus;
-    } else {
-      throw std::invalid_argument("bad attack '" + spec.attack + "'");
-    }
-    attack.victim = scenario.node_address(victim_index);
-    attack.ta_address = scenario.ta_address();
-    attack.added_delay = spec.attack_delay;
-    scenario.add_delay_attack(attack);
-  }
-  if (options.customize) options.customize(spec, scenario);
-
   exp::Recorder recorder(scenario, options.sample_period);
   {
     PROF_SCOPE("campaign/sim_run");
@@ -92,7 +83,7 @@ RunResult execute_run(const RunSpec& spec, const RunOptions& options) {
   // the metrics dump, which nests its own scope under this one.
   PROF_SCOPE("campaign/reduce");
 
-  const bool attacked = spec.attack != "none";
+  const bool attacked = exp::kAttacks.at(spec.attack).has_value();
   std::uint64_t peer_rounds = 0;
   std::uint64_t peer_successes = 0;
   std::uint64_t aex = 0;
@@ -160,24 +151,21 @@ RunResult execute_run(const RunSpec& spec, const RunOptions& options) {
   if (!options.metrics_dir.empty()) {
     PROF_SCOPE("campaign/metrics_dump");
     std::filesystem::create_directories(options.metrics_dir);
-    const std::filesystem::path base =
-        std::filesystem::path(options.metrics_dir) /
-        ("run_" + std::to_string(spec.index));
-    const std::filesystem::path path =
-        std::filesystem::path(base).concat(".prom");
-    std::ofstream file(path);
-    if (!file) {
-      throw std::runtime_error("cannot open " + path.string());
-    }
-    scenario.metrics()->write_prometheus(file);
+    const std::string base = (std::filesystem::path(options.metrics_dir) /
+                              ("run_" + std::to_string(spec.index)))
+                                 .string();
+    const auto dump = [&base](const char* extension, const auto& write) {
+      std::ofstream file(base + extension);
+      if (!file) throw std::runtime_error("cannot open " + base + extension);
+      write(file);
+    };
+    dump(".prom", [&](std::ostream& os) {
+      scenario.metrics()->write_prometheus(os);
+    });
     if (scenario.trace() != nullptr) {
-      const std::filesystem::path trace_path =
-          std::filesystem::path(base).concat(".jsonl");
-      std::ofstream trace_file(trace_path);
-      if (!trace_file) {
-        throw std::runtime_error("cannot open " + trace_path.string());
-      }
-      obs::write_jsonl(*scenario.trace(), trace_file);
+      dump(".jsonl", [&](std::ostream& os) {
+        obs::write_jsonl(*scenario.trace(), os);
+      });
     }
   }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -103,9 +104,17 @@ struct RunOptions {
   /// trace as JSON Lines to <metrics_dir>/run_<index>.jsonl (readable by
   /// the triad_trace forensic CLI).
   std::string metrics_dir;
-  /// Ring capacity for the per-run trace dumps above.
-  std::size_t trace_capacity = std::size_t{1} << 18;
 };
+
+/// Ring capacity of a run's trace (the dumps above, triad_sim --trace).
+inline constexpr std::size_t kRunTraceCapacity = std::size_t{1} << 18;
+
+/// The one place a RunSpec becomes a scenario: maps the axis names
+/// through exp/axes.h (std::invalid_argument on an unknown one), derives
+/// the ScenarioConfig, calls options.configure, constructs the Scenario,
+/// installs the delay attack, then calls options.customize.
+std::unique_ptr<exp::Scenario> build_scenario(const RunSpec& spec,
+                                              const RunOptions& options);
 
 /// Builds, runs, and reduces one scenario. Throws on invalid specs or
 /// scenario failures; CampaignRunner turns throws into failed results.

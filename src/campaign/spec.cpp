@@ -1,18 +1,13 @@
 #include "campaign/spec.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
+#include "exp/axes.h"
 #include "util/parse.h"
 
 namespace triad::campaign {
 namespace {
-
-bool is_one_of(const std::string& value,
-               std::initializer_list<std::string_view> allowed) {
-  return std::find(allowed.begin(), allowed.end(), value) != allowed.end();
-}
 
 std::string_view trim(std::string_view text) {
   while (!text.empty() && (text.front() == ' ' || text.front() == '\t')) {
@@ -57,19 +52,13 @@ std::string CampaignSpec::validate() const {
   if (environments.empty()) return "spec has no environments";
   if (node_counts.empty()) return "spec has no node counts";
   for (const std::string& a : attacks) {
-    if (!is_one_of(a, {"none", "fplus", "fminus"})) {
-      return "bad attack '" + a + "' (none|fplus|fminus)";
-    }
+    if (!exp::kAttacks.find(a)) return exp::kAttacks.bad(a);
   }
   for (const std::string& p : policies) {
-    if (!is_one_of(p, {"original", "triadplus"})) {
-      return "bad policy '" + p + "' (original|triadplus)";
-    }
+    if (!exp::kPolicies.find(p)) return exp::kPolicies.bad(p);
   }
   for (const std::string& e : environments) {
-    if (!is_one_of(e, {"triad", "low", "none"})) {
-      return "bad environment '" + e + "' (triad|low|none)";
-    }
+    if (!exp::kEnvironments.find(e)) return exp::kEnvironments.bad(e);
   }
   for (const std::size_t n : node_counts) {
     if (n == 0) return "bad node count 0";

@@ -31,11 +31,11 @@ struct RunSpec {
   std::size_t index = 0;  // flattened grid index (see header comment)
   std::size_t cell = 0;   // index / seeds-per-cell
 
-  // Cell axes.
+  // Cell axes; the names are those of exp/axes.h.
   std::size_t nodes = 3;
-  std::string environment = "triad";  // "triad" | "low" | "none"
-  std::string policy = "original";    // "original" | "triadplus"
-  std::string attack = "none";        // "none" | "fplus" | "fminus"
+  std::string environment = "triad";
+  std::string policy = "original";
+  std::string attack = "none";
 
   // Replication axis.
   std::uint64_t seed = 1;

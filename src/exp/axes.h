@@ -1,0 +1,60 @@
+// One name -> value table per scenario axis (defined in axes.cpp): the
+// only place the names are spelled. exp::parse_cli and CampaignSpec
+// check names against them; campaign::build_scenario maps through them.
+#pragma once
+
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+
+#include "attacks/delay_attack.h"
+#include "exp/scenario.h"
+
+namespace triad::exp {
+
+/// Every node's untainting policy: the paper's Triad, or Triad+
+/// (resilient::harden plus the true-chimer policy).
+enum class Policy { kOriginal, kTriadPlus };
+
+template <typename T>
+struct Axis {
+  /// The axis as error messages name it ("attack").
+  std::string_view what;
+  std::span<const std::pair<std::string_view, T>> names;
+
+  /// The value called `name`, or null when the axis has no such name.
+  [[nodiscard]] const T* find(std::string_view name) const {
+    for (const auto& [known, value] : names) {
+      if (known == name) return &value;
+    }
+    return nullptr;
+  }
+  /// find(name), throwing std::invalid_argument(bad(name)) when null.
+  [[nodiscard]] const T& at(std::string_view name) const {
+    if (const T* value = find(name)) return *value;
+    throw std::invalid_argument(bad(name));
+  }
+  /// Every name in table order: "none|fplus|fminus".
+  [[nodiscard]] std::string choices() const {
+    std::string text;
+    for (const auto& entry : names) {
+      text.append(text.empty() ? "" : "|").append(entry.first);
+    }
+    return text;
+  }
+  /// "bad attack 'sneaky' (none|fplus|fminus)".
+  [[nodiscard]] std::string bad(std::string_view name) const {
+    return "bad " + std::string(what) + " '" + std::string(name) + "' (" +
+           choices() + ")";
+  }
+};
+
+/// "none" maps to no attack.
+extern const Axis<std::optional<attacks::AttackKind>> kAttacks;
+extern const Axis<Policy> kPolicies;
+extern const Axis<AexEnvironment> kEnvironments;
+
+}  // namespace triad::exp

@@ -1,30 +1,12 @@
 #include "exp/cli.h"
 
 #include <algorithm>
-#include <iostream>
 #include <limits>
-#include <ostream>
-#include <sstream>
 
-#include "exp/recorder.h"
-#include "exp/scenario.h"
-#include "obs/export.h"
-#include "resilient/triad_plus.h"
-#include "util/log.h"
+#include "exp/axes.h"
 #include "util/parse.h"
 
 namespace triad::exp {
-
-namespace {
-
-std::optional<AexEnvironment> parse_environment(std::string_view text) {
-  if (text == "triad") return AexEnvironment::kTriadLike;
-  if (text == "low") return AexEnvironment::kLowAex;
-  if (text == "none") return AexEnvironment::kNone;
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::string cli_usage() {
   return std::string(
@@ -64,6 +46,10 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
   auto fail = [error](std::string message) -> std::optional<CliOptions> {
     if (error != nullptr) *error = std::move(message);
     return std::nullopt;
+  };
+  // An axis flag's value must be one of the axis's names.
+  const auto bad_name = [&fail](std::string_view flag, const auto& axis) {
+    return fail("bad " + std::string(flag) + " (" + axis.choices() + ")");
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -135,9 +121,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
         return fail("bad --duration (use e.g. 90s, 30m, 8h)");
       }
     } else if (arg == "--attack") {
-      if (*v != "none" && *v != "fplus" && *v != "fminus") {
-        return fail("bad --attack (none|fplus|fminus)");
-      }
+      if (!kAttacks.find(*v)) return bad_name(arg, kAttacks);
       options.attack = std::string(*v);
     } else if (arg == "--victim") {
       std::uint64_t n = 0;
@@ -148,12 +132,10 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
         return fail("bad --attack-delay");
       }
     } else if (arg == "--policy") {
-      if (*v != "original" && *v != "triadplus") {
-        return fail("bad --policy (original|triadplus)");
-      }
+      if (!kPolicies.find(*v)) return bad_name(arg, kPolicies);
       options.policy = std::string(*v);
     } else if (arg == "--env") {
-      if (!parse_environment(*v)) return fail("bad --env (triad|low|none)");
+      if (!kEnvironments.find(*v)) return bad_name(arg, kEnvironments);
       options.environments.emplace_back(*v);
     } else if (arg == "--machine") {
       std::uint64_t m = 0;
@@ -223,17 +205,6 @@ std::vector<obs::NamedOutput> cli_outputs(const CliOptions& options) {
   return outputs;
 }
 
-void apply_deployment(const CliOptions& options, ScenarioConfig* cfg) {
-  cfg->environments.clear();
-  for (const std::string& env : options.environments) {
-    cfg->environments.push_back(*parse_environment(env));
-  }
-  cfg->machine_of = options.machines;
-  cfg->wan_base_delay = options.wan_delay;
-  cfg->wan_jitter = std::max<Duration>(options.wan_delay / 10, 1);
-  cfg->attested_keys = options.attested;
-}
-
 std::vector<std::uint64_t> sweep_seeds(const CliOptions& options) {
   std::uint64_t lo = options.seed;
   std::uint64_t hi = options.seed + (options.repeat - 1);
@@ -248,103 +219,6 @@ std::vector<std::uint64_t> sweep_seeds(const CliOptions& options) {
     seeds.push_back(s);
     if (s == hi) return seeds;
   }
-}
-
-int run_cli(const CliOptions& options, std::ostream& out) {
-  return run_cli(options, out, std::cerr);
-}
-
-int run_cli(const CliOptions& options, std::ostream& out,
-            std::ostream& err) {
-  if (options.help) {
-    out << cli_usage();
-    return 0;
-  }
-
-  const obs::OutputRouter router(out, err, cli_outputs(options));
-  std::ostream& summary = router.summary();
-  obs::ProfileSession profile(options.outputs);
-
-  ScenarioConfig cfg;
-  cfg.seed = options.seed;
-  cfg.node_count = options.nodes;
-  cfg.machine_interrupts = options.machine_interrupts;
-  apply_deployment(options, &cfg);
-  if (options.policy == "triadplus") {
-    cfg.node_template = resilient::harden(cfg.node_template);
-    cfg.policy_factory = [] { return resilient::make_triad_plus_policy(); };
-  }
-  // Metrics are cheap (callback series + pre-resolved handles), so the
-  // CLI always records them — and the detectors ride the same budget;
-  // the trace ring only exists when asked for.
-  cfg.enable_metrics = true;
-  cfg.enable_detectors = true;
-  if (options.outputs.trace) cfg.trace_capacity = std::size_t{1} << 18;
-
-  Scenario scenario(std::move(cfg));
-  // Log lines carry the same virtual-time tag the trace events do.
-  const runtime::Env env = scenario.env();
-  const ScopedLogTime log_time([env] { return env.now(); });
-  if (options.attack != "none") {
-    attacks::DelayAttackConfig attack;
-    attack.kind = options.attack == "fplus" ? attacks::AttackKind::kFPlus
-                                            : attacks::AttackKind::kFMinus;
-    attack.victim = scenario.node_address(options.victim - 1);
-    attack.ta_address = scenario.ta_address();
-    attack.added_delay = options.attack_delay;
-    scenario.add_delay_attack(attack);
-  }
-
-  Recorder recorder(scenario);
-  scenario.start();
-  scenario.run_until(options.duration);
-
-  profile.finish(scenario.metrics());
-
-  summary << "scenario: nodes=" << options.nodes << " seed=" << options.seed
-          << " duration=" << to_seconds(options.duration) << "s attack="
-          << options.attack << " policy=" << options.policy << "\n";
-  for (std::size_t i = 0; i < scenario.node_count(); ++i) {
-    TriadNode& node = scenario.node(i);
-    std::ostringstream drift;
-    if (!recorder.drift_ms(i).empty()) {
-      drift << recorder.drift_ms(i).min_value() << ".."
-            << recorder.drift_ms(i).max_value();
-    } else {
-      drift << "n/a";
-    }
-    summary << "node " << (i + 1) << ": state=" << to_string(node.state())
-            << " F_calib=" << node.calibrated_frequency_hz() / 1e6
-            << "MHz availability=" << node.availability() * 100.0
-            << "% aex=" << node.stats().aex_count
-            << " ta_refs=" << node.stats().ta_time_references
-            << " drift_ms=[" << drift.str() << "]\n";
-  }
-  summary << "ta requests served: "
-          << scenario.time_authority().stats().requests_served << "\n";
-  summary << "adoption events: " << recorder.adoptions().size() << "\n";
-  if (scenario.trace() != nullptr) {
-    summary << "trace events: " << scenario.trace()->total() << " (dropped "
-            << scenario.trace()->dropped() << ")\n";
-  }
-  if (const obs::DetectorBank* bank = scenario.detectors();
-      bank != nullptr) {
-    summary << "detector alarms: " << bank->alarms().size();
-    if (!bank->alarms().empty()) {
-      summary << " (first at " << to_seconds(bank->first_alarm_at())
-              << "s)";
-    }
-    summary << "\n";
-  }
-
-  return router.write(
-      {{options.csv_path, "series",
-        [&](std::ostream& os) { recorder.series().write_csv(os); }},
-       {options.outputs.metrics, "metrics",
-        [&](std::ostream& os) { scenario.metrics()->write_prometheus(os); }},
-       {options.outputs.trace, "trace",
-        [&](std::ostream& os) { obs::write_jsonl(*scenario.trace(), os); }},
-       profile.table(), profile.chrome_trace()});
 }
 
 }  // namespace triad::exp

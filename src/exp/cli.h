@@ -1,11 +1,10 @@
-// Command-line scenario runner (backs the `triad_sim` tool).
+// Command-line flags of the `triad_sim` tool.
 //
-// Parses flags into a runnable experiment description and executes it,
-// printing a per-node summary and (optionally) plot-ready CSV series.
-// Kept in the library so the parser is unit-testable.
+// Parses flags into a runnable experiment description; campaign/cli.h
+// runs it (one scenario, or a seed sweep) through the campaign engine's
+// scenario builder. Kept in the library so the parser is unit-testable.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,15 +28,13 @@ struct CliOptions {
   std::size_t jobs = 1;
   std::size_t nodes = 3;
   Duration duration = minutes(10);
-  /// "none" | "fplus" | "fminus"
+  /// Attack, policy and environment names are those of exp/axes.h.
   std::string attack = "none";
   /// 1-based node index the attack targets.
   std::size_t victim = 3;
   Duration attack_delay = milliseconds(100);
-  /// "original" | "triadplus"
   std::string policy = "original";
-  /// Per-node environments: "triad" | "low" | "none" (repeatable flag;
-  /// missing entries default to "triad").
+  /// Per-node environments (repeatable flag; missing entries: "triad").
   std::vector<std::string> environments;
   bool machine_interrupts = true;
   /// Machine index per node (repeatable flag, geo-distribution).
@@ -60,17 +57,11 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
                                     std::string* error);
 
 /// True when the options describe a multi-run sweep (--seeds / --repeat)
-/// that should be handed to the campaign runner rather than run_cli.
+/// rather than a single scenario.
 [[nodiscard]] bool is_sweep(const CliOptions& options);
 
 /// The inclusive seed list a sweep expands to ({seed} for a single run).
 [[nodiscard]] std::vector<std::uint64_t> sweep_seeds(const CliOptions& options);
-
-struct ScenarioConfig;
-
-/// Applies the flags a sweep's campaign grid has no axis for: per-node
-/// environments, machine placement, WAN delay and attestation.
-void apply_deployment(const CliOptions& options, ScenarioConfig* cfg);
 
 /// Where a sweep's aggregate JSON report goes: stdout, unless --csv -
 /// takes its place. Unset for a single run.
@@ -83,13 +74,5 @@ void apply_deployment(const CliOptions& options, ScenarioConfig* cfg);
 
 /// One-line-per-flag usage text.
 std::string cli_usage();
-
-/// Runs the described single-scenario experiment. Outputs follow the
-/// obs/cli_output.h rules: "-" goes to `out` and the human summary then
-/// moves to `err`. Returns a process exit code.
-int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err);
-
-/// Convenience overload: `err` = std::cerr.
-int run_cli(const CliOptions& options, std::ostream& out);
 
 }  // namespace triad::exp

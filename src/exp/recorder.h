@@ -62,14 +62,6 @@ class Recorder {
   [[nodiscard]] double drift_rate_ms_per_s(std::size_t node, SimTime from,
                                            SimTime to) const;
 
-  /// Cluster-wide network traffic (from net::NetworkStats).
-  [[nodiscard]] const stats::TimeSeries& net_bytes_sent() const {
-    return *net_bytes_sent_;
-  }
-  [[nodiscard]] const stats::TimeSeries& net_bytes_delivered() const {
-    return *net_bytes_delivered_;
-  }
-
   /// All recorded series, for CSV export.
   [[nodiscard]] const stats::SeriesSet& series() const { return series_; }
 

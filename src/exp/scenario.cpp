@@ -7,6 +7,9 @@
 namespace triad::exp {
 namespace {
 
+/// One-way base delay of every intra-machine link.
+constexpr Duration kNetBaseDelay = microseconds(150);
+
 Bytes demo_master_secret() {
   // The cluster master secret stands in for SGX attested key exchange;
   // see crypto/channel.h. Fixed value: the attacker modelled here is the
@@ -38,7 +41,7 @@ runtime::ClusterConfig Scenario::make_cluster_config(
   cluster.seed = config.seed;
   cluster.node_count = config.node_count;
   cluster.delay = std::make_unique<net::JitterDelay>(
-      config.net_base_delay, config.net_jitter, microseconds(10));
+      kNetBaseDelay, config.net_jitter, microseconds(10));
   cluster.master_secret = demo_master_secret();
   cluster.obs = obs;
   return cluster;
@@ -87,6 +90,11 @@ Scenario::Scenario(ScenarioConfig config)
   for (std::size_t machine : config_.machine_of) {
     machine_count_ = std::max(machine_count_, machine + 1);
   }
+  std::vector<NodeId> endpoints;  // the nodes, then the TA
+  for (std::size_t i = 0; i < config_.node_count; ++i) {
+    endpoints.push_back(node_address(i));
+  }
+  endpoints.push_back(ta_address());
 
   if (config_.attested_keys) {
     // Production path: every endpoint (nodes + TA) attests its X25519
@@ -96,11 +104,6 @@ Scenario::Scenario(ScenarioConfig config)
     const crypto::AttestationAuthority authority{Bytes(32, 0x7e)};
     const crypto::Measurement measurement =
         crypto::sha256(Bytes{'t', 'r', 'i', 'a', 'd'});
-    std::vector<NodeId> endpoints;
-    for (std::size_t i = 0; i < config_.node_count; ++i) {
-      endpoints.push_back(node_address(i));
-    }
-    endpoints.push_back(ta_address());
     std::vector<crypto::HandshakeParty> parties;
     parties.reserve(endpoints.size());
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
@@ -177,11 +180,6 @@ Scenario::Scenario(ScenarioConfig config)
     return address == ta_address() ? std::size_t{0}
                                    : config_.machine_of[address - 1];
   };
-  std::vector<NodeId> endpoints;
-  for (std::size_t i = 0; i < config_.node_count; ++i) {
-    endpoints.push_back(node_address(i));
-  }
-  endpoints.push_back(ta_address());
   for (NodeId a : endpoints) {
     for (NodeId b : endpoints) {
       if (a != b && endpoint_machine(a) != endpoint_machine(b)) {

@@ -55,10 +55,10 @@ struct ScenarioConfig {
   Duration wan_base_delay = milliseconds(20);
   Duration wan_jitter = milliseconds(2);
 
-  /// Network delay: base + jitter (see net::JitterDelay). The jitter is
-  /// what limits Triad's short-window calibration quality; 120 µs puts
-  /// the fault-free calibration error near the paper's ~110 ppm.
-  Duration net_base_delay = microseconds(150);
+  /// Network delay jitter on top of a fixed 150 µs base (see
+  /// net::JitterDelay). The jitter is what limits Triad's short-window
+  /// calibration quality; 120 µs puts the fault-free calibration error
+  /// near the paper's ~110 ppm.
   Duration net_jitter = microseconds(120);
 
   /// Template for every node's protocol config (id/ta/peers filled in).
@@ -112,7 +112,6 @@ class Scenario {
 
   /// The cluster's runtime environment (clock + scheduler + transport).
   [[nodiscard]] runtime::Env env() const { return harness_.env(); }
-  [[nodiscard]] runtime::ClusterHarness& harness() { return harness_; }
   [[nodiscard]] sim::Simulation& simulation() { return harness_.simulation(); }
   [[nodiscard]] net::Network& network() { return harness_.network(); }
   /// The cluster keyring (for attaching clients / extra endpoints).
@@ -131,9 +130,6 @@ class Scenario {
     return hubs_.empty() ? nullptr : hubs_.front().get();
   }
   [[nodiscard]] std::size_t machine_count() const { return machine_count_; }
-  [[nodiscard]] std::size_t machine_of(std::size_t i) const {
-    return config_.machine_of.at(i);
-  }
 
   /// The scenario-owned metrics registry (null unless enable_metrics).
   [[nodiscard]] obs::Registry* metrics() { return metrics_.get(); }

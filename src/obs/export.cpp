@@ -1,9 +1,7 @@
 #include "obs/export.h"
 
 #include <array>
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
 #include <ostream>
 #include <string>
 
@@ -172,10 +170,12 @@ namespace {
 //
 // The writer emits a flat object of number/string/bool fields with no
 // escapes (string values are enum names), so a tiny hand scanner is
-// enough — no JSON library needed, and strictness (nullopt on any
-// surprise) keeps the two sides honest. Tokens are views into the line:
-// nothing is copied except the rare double, which strtod needs
-// NUL-terminated.
+// enough, no JSON library needed. It accepts the writer's grammar and
+// nothing more: members separated by single commas, integers as '-'?
+// digits, doubles as std::to_chars prints them, booleans bare, and
+// quotes only around keys and enum names. A trace may come from a
+// compromised node, so anything else is refused. Whitespace between
+// tokens is skipped. Tokens are views into the line: nothing is copied.
 
 bool is_skipped_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
@@ -196,10 +196,6 @@ struct JsonScanner {
     if (pos >= text.size() || text[pos] != c) return false;
     ++pos;
     return true;
-  }
-  char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
   }
   /// Reads a quoted string (writer output never contains escapes).
   bool string_token(std::string_view* out) {
@@ -224,9 +220,10 @@ struct JsonScanner {
   }
   /// Reads a bare token of the writer's integer form, '-'? and 1 to 18
   /// digits (too few to overflow), in the same pass as its value. On any
-  /// other token it moves nothing and returns false; bare_token and
-  /// parse_i64 then read and judge it.
+  /// other token it moves nothing past the whitespace and returns false;
+  /// bare_token and parse_value then read and judge it.
   bool bare_integer(std::int64_t* out) {
+    skip_ws();
     std::size_t end = pos;
     const bool negative = end < text.size() && text[end] == '-';
     if (negative) ++end;
@@ -245,39 +242,14 @@ struct JsonScanner {
   }
 };
 
-/// strtoll(token, base 10) without the copy, accepting exactly what it
-/// accepts: leading C-locale whitespace, one optional sign, digits, and
-/// nothing after them. An empty token (only a quoted "" reaches here)
-/// reads 0, as strtoll reports it.
-bool parse_i64(std::string_view token, std::int64_t* out) {
-  if (token.empty()) {
-    *out = 0;
-    return true;
-  }
-  std::size_t i = 0;
-  while (i < token.size() &&
-         (is_skipped_ws(token[i]) || token[i] == '\n' || token[i] == '\v' ||
-          token[i] == '\f')) {
-    ++i;
-  }
-  // from_chars takes '-' but not '+'; after a '+' only digits may follow.
-  if (i < token.size() && token[i] == '+') {
-    ++i;
-    if (i == token.size() || token[i] < '0' || token[i] > '9') return false;
-  }
+/// The whole token as std::from_chars reads it: '-'? digits for an
+/// integer (no '+', no whitespace) and the general format for a double
+/// (nan and inf included, no hex); out-of-range values are refused.
+template <typename Number>
+bool parse_number(std::string_view token, Number* out) {
   const char* last = token.data() + token.size();
-  const auto [end, error] = std::from_chars(token.data() + i, last, *out);
+  const auto [end, error] = std::from_chars(token.data(), last, *out);
   return error == std::errc() && end == last;
-}
-
-bool parse_f64(std::string_view token, double* out) {
-  const std::string buf(token);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
 }
 
 bool parse_bool(std::string_view token, std::int64_t* out) {
@@ -342,7 +314,7 @@ enum class Value : std::uint8_t {
   kInteger,
   kBoolean,
   kDouble,
-  kOutcome,  // quoted enum names
+  kOutcome,  // quoted enum names from here on
   kReason,
   kDetector,
 };
@@ -404,37 +376,34 @@ const Field* find_field(std::string_view key) {
 
 /// Judges a value token of `field`; integers, booleans and enum values
 /// land in *i64, doubles in *f64.
-bool parse_value(const Field& field, std::string_view token, bool quoted,
+bool parse_value(const Field& field, std::string_view token,
                  std::int64_t* i64, double* f64) {
   switch (field.value) {
     case Value::kEndpoint:
-    case Value::kInteger: return parse_i64(token, i64);
+    case Value::kInteger: return parse_number(token, i64);
     case Value::kBoolean: return parse_bool(token, i64);
-    case Value::kDouble: return parse_f64(token, f64);
-    case Value::kOutcome:
-      return quoted && from_name(token, 4, outcome_name, i64);
-    case Value::kReason:
-      return quoted && from_name(token, 3, drop_reason_name, i64);
-    case Value::kDetector:
-      return quoted && from_name(token, 3, detector_name, i64);
+    case Value::kDouble: return parse_number(token, f64);
+    case Value::kOutcome: return from_name(token, 4, outcome_name, i64);
+    case Value::kReason: return from_name(token, 3, drop_reason_name, i64);
+    case Value::kDetector: return from_name(token, 3, detector_name, i64);
   }
   return false;
 }
 
 /// Reads the value of `field` at the scanner and stores it into its
-/// slot; false on a bad value.
-bool read_field(JsonScanner* scan, const Field& field, bool quoted,
-                TraceEvent* event) {
+/// slot; false on a bad value. Enum names are the only quoted values.
+bool read_field(JsonScanner* scan, const Field& field, TraceEvent* event) {
   std::int64_t i64 = 0;
   double f64 = 0.0;
   const bool integer =
       field.value == Value::kEndpoint || field.value == Value::kInteger;
-  if (!integer || quoted || !scan->bare_integer(&i64)) {
+  if (!integer || !scan->bare_integer(&i64)) {
+    const bool quoted = field.value >= Value::kOutcome;
     std::string_view token;
     if (quoted ? !scan->string_token(&token) : !scan->bare_token(&token)) {
       return false;
     }
-    if (!parse_value(field, token, quoted, &i64, &f64)) return false;
+    if (!parse_value(field, token, &i64, &f64)) return false;
   }
   if (field.value == Value::kEndpoint && i64 < 0) return false;
   switch (field.slot) {
@@ -458,25 +427,24 @@ std::optional<TraceEvent> parse_json_line(std::string_view line) {
   if (!scan.accept('{')) return std::nullopt;
   TraceEvent event;
   bool have_type = false;
-  while (!scan.accept('}')) {
+  do {
     std::string_view key;
     if (!scan.string_token(&key) || !scan.accept(':')) return std::nullopt;
-    const bool quoted = scan.peek() == '"';
     if (key == "type") {  // a quoted event type name
       std::string_view name;
-      if (!quoted || !scan.string_token(&name)) return std::nullopt;
+      if (!scan.string_token(&name)) return std::nullopt;
       const auto type = type_from_name(name);
       if (!type) return std::nullopt;
       event.type = *type;
       have_type = true;
     } else {
       const Field* field = find_field(key);
-      if (field == nullptr || !read_field(&scan, *field, quoted, &event)) {
+      if (field == nullptr || !read_field(&scan, *field, &event)) {
         return std::nullopt;
       }
     }
-    if (scan.peek() == ',') ++scan.pos;
-  }
+  } while (scan.accept(','));
+  if (!scan.accept('}')) return std::nullopt;
   scan.skip_ws();
   if (!have_type || scan.pos != line.size()) return std::nullopt;
   return event;

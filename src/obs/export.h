@@ -34,9 +34,10 @@ void write_json_line(const TraceEvent& event, std::ostream& out);
 void write_jsonl(const RingTraceSink& sink, std::ostream& out);
 
 /// Inverse of write_json_line: parses one JSONL line back into an event.
-/// Returns nullopt on malformed input, an unknown event type, or an
-/// unknown key (strictness keeps writer and parser from drifting apart).
-/// Derived fields (step_ns) are ignored; for every event
+/// Accepts only what the writer emits (whitespace between tokens aside):
+/// returns nullopt on malformed input, an unknown event type or key, a
+/// quoted number or boolean, a bare enum name, a '+' sign, or a missing
+/// or extra comma. Derived fields (step_ns) are ignored; for every event
 /// write(parse(write(e))) == write(e), which is what makes offline
 /// analysis of a dumped trace deterministic.
 std::optional<TraceEvent> parse_json_line(std::string_view line);

@@ -53,6 +53,12 @@ TEST(CampaignSpec, ValidateRejectsBadAxes) {
   spec.attacks = {"sneaky"};
   EXPECT_NE(spec.validate().find("attack"), std::string::npos);
   spec = {};
+  spec.policies = {"original", "x"};
+  EXPECT_EQ(spec.validate(), "bad policy 'x' (original|triadplus)");
+  spec = {};
+  spec.environments = {"x"};
+  EXPECT_EQ(spec.validate(), "bad environment 'x' (triad|low|none)");
+  spec = {};
   spec.seeds.clear();
   EXPECT_NE(spec.validate().find("seeds"), std::string::npos);
   spec = {};
@@ -227,6 +233,46 @@ TEST(CampaignRunner, FaultInjectedRunFailsOnlyItsCell) {
   std::ostringstream json;
   report.write_json(json);
   EXPECT_NE(json.str().find("\"failures\": 1"), std::string::npos);
+}
+
+// CampaignRunner::run(runs) skips CampaignSpec::validate, so the
+// scenario builder itself must refuse a hand-built RunSpec's bad axis
+// name, before any hook runs; the run fails in place.
+TEST(CampaignRunner, BadAxisNamesInHandBuiltRunsFailInPlace) {
+  std::vector<RunSpec> runs(4);
+  runs[0].attack = "sneaky";
+  runs[1].policy = "x";
+  runs[2].environment = "x";
+  runs[3].duration = seconds(5);  // the one valid run
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    runs[i].index = 10 + i;
+    runs[i].cell = 20 + i;
+    runs[i].seed = 30 + i;
+  }
+  std::atomic<int> configured{0};
+  RunnerOptions options;
+  options.run.configure = [&configured](const RunSpec&,
+                                        exp::ScenarioConfig&) {
+    configured.fetch_add(1);
+  };
+  const CampaignResult result = CampaignRunner(std::move(options)).run(runs);
+
+  ASSERT_EQ(result.runs.size(), 4u);
+  EXPECT_EQ(result.failures, 3u);
+  EXPECT_EQ(configured.load(), 1);
+  const char* const errors[] = {"bad attack 'sneaky' (none|fplus|fminus)",
+                                "bad policy 'x' (original|triadplus)",
+                                "bad environment 'x' (triad|low|none)"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(result.runs[i].failed);
+    EXPECT_EQ(result.runs[i].error, errors[i]);
+  }
+  EXPECT_FALSE(result.runs[3].failed);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(result.runs[i].index, 10 + i);
+    EXPECT_EQ(result.runs[i].cell, 20 + i);
+    EXPECT_EQ(result.runs[i].seed, 30 + i);
+  }
 }
 
 TEST(CampaignRunner, HooksConfigureCustomizeAndInspectRun) {

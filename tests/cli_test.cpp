@@ -1,14 +1,18 @@
 // CLI parser and runner (the triad_sim tool's engine).
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <sstream>
 #include <vector>
 
+#include "campaign/cli.h"
 #include "exp/cli.h"
 #include "util/parse.h"
 
 namespace triad::exp {
 namespace {
+
+using campaign::run_cli;
 
 std::optional<CliOptions> parse(std::vector<const char*> args,
                                 std::string* error = nullptr) {
@@ -78,6 +82,13 @@ TEST(CliParser, RejectsBadInput) {
   EXPECT_FALSE(
       parse({"--nodes", "1", "--env", "low", "--env", "low"}, &error)
           .has_value());
+  // A bad axis name fails at parse time, naming every valid choice.
+  EXPECT_FALSE(parse({"--attack", "sneaky"}, &error).has_value());
+  EXPECT_EQ(error, "bad --attack (none|fplus|fminus)");
+  EXPECT_FALSE(parse({"--policy", "x"}, &error).has_value());
+  EXPECT_EQ(error, "bad --policy (original|triadplus)");
+  EXPECT_FALSE(parse({"--env", "x"}, &error).has_value());
+  EXPECT_EQ(error, "bad --env (triad|low|none)");
 }
 
 TEST(CliParser, GeoAndAttestationFlags) {
@@ -224,7 +235,7 @@ TEST(CliRunner, GeoDistributedAttestedRun) {
                               "--attested"});
   ASSERT_TRUE(options.has_value());
   std::ostringstream out;
-  EXPECT_EQ(run_cli(*options, out), 0);
+  EXPECT_EQ(run_cli(*options, out, std::cerr), 0);
   EXPECT_NE(out.str().find("node 3:"), std::string::npos);
 }
 
@@ -232,7 +243,7 @@ TEST(CliRunner, RunsAndSummarizes) {
   const auto options = parse({"--duration", "2m", "--seed", "9"});
   ASSERT_TRUE(options.has_value());
   std::ostringstream out;
-  EXPECT_EQ(run_cli(*options, out), 0);
+  EXPECT_EQ(run_cli(*options, out, std::cerr), 0);
   const std::string text = out.str();
   EXPECT_NE(text.find("node 1:"), std::string::npos);
   EXPECT_NE(text.find("node 3:"), std::string::npos);
@@ -242,9 +253,9 @@ TEST(CliRunner, RunsAndSummarizes) {
 
 TEST(CliRunner, AttackFlagChangesOutcome) {
   std::ostringstream clean_out, attacked_out;
-  run_cli(*parse({"--duration", "5m", "--seed", "9"}), clean_out);
+  run_cli(*parse({"--duration", "5m", "--seed", "9"}), clean_out, std::cerr);
   run_cli(*parse({"--duration", "5m", "--seed", "9", "--attack", "fminus"}),
-          attacked_out);
+          attacked_out, std::cerr);
   EXPECT_NE(clean_out.str(), attacked_out.str());
   // The attacked run shows a grossly miscalibrated victim (≈2610 MHz).
   EXPECT_NE(attacked_out.str().find("F_calib=2609"), std::string::npos);
@@ -252,8 +263,9 @@ TEST(CliRunner, AttackFlagChangesOutcome) {
 
 TEST(CliRunner, CsvToStdout) {
   std::ostringstream out;
-  EXPECT_EQ(
-      run_cli(*parse({"--duration", "1m", "--csv", "-"}), out), 0);
+  EXPECT_EQ(run_cli(*parse({"--duration", "1m", "--csv", "-"}), out,
+                    std::cerr),
+            0);
   EXPECT_NE(out.str().find("time_s,drift_ms_node1"), std::string::npos);
 }
 
@@ -307,7 +319,7 @@ TEST(CliRunner, TraceToStdoutEmitsJsonl) {
 
 TEST(CliRunner, HelpPrintsUsage) {
   std::ostringstream out;
-  EXPECT_EQ(run_cli(*parse({"--help"}), out), 0);
+  EXPECT_EQ(run_cli(*parse({"--help"}), out, std::cerr), 0);
   EXPECT_NE(out.str().find("--attack"), std::string::npos);
 }
 
