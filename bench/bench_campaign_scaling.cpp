@@ -6,6 +6,7 @@
 // Per-run simulations are single-threaded and share no mutable state,
 // so speedup should track min(jobs, cores); on a single-core CI box all
 // job counts measure ~1x and only the determinism check is meaningful.
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -13,7 +14,7 @@
 #include "bench_common.h"
 #include "campaign/aggregate.h"
 #include "campaign/runner.h"
-#include "harness.h"
+#include "runtime/monotonic_timer.h"
 
 int main() {
   using namespace triad;
@@ -41,12 +42,12 @@ int main() {
     campaign::RunnerOptions options;
     options.jobs = jobs;
     campaign::CampaignRunner runner(options);
-    // Wall time measured here with the sanctioned bench stopwatch, not
-    // taken from the runner, so this bench times exactly what it frames:
-    // the full run() call including worker spawn/join.
-    bench::Stopwatch stopwatch;
+    // Wall time measured here with the sanctioned wall clock, not taken
+    // from the runner, so this bench times exactly what it frames: the
+    // full run() call including worker spawn/join.
+    const runtime::MonotonicTimer timer;
     const campaign::CampaignResult result = runner.run(spec);
-    const double wall_ms = stopwatch.elapsed_ms();
+    const double wall_ms = timer.elapsed_ms();
     const campaign::CampaignReport report =
         campaign::CampaignReport::aggregate(spec, result);
     std::ostringstream json;

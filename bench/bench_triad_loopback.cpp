@@ -13,43 +13,42 @@
 //   * telemetry offered-load: the same measurement against a fresh
 //     cluster with the full telemetry plane on — trace ring, online
 //     detectors, and a TCP listener being scraped concurrently — so the
-//     BM_TriadLoopbackQpsTelemetry row prices the observability tax on
-//     the hot path (acceptance: < 5% against the plain row).
+//     printed `overhead` line prices the observability tax on the hot
+//     path as telemetry-on against telemetry-off per-request cost, both
+//     measured in this one run (scripts/run_all.sh checks it is < 5%).
 //   * closed-loop: single outstanding request, seal/open inline,
 //     per-round-trip wall latency -> p50/p95/p99.
 //
 // Client and server share the CI box's single core, so the reported QPS
 // is a lower bound on what the server alone could sustain.
 //
-// Output: human table on stdout + triad-bench-v1 JSON via --json (the
-// p99 rides in a separate BM_TriadLoopbackRtt_p99 row since the schema's
-// fixed fields stop at p95). Exits 0 with a SKIPPED line when the
-// sandbox has no loopback sockets.
+// Output: a human table on stdout. Exits 1 on any sealed-path violation,
+// 2 on a bad flag, and 0 with a SKIPPED line when the sandbox has no
+// loopback sockets.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <variant>
 #include <vector>
 
 #include "crypto/channel.h"
-#include "harness.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "runtime/monotonic_timer.h"
 #include "runtime/real_env.h"
 #include "timed/service.h"
 #include "triad/messages.h"
+#include "util/parse.h"
 #include "util/types.h"
 
 namespace {
@@ -63,9 +62,9 @@ namespace rt = triad::runtime;
 constexpr NodeId kTaId = 9;
 constexpr NodeId kClientId = 100;
 constexpr std::size_t kNodes = 3;  // acceptance shape: a 3-node cluster
+constexpr std::uint64_t kMaxCount = 1'000'000;  // cap on every count flag
 
 struct Options {
-  std::string json_path;
   std::size_t requests = 60000;
   std::size_t rtt_samples = 2000;
   // Max outstanding offered-load requests. Sized so the server's socket
@@ -446,15 +445,6 @@ int run_bench(const Options& options) {
   const double p50 = percentile(rtts_ns, 0.50);
   const double p95 = percentile(rtts_ns, 0.95);
   const double p99 = percentile(rtts_ns, 0.99);
-  double mean = 0.0;
-  for (const double v : rtts_ns) mean += v;
-  if (!rtts_ns.empty()) mean /= static_cast<double>(rtts_ns.size());
-  double var = 0.0;
-  for (const double v : rtts_ns) var += (v - mean) * (v - mean);
-  const double stddev =
-      rtts_ns.size() > 1
-          ? std::sqrt(var / static_cast<double>(rtts_ns.size() - 1))
-          : 0.0;
 
   print_load("offered-load", base);
   print_load("offered-load+telemetry", telem);
@@ -475,10 +465,10 @@ int run_bench(const Options& options) {
 
   // Acceptance guards: every response authenticated (zero unsealed-path
   // fallbacks), timestamps monotone — in both phases — and the scraper
-  // actually exercised the telemetry plane. The <5% overhead acceptance
-  // rides in bench_diff against the committed BENCH_loopback.json
-  // baseline (run_all.sh loopback perf tier), not as a hard exit here:
-  // a single shared-core run is too noisy for a self-contained gate.
+  // actually exercised the telemetry plane. The <5% overhead check reads
+  // the printed `overhead` line in scripts/run_all.sh under its
+  // TRIAD_PERF_GATE (warn by default), not as a hard exit here: a single
+  // shared-core run is too noisy for an unconditional gate.
   if (!base.clean() || !telem.clean() || scrapes == 0) {
     std::printf(
         "FAILED: sealed-path violations (base bad=%zu tainted=%zu "
@@ -489,55 +479,6 @@ int run_bench(const Options& options) {
     return 1;
   }
 
-  if (!options.json_path.empty()) {
-    std::vector<triad::bench::BenchResult> results;
-    triad::bench::BenchResult load;
-    load.name = "BM_TriadLoopbackQps";
-    load.iterations = base.authenticated;
-    load.repetitions = 1;
-    load.min_ns = load.median_ns = load.p95_ns = load.mean_ns =
-        base.ns_per_request();
-    load.items_per_second = base.qps;
-    results.push_back(load);
-
-    triad::bench::BenchResult observed_load;
-    observed_load.name = "BM_TriadLoopbackQpsTelemetry";
-    observed_load.iterations = telem.authenticated;
-    observed_load.repetitions = 1;
-    observed_load.min_ns = observed_load.median_ns = observed_load.p95_ns =
-        observed_load.mean_ns = telem.ns_per_request();
-    observed_load.items_per_second = telem.qps;
-    results.push_back(observed_load);
-
-    triad::bench::BenchResult rtt;
-    rtt.name = "BM_TriadLoopbackRtt";
-    rtt.iterations = rtts_ns.size();
-    rtt.repetitions = 1;
-    rtt.min_ns = rtts_ns.empty() ? 0.0 : rtts_ns.front();
-    rtt.median_ns = p50;
-    rtt.p95_ns = p95;
-    rtt.mean_ns = mean;
-    rtt.stddev_ns = stddev;
-    rtt.items_per_second = mean > 0 ? 1e9 / mean : 0.0;
-    results.push_back(rtt);
-
-    triad::bench::BenchResult tail;
-    tail.name = "BM_TriadLoopbackRtt_p99";
-    tail.iterations = rtts_ns.size();
-    tail.repetitions = 1;
-    tail.min_ns = tail.median_ns = tail.p95_ns = tail.mean_ns = p99;
-    results.push_back(tail);
-
-    std::ofstream out(options.json_path);
-    if (!out) {
-      std::cerr << "cannot write " << options.json_path << "\n";
-      return 1;
-    }
-    triad::bench::write_bench_json(out, "triad_loopback",
-                                   triad::bench::MachineFingerprint::detect(),
-                                   results);
-    std::cout << "JSON written to " << options.json_path << "\n";
-  }
   return 0;
 }
 
@@ -546,20 +487,24 @@ int run_bench(const Options& options) {
 int main(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      options.json_path = argv[++i];
-    } else if (arg == "--requests" && i + 1 < argc) {
-      options.requests = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else if (arg == "--rtt-samples" && i + 1 < argc) {
-      options.rtt_samples = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else if (arg == "--window" && i + 1 < argc) {
-      options.window = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else {
-      std::cerr << "usage: bench_triad_loopback [--json PATH] [--requests N]"
-                   " [--rtt-samples N] [--window N]\n";
+    const std::string_view arg = argv[i];
+    std::size_t* target = arg == "--requests"      ? &options.requests
+                          : arg == "--rtt-samples" ? &options.rtt_samples
+                          : arg == "--window"      ? &options.window
+                                                   : nullptr;
+    // Each count is 1..kMaxCount: every request is sealed and kept in
+    // memory up front, so a huge value is a bad value, not an attempt.
+    std::uint64_t value = 0;
+    if (target == nullptr || i + 1 >= argc ||
+        !triad::parse_u64(argv[++i], &value) || value == 0 ||
+        value > kMaxCount) {
+      std::cerr << "bench_triad_loopback: bad " << arg << "\n"
+                << "usage: bench_triad_loopback [--requests N]"
+                   " [--rtt-samples N] [--window N]  (each N in 1.."
+                << kMaxCount << ")\n";
       return 2;
     }
+    *target = static_cast<std::size_t>(value);
   }
   return run_bench(options);
 }

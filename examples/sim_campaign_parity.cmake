@@ -76,7 +76,7 @@ check_recipe(low_machine_interrupt DURATION 6m EXPECT "\"type\":\"aex\""
              CAMPAIGN --env low)
 
 # The RunSpec fields no other recipe sets: cluster size, attack delay
-# and machine interrupts. --victim is explicit because the defaults
-# differ (triad_sim: node 3, triad_campaign: the last node).
+# and machine interrupts. --victim 2 covers the flag itself; without it
+# both tools attack the last node.
 check_recipe(five_nodes_fplus BOTH --nodes 5 --victim 2 --attack fplus
              --attack-delay 50ms --no-machine-interrupts)

@@ -21,7 +21,7 @@ std::string cli_usage() {
       "  --nodes N          cluster size (default 3)\n"
       "  --duration D       virtual time, e.g. 30m, 8h, 90s (default 10m)\n"
       "  --attack KIND      none | fplus | fminus (default none)\n"
-      "  --victim N         1-based attacked node (default 3)\n"
+      "  --victim N         1-based attacked node; 0 = last (default 0)\n"
       "  --attack-delay D   injected delay (default 100ms)\n"
       "  --policy P         original | triadplus (default original)\n"
       "  --env E            per-node AEX env: triad | low | none\n"
@@ -125,7 +125,7 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
       options.attack = std::string(*v);
     } else if (arg == "--victim") {
       std::uint64_t n = 0;
-      if (!parse_u64(*v, &n) || n == 0) return fail("bad --victim");
+      if (!parse_u64(*v, &n)) return fail("bad --victim");
       options.victim = n;
     } else if (arg == "--attack-delay") {
       if (!parse_duration(*v, &options.attack_delay)) {

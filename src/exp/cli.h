@@ -30,8 +30,9 @@ struct CliOptions {
   Duration duration = minutes(10);
   /// Attack, policy and environment names are those of exp/axes.h.
   std::string attack = "none";
-  /// 1-based node index the attack targets.
-  std::size_t victim = 3;
+  /// 1-based node index the attack targets; 0 = the last node, as in
+  /// triad_campaign.
+  std::size_t victim = 0;
   Duration attack_delay = milliseconds(100);
   std::string policy = "original";
   /// Per-node environments (repeatable flag; missing entries: "triad").

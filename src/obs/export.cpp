@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <iterator>
 #include <ostream>
 #include <string>
 
@@ -172,10 +173,13 @@ namespace {
 // escapes (string values are enum names), so a tiny hand scanner is
 // enough, no JSON library needed. It accepts the writer's grammar and
 // nothing more: members separated by single commas, integers as '-'?
-// digits, doubles as std::to_chars prints them, booleans bare, and
-// quotes only around keys and enum names. A trace may come from a
-// compromised node, so anything else is refused. Whitespace between
-// tokens is skipped. Tokens are views into the line: nothing is copied.
+// digits with no leading zero, doubles as std::to_chars prints them
+// (at most the 10 significant digits the writer keeps), booleans bare,
+// quotes only around keys and enum names, each key at most once, and
+// only the keys the writer emits for the line's type. A trace may come
+// from a compromised node, so anything else is refused. Key order and
+// whitespace between tokens are not checked. Tokens are views into the
+// line: nothing is copied.
 
 bool is_skipped_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
@@ -219,9 +223,10 @@ struct JsonScanner {
     return !out->empty();
   }
   /// Reads a bare token of the writer's integer form, '-'? and 1 to 18
-  /// digits (too few to overflow), in the same pass as its value. On any
-  /// other token it moves nothing past the whitespace and returns false;
-  /// bare_token and parse_value then read and judge it.
+  /// digits (too few to overflow) with no leading zero, in the same pass
+  /// as its value. On any other token it moves nothing past the
+  /// whitespace and returns false; bare_token and parse_value then read
+  /// and judge it.
   bool bare_integer(std::int64_t* out) {
     skip_ws();
     std::size_t end = pos;
@@ -234,6 +239,7 @@ struct JsonScanner {
       ++end;
     }
     if (end == digits || end - digits > 18) return false;
+    if (text[digits] == '0' && end - digits > 1) return false;
     if (end < text.size() && !ends_bare_token(text[end])) return false;
     const auto value = static_cast<std::int64_t>(magnitude);
     *out = negative ? -value : value;
@@ -244,12 +250,32 @@ struct JsonScanner {
 
 /// The whole token as std::from_chars reads it: '-'? digits for an
 /// integer (no '+', no whitespace) and the general format for a double
-/// (nan and inf included, no hex); out-of-range values are refused.
+/// (nan and inf included, no hex); out-of-range values and a leading
+/// zero before another digit ("007", "00.5") are refused.
 template <typename Number>
 bool parse_number(std::string_view token, Number* out) {
+  const std::size_t lead = !token.empty() && token[0] == '-' ? 1 : 0;
+  if (token.size() > lead + 1 && token[lead] == '0' &&
+      token[lead + 1] >= '0' && token[lead + 1] <= '9') {
+    return false;
+  }
   const char* last = token.data() + token.size();
   const auto [end, error] = std::from_chars(token.data(), last, *out);
   return error == std::errc() && end == last;
+}
+
+/// True when the mantissa of a double token has at most the 10
+/// significant digits the writer prints (%.10g), so the value survives
+/// a write unchanged; a "nan(payload)" form is refused as well.
+bool writer_precision(std::string_view token) {
+  int digits = 0;
+  for (const char c : token) {
+    if (c == 'e' || c == 'E') break;
+    if (c == '(') return false;
+    // Zeros before the first nonzero digit are not significant.
+    if ((c >= '1' && c <= '9') || (c == '0' && digits > 0)) ++digits;
+  }
+  return digits <= 10;
 }
 
 bool parse_bool(std::string_view token, std::int64_t* out) {
@@ -268,23 +294,6 @@ bool parse_bool(std::string_view token, std::int64_t* out) {
 /// character before the full compare: most table entries fail there.
 bool same_key(std::string_view known, std::string_view name) {
   return known.size() == name.size() && known[0] == name[0] && known == name;
-}
-
-constexpr int kEventTypes =
-    static_cast<int>(TraceEventType::kDetectorAlarm) + 1;
-
-std::optional<TraceEventType> type_from_name(std::string_view name) {
-  static const auto names = [] {
-    std::array<std::string_view, kEventTypes> table;
-    for (int i = 0; i < kEventTypes; ++i) {
-      table[i] = to_string(static_cast<TraceEventType>(i));
-    }
-    return table;
-  }();
-  for (int i = 0; i < kEventTypes; ++i) {
-    if (same_key(names[i], name)) return static_cast<TraceEventType>(i);
-  }
-  return std::nullopt;
 }
 
 /// Inverse of an enum-name function: the value v in [0, count) whose
@@ -310,7 +319,7 @@ const char* detector_name(std::int64_t v) {
 /// slot regardless of event type, so the parser needs no per-type
 /// dispatch.
 enum class Value : std::uint8_t {
-  kEndpoint,  // non-negative integer
+  kEndpoint,  // integer in NodeId/SpanId range (32 bits, non-negative)
   kInteger,
   kBoolean,
   kDouble,
@@ -367,11 +376,56 @@ constexpr Field kFields[] = {
     {"detector", Value::kDetector, Slot::kA},
 };
 
-const Field* find_field(std::string_view key) {
-  for (const Field& field : kFields) {
-    if (same_key(field.key, key)) return &field;
+constexpr std::size_t kFieldCount = std::size(kFields);
+static_assert(kFieldCount < 64, "a line's keys are a 64-bit mask");
+
+/// Index into kFields of `key`, or kFieldCount for an unknown key.
+std::size_t find_field(std::string_view key) {
+  std::size_t i = 0;
+  while (i < kFieldCount && !same_key(kFields[i].key, key)) ++i;
+  return i;
+}
+
+constexpr int kEventTypes =
+    static_cast<int>(TraceEventType::kDetectorAlarm) + 1;
+
+/// Per event type: its name, and the kFields keys its writer emits (bit
+/// i = kFields[i]). The key sets come from the writer itself: one probe
+/// event per type with every slot nonzero, so optional keys appear too.
+struct TypeTable {
+  std::array<std::string_view, kEventTypes> names;
+  std::array<std::uint64_t, kEventTypes> keys{};
+};
+
+const TypeTable& type_table() {
+  static const TypeTable table = [] {
+    TypeTable t;
+    std::string line;
+    for (int i = 0; i < kEventTypes; ++i) {
+      const auto type = static_cast<TraceEventType>(i);
+      t.names[i] = to_string(type);
+      line.clear();
+      append_json_line({.at = 1, .type = type, .node = 1, .peer = 1,
+                        .span = 1, .a = 1, .b = 1, .x = 1.0, .y = 1.0},
+                       &line);
+      for (std::size_t f = 0; f < kFieldCount; ++f) {
+        const std::string member = '"' + std::string(kFields[f].key) + "\":";
+        if (line.find(member) != std::string::npos) {
+          t.keys[i] |= std::uint64_t{1} << f;
+        }
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
+std::optional<TraceEventType> type_from_name(const TypeTable& table,
+                                             std::string_view name) {
+  for (int i = 0; i < kEventTypes; ++i) {
+    if (same_key(table.names[i], name)) return static_cast<TraceEventType>(i);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 /// Judges a value token of `field`; integers, booleans and enum values
@@ -382,7 +436,8 @@ bool parse_value(const Field& field, std::string_view token,
     case Value::kEndpoint:
     case Value::kInteger: return parse_number(token, i64);
     case Value::kBoolean: return parse_bool(token, i64);
-    case Value::kDouble: return parse_number(token, f64);
+    case Value::kDouble:
+      return writer_precision(token) && parse_number(token, f64);
     case Value::kOutcome: return from_name(token, 4, outcome_name, i64);
     case Value::kReason: return from_name(token, 3, drop_reason_name, i64);
     case Value::kDetector: return from_name(token, 3, detector_name, i64);
@@ -405,7 +460,10 @@ bool read_field(JsonScanner* scan, const Field& field, TraceEvent* event) {
     }
     if (!parse_value(field, token, &i64, &f64)) return false;
   }
-  if (field.value == Value::kEndpoint && i64 < 0) return false;
+  if (field.value == Value::kEndpoint &&
+      (i64 < 0 || i64 > std::int64_t{0xffffffff})) {
+    return false;
+  }
   switch (field.slot) {
     case Slot::kAt: event->at = i64; break;
     case Slot::kNode: event->node = static_cast<NodeId>(i64); break;
@@ -423,30 +481,42 @@ bool read_field(JsonScanner* scan, const Field& field, TraceEvent* event) {
 }  // namespace
 
 std::optional<TraceEvent> parse_json_line(std::string_view line) {
+  const TypeTable& types = type_table();
   JsonScanner scan{line};
   if (!scan.accept('{')) return std::nullopt;
   TraceEvent event;
   bool have_type = false;
+  // Keys seen so far, one bit per kFields entry. A repeated key is
+  // refused here; two different keys for one slot (where the last would
+  // silently win) are refused by the type check below, because the
+  // writer emits at most one key per slot for each type.
+  std::uint64_t keys = 0;
   do {
     std::string_view key;
     if (!scan.string_token(&key) || !scan.accept(':')) return std::nullopt;
     if (key == "type") {  // a quoted event type name
       std::string_view name;
-      if (!scan.string_token(&name)) return std::nullopt;
-      const auto type = type_from_name(name);
+      if (have_type || !scan.string_token(&name)) return std::nullopt;
+      const auto type = type_from_name(types, name);
       if (!type) return std::nullopt;
       event.type = *type;
       have_type = true;
     } else {
-      const Field* field = find_field(key);
-      if (field == nullptr || !read_field(&scan, *field, &event)) {
+      const std::size_t f = find_field(key);
+      const std::uint64_t bit = std::uint64_t{1} << f;
+      if (f == kFieldCount || (keys & bit) != 0 ||
+          !read_field(&scan, kFields[f], &event)) {
         return std::nullopt;
       }
+      keys |= bit;
     }
   } while (scan.accept(','));
   if (!scan.accept('}')) return std::nullopt;
   scan.skip_ws();
-  if (!have_type || scan.pos != line.size()) return std::nullopt;
+  if (!have_type || scan.pos != line.size() ||
+      (keys & ~types.keys[static_cast<int>(event.type)]) != 0) {
+    return std::nullopt;
+  }
   return event;
 }
 

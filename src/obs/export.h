@@ -34,10 +34,13 @@ void write_json_line(const TraceEvent& event, std::ostream& out);
 void write_jsonl(const RingTraceSink& sink, std::ostream& out);
 
 /// Inverse of write_json_line: parses one JSONL line back into an event.
-/// Accepts only what the writer emits (whitespace between tokens aside):
-/// returns nullopt on malformed input, an unknown event type or key, a
-/// quoted number or boolean, a bare enum name, a '+' sign, or a missing
-/// or extra comma. Derived fields (step_ns) are ignored; for every event
+/// Accepts only what the writer emits (key order and whitespace between
+/// tokens aside): returns nullopt on malformed input, an unknown event
+/// type or key, a key the writer does not emit for the line's type, a
+/// repeated type or a second key for one event field, a quoted number
+/// or boolean, a bare enum name, a '+' sign, a leading zero, a double
+/// with more than the writer's 10 significant digits, or a missing or
+/// extra comma. Derived fields (step_ns) are ignored; for every event
 /// write(parse(write(e))) == write(e), which is what makes offline
 /// analysis of a dumped trace deterministic.
 std::optional<TraceEvent> parse_json_line(std::string_view line);

@@ -2,8 +2,8 @@
 //
 // Everything inside the determinism contract reads time from
 // runtime::Clock (virtual time). Wall time exists only for measurement —
-// profiler scopes (obs/prof.h), the bench harness (bench/harness.h), and
-// campaign wall/queue timings — and all of it flows through this type,
+// profiler scopes (obs/prof.h), the benches under bench/, and campaign
+// wall/queue timings — and all of it flows through this type,
 // so triad_lint's R1 ambient-clock rule can allowlist exactly one file
 // instead of exempting whole directories. Do not reach for
 // std::chrono::steady_clock directly; wrap a MonotonicTimer.

@@ -201,7 +201,7 @@ class Parser {
             }
             pos_ += 4;
             // UTF-8 encode the BMP code point (surrogate pairs are out
-            // of scope for the documents this tool reads).
+            // of scope for the documents these tests read).
             if (code < 0x80) {
               out->push_back(static_cast<char>(code));
             } else if (code < 0x800) {
@@ -258,17 +258,11 @@ class Parser {
 
 }  // namespace
 
-bool JsonValue::is_null() const { return storage_.index() == 0; }
-bool JsonValue::is_bool() const { return storage_.index() == 1; }
 bool JsonValue::is_number() const { return storage_.index() == 2; }
 bool JsonValue::is_string() const { return storage_.index() == 3; }
 bool JsonValue::is_array() const { return storage_.index() == 4; }
 bool JsonValue::is_object() const { return storage_.index() == 5; }
 
-bool JsonValue::as_bool() const {
-  if (!is_bool()) type_error("bool", storage_);
-  return std::get<bool>(storage_);
-}
 double JsonValue::as_number() const {
   if (!is_number()) type_error("number", storage_);
   return std::get<double>(storage_);
@@ -302,15 +296,10 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *value;
 }
 
-bool parse_json(const std::string& text, JsonValue* out, std::string* error) {
-  Parser parser(text, error);
-  return parser.parse_document(out);
-}
-
 JsonValue parse_json_or_throw(const std::string& text) {
   JsonValue value;
   std::string error;
-  if (!parse_json(text, &value, &error)) {
+  if (!Parser(text, &error).parse_document(&value)) {
     throw std::runtime_error("json: " + error);
   }
   return value;

@@ -1,10 +1,9 @@
-// Minimal recursive-descent JSON reader for perf tooling and tests.
+// Minimal recursive-descent JSON reader for tests.
 //
 // Scope: full JSON grammar (objects, arrays, strings with escapes,
 // numbers, booleans, null) with no streaming, no comments, and no
-// attempt at speed — inputs are kilobyte-scale BENCH files and profiler
-// traces. Object member order is preserved so tests can assert the
-// fixed-key-order contract of triad-bench-v1 documents.
+// attempt at speed — inputs are kilobyte-scale profiler traces
+// (prof_test's Chrome-trace check). Object members keep document order.
 #pragma once
 
 #include <memory>
@@ -28,16 +27,13 @@ class JsonValue {
   JsonValue() : storage_(nullptr) {}
   explicit JsonValue(Storage storage) : storage_(std::move(storage)) {}
 
-  [[nodiscard]] bool is_null() const;
-  [[nodiscard]] bool is_bool() const;
   [[nodiscard]] bool is_number() const;
   [[nodiscard]] bool is_string() const;
   [[nodiscard]] bool is_array() const;
   [[nodiscard]] bool is_object() const;
 
   /// Typed accessors; wrong-type access throws std::runtime_error with
-  /// the expected/actual kinds (tool code wants loud failures).
-  [[nodiscard]] bool as_bool() const;
+  /// the expected/actual kinds (tests want loud failures).
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const JsonArray& as_array() const;
@@ -53,11 +49,8 @@ class JsonValue {
 };
 
 /// Parses one JSON document (must consume the whole input apart from
-/// trailing whitespace). On failure returns false and sets `error` to
-/// "offset N: message".
-bool parse_json(const std::string& text, JsonValue* out, std::string* error);
-
-/// parse_json that throws std::runtime_error on failure.
+/// trailing whitespace). Throws std::runtime_error "json: offset N:
+/// message" on failure.
 JsonValue parse_json_or_throw(const std::string& text);
 
 }  // namespace triad::tools

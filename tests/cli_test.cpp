@@ -30,8 +30,15 @@ TEST(CliParser, DefaultsWhenNoFlags) {
   EXPECT_EQ(options->duration, minutes(10));
   EXPECT_EQ(options->attack, "none");
   EXPECT_EQ(options->policy, "original");
+  EXPECT_EQ(options->victim, 0u);  // the last node, as in triad_campaign
   EXPECT_FALSE(options->csv_path.has_value());
   EXPECT_FALSE(options->help);
+  // The default victim fits every cluster size, so small clusters parse.
+  for (const char* nodes : {"1", "2"}) {
+    const auto small = parse({"--nodes", nodes});
+    ASSERT_TRUE(small.has_value()) << "--nodes " << nodes;
+    EXPECT_EQ(small->victim, 0u);
+  }
 }
 
 TEST(CliParser, ParsesAllFlags) {

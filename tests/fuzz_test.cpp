@@ -5,11 +5,22 @@
 //    messages;
 //  * SecureChannel::open on garbage, mutated frames, and spliced frames;
 //  * end-to-end: a malicious host injecting garbage datagrams at every
-//    protocol participant.
+//    protocol participant;
+//  * obs::parse_json_line on mutated lines of a recorded trace (a
+//    compromised node serves its own trace to the forensic tier).
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "crypto/channel.h"
 #include "exp/scenario.h"
+#include "obs/export.h"
 #include "triad/messages.h"
 #include "util/rng.h"
 
@@ -140,6 +151,192 @@ TEST(EndToEndFuzz, GarbageDatagramStormDoesNotDisturbProtocol) {
                 tsc::kPaperTscFrequencyHz, 0.6e6);
   }
   EXPECT_GT(sc.time_authority().stats().rejected_frames, 0u);
+}
+
+// --- trace parser -----------------------------------------------------------
+
+std::string line_of(const obs::TraceEvent& event) {
+  std::ostringstream out;
+  obs::write_json_line(event, out);
+  return out.str();
+}
+
+/// Up to 8 lines per event type of a 2-minute seed-9 F- trace: every
+/// type the run emits, not only the packet lines that dominate it.
+std::vector<std::string> recorded_fminus_lines() {
+  exp::ScenarioConfig cfg;
+  cfg.seed = 9;
+  cfg.trace_capacity = std::size_t{1} << 16;
+  exp::Scenario sc(std::move(cfg));
+  attacks::DelayAttackConfig attack;
+  attack.kind = attacks::AttackKind::kFMinus;
+  attack.victim = sc.node_address(2);
+  attack.ta_address = sc.ta_address();
+  sc.add_delay_attack(attack);
+  sc.start();
+  sc.run_until(minutes(2));
+  std::map<obs::TraceEventType, int> per_type;
+  std::vector<std::string> lines;
+  for (const obs::TraceEvent& event : sc.trace()->events()) {
+    if (++per_type[event.type] <= 8) lines.push_back(line_of(event));
+  }
+  return lines;
+}
+
+bool same_event(const obs::TraceEvent& a, const obs::TraceEvent& b) {
+  return a.at == b.at && a.type == b.type && a.node == b.node &&
+         a.peer == b.peer && a.span == b.span && a.a == b.a && a.b == b.b &&
+         std::bit_cast<std::uint64_t>(a.x) ==
+             std::bit_cast<std::uint64_t>(b.x) &&
+         std::bit_cast<std::uint64_t>(a.y) ==
+             std::bit_cast<std::uint64_t>(b.y);
+}
+
+bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// The (key, value) members of a line the parser accepted, so of the
+/// writer's flat grammar: quoted keys, values bare or quoted names.
+std::vector<std::pair<std::string, std::string>> members(
+    std::string_view line) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::size_t pos = line.find('{') + 1;
+  for (;;) {
+    const std::size_t key = line.find('"', pos) + 1;
+    const std::size_t key_end = line.find('"', key);
+    pos = line.find(':', key_end) + 1;
+    while (is_ws(line[pos])) ++pos;
+    std::size_t end = pos;
+    if (line[pos] == '"') {
+      end = line.find('"', pos + 1) + 1;
+    } else {
+      while (line[end] != ',' && line[end] != '}' && !is_ws(line[end])) ++end;
+    }
+    out.emplace_back(std::string(line.substr(key, key_end - key)),
+                     std::string(line.substr(pos, end - pos)));
+    pos = line.find_first_of(",}", end);
+    if (line[pos] == '}') return out;
+    ++pos;
+  }
+}
+
+/// The keys the writer emits for `type` when every field is nonzero.
+std::set<std::string> writer_keys(obs::TraceEventType type) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : members(line_of(
+           {.at = 1, .type = type, .node = 1, .peer = 1, .span = 1, .a = 1,
+            .b = 1, .x = 1.0, .y = 1.0}))) {
+    keys.insert(key);
+  }
+  return keys;
+}
+
+bool leading_zero(std::string_view value) {
+  if (!value.empty() && value[0] == '-') value.remove_prefix(1);
+  return value.size() > 1 && value[0] == '0' && value[1] >= '0' &&
+         value[1] <= '9';
+}
+
+/// Byte offsets just past each member's separator: where a member may be
+/// cut out, copied in, or a spliced line may join.
+std::vector<std::size_t> member_starts(const std::string& line) {
+  std::vector<std::size_t> starts;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == '{' || line[i] == ',') starts.push_back(i + 1);
+  }
+  return starts;
+}
+
+std::size_t pick(Rng& rng, const std::vector<std::size_t>& from) {
+  return from.empty() ? 0 : from[rng.next_below(from.size())];
+}
+
+/// One random mutation of `line`; `other` is a second recorded line
+/// for splices.
+std::string mutate(Rng& rng, std::string line, const std::string& other) {
+  // Bytes that move a line between the writer's grammar and near
+  // misses: digits, signs, separators, quotes, exponents, whitespace.
+  static constexpr std::string_view kNearMiss = "0123456789-+.,:{}\" e\t";
+  const auto byte = [&]() -> char {
+    if (rng.next_below(2) == 0) {
+      return kNearMiss[rng.next_below(kNearMiss.size())];
+    }
+    return static_cast<char>(rng.next_below(256));
+  };
+  switch (rng.next_below(5)) {
+    case 0:  // byte flip
+      line[rng.next_below(line.size())] = byte();
+      break;
+    case 1:  // insertion
+      line.insert(line.begin() + static_cast<long>(
+                                     rng.next_below(line.size() + 1)),
+                  byte());
+      break;
+    case 2: {  // deletion of 1..3 bytes
+      const std::size_t at = rng.next_below(line.size());
+      line.erase(at, 1 + rng.next_below(3));
+      break;
+    }
+    case 3: {  // a member copied to another member boundary
+      const std::vector<std::size_t> starts = member_starts(line);
+      const std::size_t from = pick(rng, starts);
+      const std::size_t end = line.find_first_of(",}", from);
+      const std::string member = line.substr(from, end - from) + ",";
+      line.insert(pick(rng, starts), member);
+      break;
+    }
+    default: {  // splice: a head of this line, a tail of the other;
+                // at member boundaries half the time
+      const bool at_members = rng.next_below(2) == 0;
+      const std::size_t head = at_members ? pick(rng, member_starts(line))
+                                          : rng.next_below(line.size() + 1);
+      const std::size_t tail = at_members ? pick(rng, member_starts(other))
+                                          : rng.next_below(other.size() + 1);
+      line = line.substr(0, head) + other.substr(tail);
+      break;
+    }
+  }
+  return line;
+}
+
+TEST(TraceParserFuzz, MutatedRecordedLinesRoundTripOrAreRefused) {
+  const std::vector<std::string> lines = recorded_fminus_lines();
+  ASSERT_GE(lines.size(), 40u);
+  std::map<obs::TraceEventType, std::set<std::string>> allowed;
+  Rng rng(2024);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 30000; ++i) {
+    std::string line = lines[rng.next_below(lines.size())];
+    // One to three stacked mutations.
+    for (std::uint64_t m = rng.next_below(3); m < 3; ++m) {
+      if (line.empty()) break;
+      line = mutate(rng, std::move(line), lines[rng.next_below(lines.size())]);
+    }
+    const auto event = obs::parse_json_line(line);
+    if (!event) continue;
+    ++accepted;
+    // What the parser accepts, the writer could have written: the event
+    // survives write + parse unchanged.
+    const auto again = obs::parse_json_line(line_of(*event));
+    ASSERT_TRUE(again.has_value()) << line;
+    ASSERT_TRUE(same_event(*event, *again)) << line;
+    // None of the shapes the writer never emits: a repeated key (a
+    // second "type" included), a key the writer does not emit for this
+    // type (so a second key for one field), a leading zero.
+    auto [keys, fresh] = allowed.try_emplace(event->type);
+    if (fresh) keys->second = writer_keys(event->type);
+    std::set<std::string> seen;
+    for (const auto& [key, value] : members(line)) {
+      ASSERT_TRUE(seen.insert(key).second) << "repeated key: " << line;
+      ASSERT_TRUE(key == "type" || keys->second.count(key) == 1)
+          << "foreign key: " << line;
+      ASSERT_FALSE(leading_zero(value)) << "leading zero: " << line;
+    }
+  }
+  // Neither vacuous nor trivially permissive: some mutations keep a line
+  // valid (whitespace, key order, a splice at member boundaries), most
+  // do not.
+  EXPECT_GT(accepted, 300u);
+  EXPECT_LT(accepted, 20000u);
 }
 
 }  // namespace

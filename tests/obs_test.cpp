@@ -738,7 +738,8 @@ TEST(TraceExport, ParserRejectsMalformedInput) {
 // What one bare value token parses to in an integer slot (`count`) and
 // in a double slot (`f_hz`). The table pins the accepted set to the
 // writer's forms: integers as '-'? digits, doubles as std::to_chars
-// prints them (nan and inf included), no '+', no hex, out-of-range
+// prints them (nan and inf included) with at most the writer's 10
+// significant digits, no '+', no hex, no leading zero, out-of-range
 // values refused, and never a quoted value.
 std::optional<std::int64_t> int_slot(const std::string& value) {
   const auto event =
@@ -768,9 +769,16 @@ TEST(TraceExport, ParserTokenTable) {
       {"+5", kNo, kNo},
       {"+-5", kNo, kNo},
       {"-0", 0, -0.0},
-      {"9223372036854775807", INT64_MAX, 9223372036854775807.0},
-      {"9223372036854775808", kNo, 9223372036854775808.0},
-      {"-9223372036854775808", INT64_MIN, -9223372036854775808.0},
+      // Past 10 significant digits a double would not survive a write.
+      {"9223372036854775807", INT64_MAX, kNo},
+      {"9223372036854775808", kNo, kNo},
+      {"-9223372036854775808", INT64_MIN, kNo},
+      {"1234567890", 1234567890, 1234567890.0},
+      {"0.001234567890", kNo, 0.00123456789},
+      {"12345678901", 12345678901, kNo},
+      {"007", kNo, kNo},
+      {"-00.5", kNo, kNo},
+      {"nan(1)", kNo, kNo},
       {"0x10", kNo, kNo},
       {"1.0", kNo, 1.0},
       {"", kNo, kNo},
@@ -813,11 +821,17 @@ TEST(TraceExport, ParseJsonlCountsRejectedLines) {
       "{\"t\":+1,\"type\":\"aex\"}\n"
       "{\"t\":1 \"type\":\"aex\"}\n"
       "{\"t\":1,\"type\":\"aex\",}\n"
+      // A second type, a second key for a slot already set, a leading
+      // zero, and a key the writer emits only for another type.
+      "{\"t\":1,\"type\":\"aex\",\"type\":\"clock_step\"}\n"
+      "{\"t\":1,\"type\":\"aex\",\"count\":1,\"packet\":2}\n"
+      "{\"t\":007,\"type\":\"aex\"}\n"
+      "{\"t\":1,\"type\":\"aex\",\"bytes\":80}\n"
       "{\"t\":2,\"type\":\"clock_step\",\"offset_ns\":-500}\n";
   std::size_t rejected = 0;
   const std::vector<TraceEvent> events = parse_jsonl(text, &rejected);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(rejected, 7u);
+  EXPECT_EQ(rejected, 11u);
   EXPECT_EQ(events[0].type, TraceEventType::kAex);
   EXPECT_EQ(events[0].node, 2u);
   EXPECT_EQ(events[1].type, TraceEventType::kClockStep);
