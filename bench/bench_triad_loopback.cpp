@@ -10,12 +10,15 @@
 //     server's full sealed path (recvmmsg -> open -> timestamp -> seal
 //     -> send) plus client syscalls, not client-side crypto.
 //     QPS = authenticated responses / window.
-//   * telemetry offered-load: the same measurement against a fresh
+//   * telemetry offered-load: the same measurement against a second
 //     cluster with the full telemetry plane on — trace ring, online
-//     detectors, and a TCP listener being scraped concurrently — so the
-//     printed `overhead` line prices the observability tax on the hot
-//     path as telemetry-on against telemetry-off per-request cost, both
-//     measured in this one run (scripts/run_all.sh checks it is < 5%).
+//     detectors, and a TCP listener being scraped concurrently. Both
+//     clusters stay up, and kPairs pairs of legs (one plain, one
+//     telemetry, the order alternating) each give a telemetry/plain
+//     per-request cost ratio. The printed `overhead` line is the median
+//     ratio, so it prices the observability tax on the hot path
+//     (scripts/run_all.sh checks it is < 5%). The offered-load rows sum
+//     each kind's legs.
 //   * closed-loop: single outstanding request, seal/open inline,
 //     per-round-trip wall latency -> p50/p95/p99.
 //
@@ -63,6 +66,10 @@ constexpr NodeId kTaId = 9;
 constexpr NodeId kClientId = 100;
 constexpr std::size_t kNodes = 3;  // acceptance shape: a 3-node cluster
 constexpr std::uint64_t kMaxCount = 1'000'000;  // cap on every count flag
+// Plain/telemetry offered-load pairs behind the `overhead` median. On a
+// shared 4-vCPU host, 8 runs of this bench printed overheads with an
+// interquartile range of 13.9 points at 5 pairs and 2.8 points at 15.
+constexpr std::size_t kPairs = 15;
 
 struct Options {
   std::size_t requests = 60000;
@@ -237,11 +244,14 @@ struct LoadResult {
   std::size_t bad = 0;
   bool monotone = true;
   double window_ns = 0.0;
-  double qps = 0.0;
   std::string skip;  // nonempty: client socket bind failed
 
   [[nodiscard]] bool clean() const {
     return bad == 0 && tainted == 0 && monotone && authenticated > 0;
+  }
+  [[nodiscard]] double qps() const {
+    return window_ns > 0 ? static_cast<double>(authenticated) * 1e9 / window_ns
+                         : 0.0;
   }
   [[nodiscard]] double ns_per_request() const {
     return window_ns /
@@ -363,10 +373,6 @@ LoadResult offered_load(Cluster& cluster, NodeId client_id,
     ++result.authenticated;
   }
   result.responses = responses.size();
-  result.qps = result.window_ns > 0
-                   ? static_cast<double>(result.authenticated) * 1e9 /
-                         result.window_ns
-                   : 0.0;
   return result;
 }
 
@@ -377,32 +383,78 @@ void print_load(const char* label, const LoadResult& load) {
       label, load.sent, load.responses, load.authenticated, load.tainted,
       load.bad, load.monotone ? "yes" : "NO");
   std::printf("  QPS      %12.0f sealed requests/s (window %.3f s)\n",
-              load.qps, load.window_ns / 1e9);
+              load.qps(), load.window_ns / 1e9);
+}
+
+// Sums the legs of one kind: counts and windows add (so qps() is the
+// legs' aggregate), and monotone holds only if it held in every leg.
+LoadResult total(const std::vector<LoadResult>& legs) {
+  LoadResult sum;
+  for (const LoadResult& leg : legs) {
+    sum.sent += leg.sent;
+    sum.responses += leg.responses;
+    sum.authenticated += leg.authenticated;
+    sum.tainted += leg.tainted;
+    sum.bad += leg.bad;
+    sum.monotone = sum.monotone && leg.monotone;
+    sum.window_ns += leg.window_ns;
+  }
+  return sum;
 }
 
 int run_bench(const Options& options) {
   const Bytes secret(32, 0x42);
   const triad::crypto::ClusterKeyring keyring(secret);
 
-  // --- phase 1: plain cluster (offered load + closed-loop RTT) ----------
+  // Both clusters stay up for the whole run, so the paired legs below
+  // differ only in telemetry, not in which cluster is warmer.
   Cluster plain = start_cluster(/*telemetry=*/false);
   if (!plain.skip.empty()) {
     std::cout << "SKIPPED: " << plain.skip << "\n";
     return 0;
   }
-  if (!wait_ready(plain, keyring)) {
-    std::cout << "SKIPPED: " << plain.skip << "\n";
+  Cluster observed = start_cluster(/*telemetry=*/true);
+  const auto skip = [&](const std::string& reason) {
+    std::cout << "SKIPPED: " << reason << "\n";
     plain.shutdown();
+    observed.shutdown();
     return 0;
-  }
-  const LoadResult base = offered_load(plain, kClientId, keyring, options);
-  if (!base.skip.empty()) {
-    std::cout << "SKIPPED: " << base.skip << "\n";
-    plain.shutdown();
-    return 0;
+  };
+  if (!observed.skip.empty()) return skip(observed.skip);
+  if (!wait_ready(plain, keyring)) return skip(plain.skip);
+  if (!wait_ready(observed, keyring)) return skip(observed.skip);
+
+  // --- offered load: kPairs pairs of plain and telemetry legs ------------
+  // The order within a pair alternates, so neither kind always runs
+  // first. Each leg is a fresh client: a reused id restarts its sealed
+  // counter at 0, which the nodes refuse as a replay.
+  std::vector<LoadResult> base_legs;
+  std::vector<LoadResult> telem_legs;
+  std::vector<double> ratios;  // telemetry / plain per-request cost
+  std::size_t scrapes = 0;
+  NodeId next_client = kClientId + 3;
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    LoadResult base;
+    LoadResult telem;
+    for (const bool telemetry_leg : {pair % 2 == 1, pair % 2 == 0}) {
+      if (telemetry_leg) {
+        Scraper scraper(observed.nodes);
+        telem = offered_load(observed, next_client++, keyring, options);
+        scrapes += scraper.scrapes();
+      } else {
+        base = offered_load(plain, next_client++, keyring, options);
+      }
+    }
+    if (!base.skip.empty()) return skip(base.skip);
+    if (!telem.skip.empty()) return skip(telem.skip);
+    ratios.push_back(base.ns_per_request() > 0
+                         ? telem.ns_per_request() / base.ns_per_request()
+                         : 1.0);
+    base_legs.push_back(base);
+    telem_legs.push_back(telem);
   }
 
-  // --- closed-loop latency phase (still on the plain cluster) -----------
+  // --- closed-loop latency phase (on the plain cluster) -----------------
   std::vector<double> rtts_ns;
   rtts_ns.reserve(options.rtt_samples);
   {
@@ -416,47 +468,31 @@ int run_bench(const Options& options) {
     }
   }
   plain.shutdown();
-
-  // --- phase 2: telemetry cluster (ring + detectors + live scraper) -----
-  Cluster observed = start_cluster(/*telemetry=*/true);
-  if (!observed.skip.empty()) {
-    std::cout << "SKIPPED: " << observed.skip << "\n";
-    return 0;
-  }
-  if (!wait_ready(observed, keyring)) {
-    std::cout << "SKIPPED: " << observed.skip << "\n";
-    observed.shutdown();
-    return 0;
-  }
-  LoadResult telem;
-  std::size_t scrapes = 0;
-  {
-    Scraper scraper(observed.nodes);
-    telem = offered_load(observed, kClientId + 3, keyring, options);
-    scrapes = scraper.scrapes();
-  }
   observed.shutdown();
-  if (!telem.skip.empty()) {
-    std::cout << "SKIPPED: " << telem.skip << "\n";
-    return 0;
-  }
 
   std::sort(rtts_ns.begin(), rtts_ns.end());
   const double p50 = percentile(rtts_ns, 0.50);
   const double p95 = percentile(rtts_ns, 0.95);
   const double p99 = percentile(rtts_ns, 0.99);
 
+  const LoadResult base = total(base_legs);
+  const LoadResult telem = total(telem_legs);
   print_load("offered-load", base);
   print_load("offered-load+telemetry", telem);
-  // Overhead in per-request cost; negative = telemetry run came out
-  // faster (both runs share one noisy core, so small negatives happen).
-  const double overhead_pct =
-      base.ns_per_request() > 0
-          ? (telem.ns_per_request() - base.ns_per_request()) /
-                base.ns_per_request() * 100.0
-          : 0.0;
-  std::printf("  overhead %+11.1f %% per request (%zu live scrapes)\n",
-              overhead_pct, scrapes);
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    std::printf("  pair %-3zu  %12.3f telemetry/plain per request (%s first)\n",
+                pair + 1, ratios[pair], pair % 2 == 1 ? "telemetry" : "plain");
+  }
+  // Overhead in per-request cost, the median of the pairs' ratios;
+  // negative = telemetry legs came out faster (the legs share noisy
+  // cores, so small negatives happen).
+  std::vector<double> sorted_ratios = ratios;
+  std::sort(sorted_ratios.begin(), sorted_ratios.end());
+  const double overhead_pct = (percentile(sorted_ratios, 0.50) - 1.0) * 100.0;
+  std::printf(
+      "  overhead %+11.1f %% per request (median of %zu pairs, %zu live "
+      "scrapes)\n",
+      overhead_pct, kPairs, scrapes);
   std::printf("closed-loop: %zu/%zu round-trips\n", rtts_ns.size(),
               options.rtt_samples);
   std::printf("  p50      %12.1f us\n", p50 / 1e3);
@@ -464,12 +500,17 @@ int run_bench(const Options& options) {
   std::printf("  p99      %12.1f us\n", p99 / 1e3);
 
   // Acceptance guards: every response authenticated (zero unsealed-path
-  // fallbacks), timestamps monotone — in both phases — and the scraper
+  // fallbacks), timestamps monotone — in every leg — and the scraper
   // actually exercised the telemetry plane. The <5% overhead check reads
   // the printed `overhead` line in scripts/run_all.sh under its
-  // TRIAD_PERF_GATE (warn by default), not as a hard exit here: a single
-  // shared-core run is too noisy for an unconditional gate.
-  if (!base.clean() || !telem.clean() || scrapes == 0) {
+  // TRIAD_PERF_GATE (warn by default), not as a hard exit here: shared
+  // cores make even the median of a few pairs too noisy for an
+  // unconditional gate.
+  const auto clean = [](const std::vector<LoadResult>& legs) {
+    return std::all_of(legs.begin(), legs.end(),
+                       [](const LoadResult& leg) { return leg.clean(); });
+  };
+  if (!clean(base_legs) || !clean(telem_legs) || scrapes == 0) {
     std::printf(
         "FAILED: sealed-path violations (base bad=%zu tainted=%zu "
         "monotone=%s; telemetry bad=%zu tainted=%zu monotone=%s; "

@@ -298,11 +298,11 @@ for b in "$BUILD_DIR"/bench/bench_*; do
 done
 
 # ---- telemetry overhead: bench_triad_loopback serves the same load
-# with the telemetry plane off and then on (trace ring, detectors, a
-# live scraper), in one run on one machine, and prints the per-request
-# difference as its `overhead` line. TRIAD_PERF_GATE=fail makes an
-# overhead above 5% fatal; the default 'warn' only reports it, since
-# both legs share a noisy box.
+# with the telemetry plane off and on (trace ring, detectors, a live
+# scraper) in alternating pairs, in one run on one machine, and prints
+# the median per-request difference as its `overhead` line.
+# TRIAD_PERF_GATE=fail makes an overhead above 5% fatal; the default
+# 'warn' only reports it, since both legs share a noisy box.
 if [ ! -f "$LOOPBACK_OUT" ]; then
   echo "telemetry overhead check SKIPPED (bench_triad_loopback not run," \
        "BENCH_FILTER=${BENCH_FILTER:-})"

@@ -1,9 +1,11 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <iterator>
 #include <ostream>
+#include <span>
 #include <string>
 
 #include "obs/detect.h"
@@ -13,119 +15,209 @@
 namespace triad::obs {
 namespace {
 
-const char* drop_reason_name(std::int64_t reason) {
-  switch (reason) {
-    case 0: return "loss";
-    case 1: return "middlebox";
-    case 2: return "no_receiver";
+// --- the trace line format --------------------------------------------------
+//
+// One table defines the JSONL line of every event type, and both
+// append_json_line and parse_json_line walk it in order: kHead's members
+// first, then the type's own members (kMembers). The writer leaves an
+// omit_zero member out when its value is 0; every other member is
+// always written.
+
+/// What a member's value is: a bare number, or one of a set of names.
+enum class Value : std::uint8_t {
+  kEndpoint,  // integer in NodeId/SpanId range (32 bits, non-negative)
+  kInteger,
+  kDouble,
+  kBoolean,  // bare true/false
+  kType,     // quoted names from here on: the event type
+  kOutcome,
+  kReason,
+  kDetector,
+};
+
+/// The TraceEvent slot a member shows. kStep is derived: the writer
+/// prints b - a, and the parser checks it.
+enum class Slot : std::uint8_t {
+  kAt, kType, kNode, kPeer, kSpan, kA, kB, kX, kY, kStep,
+};
+
+struct Member {
+  std::string_view key;
+  Value value;
+  Slot slot;
+  bool omit_zero = false;
+};
+
+constexpr bool kOmitZero = true;
+
+constexpr Member kHead[] = {
+    {"t", Value::kInteger, Slot::kAt},
+    {"type", Value::kType, Slot::kType},
+    {"node", Value::kEndpoint, Slot::kNode, kOmitZero},
+    {"span", Value::kEndpoint, Slot::kSpan, kOmitZero},
+};
+
+struct TypeMember {
+  TraceEventType type;
+  Member member;
+};
+
+using T = TraceEventType;
+
+/// Each type's own members in write order, the types in enum order.
+constexpr TypeMember kMembers[] = {
+    {T::kStateChange, {"from", Value::kInteger, Slot::kA}},
+    {T::kStateChange, {"to", Value::kInteger, Slot::kB}},
+    {T::kAdoption, {"source", Value::kEndpoint, Slot::kPeer}},
+    {T::kAdoption, {"before", Value::kInteger, Slot::kA}},
+    {T::kAdoption, {"adopted", Value::kInteger, Slot::kB}},
+    {T::kAdoption, {"step_ns", Value::kInteger, Slot::kStep}},
+    {T::kAex, {"count", Value::kInteger, Slot::kA}},
+    {T::kIncAlarm, {"window_failed", Value::kBoolean, Slot::kA}},
+    {T::kIncAlarm, {"continuity_failed", Value::kBoolean, Slot::kB}},
+    {T::kCalibration, {"f_hz", Value::kDouble, Slot::kX}},
+    {T::kCalibration, {"r2", Value::kDouble, Slot::kY}},
+    {T::kCalibration, {"samples", Value::kInteger, Slot::kA}},
+    {T::kPeerQuery, {"request", Value::kInteger, Slot::kA}},
+    {T::kPeerQuery, {"proactive", Value::kBoolean, Slot::kB}},
+    {T::kPeerResponse, {"peer", Value::kEndpoint, Slot::kPeer}},
+    {T::kPeerResponse, {"request", Value::kInteger, Slot::kA}},
+    {T::kPeerResponse, {"tainted", Value::kBoolean, Slot::kB}},
+    {T::kPeerOutcome, {"request", Value::kInteger, Slot::kA}},
+    {T::kPeerOutcome, {"outcome", Value::kOutcome, Slot::kB}},
+    {T::kPeerOutcome, {"source", Value::kEndpoint, Slot::kPeer, kOmitZero}},
+    {T::kTaRequest, {"request", Value::kInteger, Slot::kA}},
+    {T::kTaRequest, {"wait_s", Value::kDouble, Slot::kX}},
+    {T::kTaResponse, {"request", Value::kInteger, Slot::kA}},
+    {T::kTaResponse, {"ta_time", Value::kInteger, Slot::kB}},
+    {T::kTaFallback, {"count", Value::kInteger, Slot::kA}},
+    {T::kTaServe, {"client", Value::kEndpoint, Slot::kPeer}},
+    {T::kTaServe, {"request", Value::kInteger, Slot::kA}},
+    {T::kTaServe, {"wait_s", Value::kDouble, Slot::kX}},
+    {T::kPacketSend, {"dst", Value::kEndpoint, Slot::kPeer}},
+    {T::kPacketSend, {"packet", Value::kInteger, Slot::kA}},
+    {T::kPacketSend, {"bytes", Value::kInteger, Slot::kB}},
+    {T::kPacketDrop, {"dst", Value::kEndpoint, Slot::kPeer}},
+    {T::kPacketDrop, {"packet", Value::kInteger, Slot::kA}},
+    {T::kPacketDrop, {"reason", Value::kReason, Slot::kB}},
+    {T::kPacketDeliver, {"src", Value::kEndpoint, Slot::kPeer}},
+    {T::kPacketDeliver, {"packet", Value::kInteger, Slot::kA}},
+    {T::kPacketDeliver, {"bytes", Value::kInteger, Slot::kB}},
+    {T::kHandshake, {"peer", Value::kEndpoint, Slot::kPeer}},
+    {T::kHandshake, {"ok", Value::kBoolean, Slot::kA}},
+    {T::kBadFrame, {"src", Value::kEndpoint, Slot::kPeer}},
+    {T::kBadFrame, {"count", Value::kInteger, Slot::kA}},
+    {T::kClockStep, {"offset_ns", Value::kInteger, Slot::kA}},
+    {T::kDetectorAlarm, {"detector", Value::kDetector, Slot::kA}},
+    {T::kDetectorAlarm, {"n", Value::kInteger, Slot::kB}},
+    {T::kDetectorAlarm, {"source", Value::kEndpoint, Slot::kPeer, kOmitZero}},
+    {T::kDetectorAlarm, {"value", Value::kDouble, Slot::kX}},
+    {T::kDetectorAlarm, {"threshold", Value::kDouble, Slot::kY}},
+};
+
+constexpr std::size_t kEventTypes =
+    static_cast<std::size_t>(TraceEventType::kDetectorAlarm) + 1;
+
+/// kMembers index of each type's first member; [kEventTypes] is the end.
+constexpr auto kFirstMember = [] {
+  std::array<std::size_t, kEventTypes + 1> first{};
+  std::size_t i = 0;
+  for (std::size_t type = 0; type < kEventTypes; ++type) {
+    first[type] = i;
+    while (i < std::size(kMembers) &&
+           static_cast<std::size_t>(kMembers[i].type) == type) {
+      ++i;
+    }
   }
-  return "?";
+  first[kEventTypes] = i;
+  return first;
+}();
+static_assert(kFirstMember[kEventTypes] == std::size(kMembers),
+              "kMembers lists the types in enum order");
+
+/// A type's own members, in write order.
+std::span<const TypeMember> members_of(TraceEventType type) {
+  const auto i = static_cast<std::size_t>(type);
+  if (i >= kEventTypes) return {};
+  return std::span(kMembers).subspan(kFirstMember[i],
+                                     kFirstMember[i + 1] - kFirstMember[i]);
 }
 
-const char* outcome_name(std::int64_t outcome) {
-  switch (outcome) {
-    case 0: return "adopt";
-    case 1: return "keep_local";
-    case 2: return "ta_fallback";
-    case 3: return "no_answers";
+/// The names of an enum's values 0..N-1, as its to_string writes them.
+template <typename Enum, std::size_t N>
+std::array<std::string_view, N> enum_names() {
+  std::array<std::string_view, N> names;
+  for (std::size_t v = 0; v < N; ++v) {
+    names[v] = to_string(static_cast<Enum>(v));
   }
-  return "?";
+  return names;
+}
+
+/// The names of a kBoolean or quoted member: value v is written as
+/// names[v].
+std::span<const std::string_view> names_of(Value value) {
+  static constexpr std::string_view kBooleans[] = {"false", "true"};
+  static constexpr std::string_view kOutcomes[] = {
+      "adopt", "keep_local", "ta_fallback", "no_answers"};
+  static constexpr std::string_view kReasons[] = {"loss", "middlebox",
+                                                  "no_receiver"};
+  static const auto kTypes = enum_names<TraceEventType, kEventTypes>();
+  static const auto kDetectors = enum_names<DetectorKind, 3>();
+  switch (value) {
+    case Value::kBoolean: return kBooleans;
+    case Value::kType: return kTypes;
+    case Value::kOutcome: return kOutcomes;
+    case Value::kReason: return kReasons;
+    case Value::kDetector: return kDetectors;
+    default: return {};
+  }
+}
+
+/// The integer a member shows (0 for the double slots).
+std::int64_t integer_of(const TraceEvent& event, Slot slot) {
+  switch (slot) {
+    case Slot::kAt: return event.at;
+    case Slot::kType: return static_cast<std::int64_t>(event.type);
+    case Slot::kNode: return event.node;
+    case Slot::kPeer: return event.peer;
+    case Slot::kSpan: return event.span;
+    case Slot::kA: return event.a;
+    case Slot::kB: return event.b;
+    case Slot::kStep:  // two's-complement wrap, never undefined
+      return static_cast<std::int64_t>(static_cast<std::uint64_t>(event.b) -
+                                       static_cast<std::uint64_t>(event.a));
+    case Slot::kX:
+    case Slot::kY: break;
+  }
+  return 0;
+}
+
+void append_member(const TraceEvent& event, const Member& member,
+                   JsonFields* w) {
+  if (member.value == Value::kDouble) {
+    w->number(member.key, member.slot == Slot::kX ? event.x : event.y);
+    return;
+  }
+  const std::int64_t value = integer_of(event, member.slot);
+  if (member.omit_zero && value == 0) return;
+  if (member.value <= Value::kInteger) {
+    w->integer(member.key, value);
+  } else if (member.value == Value::kBoolean) {
+    w->boolean(member.key, value != 0);
+  } else {
+    const auto names = names_of(member.value);
+    const auto v = static_cast<std::size_t>(value);  // < 0 wraps past
+    w->str(member.key, v < names.size() ? names[v] : "?");
+  }
 }
 
 /// Appends one event's JSON object (no newline) onto *line.
 void append_json_line(const TraceEvent& event, std::string* line) {
   *line += '{';
   JsonFields w(line);
-  w.integer("t", event.at);
-  w.str("type", to_string(event.type));
-  if (event.node != 0) w.integer("node", event.node);
-  if (event.span != 0) w.uinteger("span", event.span);
-  switch (event.type) {
-    case TraceEventType::kStateChange:
-      w.integer("from", event.a);
-      w.integer("to", event.b);
-      break;
-    case TraceEventType::kAdoption:
-      w.integer("source", event.peer);
-      w.integer("before", event.a);
-      w.integer("adopted", event.b);
-      w.integer("step_ns", event.b - event.a);
-      break;
-    case TraceEventType::kAex:
-      w.integer("count", event.a);
-      break;
-    case TraceEventType::kIncAlarm:
-      w.boolean("window_failed", event.a != 0);
-      w.boolean("continuity_failed", event.b != 0);
-      break;
-    case TraceEventType::kCalibration:
-      w.number("f_hz", event.x);
-      w.number("r2", event.y);
-      w.integer("samples", event.a);
-      break;
-    case TraceEventType::kPeerQuery:
-      w.integer("request", event.a);
-      w.boolean("proactive", event.b != 0);
-      break;
-    case TraceEventType::kPeerResponse:
-      w.integer("peer", event.peer);
-      w.integer("request", event.a);
-      w.boolean("tainted", event.b != 0);
-      break;
-    case TraceEventType::kPeerOutcome:
-      w.integer("request", event.a);
-      w.str("outcome", outcome_name(event.b));
-      if (event.peer != 0) w.integer("source", event.peer);
-      break;
-    case TraceEventType::kTaRequest:
-      w.integer("request", event.a);
-      w.number("wait_s", event.x);
-      break;
-    case TraceEventType::kTaResponse:
-      w.integer("request", event.a);
-      w.integer("ta_time", event.b);
-      break;
-    case TraceEventType::kTaFallback:
-      w.integer("count", event.a);
-      break;
-    case TraceEventType::kTaServe:
-      w.integer("client", event.peer);
-      w.integer("request", event.a);
-      w.number("wait_s", event.x);
-      break;
-    case TraceEventType::kPacketSend:
-      w.integer("dst", event.peer);
-      w.integer("packet", event.a);
-      w.integer("bytes", event.b);
-      break;
-    case TraceEventType::kPacketDrop:
-      w.integer("dst", event.peer);
-      w.integer("packet", event.a);
-      w.str("reason", drop_reason_name(event.b));
-      break;
-    case TraceEventType::kPacketDeliver:
-      w.integer("src", event.peer);
-      w.integer("packet", event.a);
-      w.integer("bytes", event.b);
-      break;
-    case TraceEventType::kHandshake:
-      w.integer("peer", event.peer);
-      w.boolean("ok", event.a != 0);
-      break;
-    case TraceEventType::kBadFrame:
-      w.integer("src", event.peer);
-      w.integer("count", event.a);
-      break;
-    case TraceEventType::kClockStep:
-      w.integer("offset_ns", event.a);
-      break;
-    case TraceEventType::kDetectorAlarm:
-      w.str("detector", to_string(static_cast<DetectorKind>(event.a)));
-      w.integer("n", event.b);
-      if (event.peer != 0) w.integer("source", event.peer);
-      w.number("value", event.x);
-      w.number("threshold", event.y);
-      break;
+  for (const Member& member : kHead) append_member(event, member, &w);
+  for (const TypeMember& own : members_of(event.type)) {
+    append_member(event, own.member, &w);
   }
   *line += '}';
 }
@@ -148,13 +240,19 @@ void write_json_line(const TraceEvent& event, std::ostream& out) {
   out << line;
 }
 
-void write_jsonl(const RingTraceSink& sink, std::ostream& out) {
+void write_jsonl(const RingTraceSink& sink, std::ostream& out,
+                 std::size_t last) {
   PROF_SCOPE("obs/export_jsonl");
   // One buffer for all lines, handed to the stream in 64 KiB chunks.
   constexpr std::size_t kChunk = std::size_t{1} << 16;
   std::string chunk;
   chunk.reserve(kChunk + 512);
+  std::size_t skip = sink.size() - std::min(sink.size(), last);
   sink.for_each([&](const TraceEvent& event) {
+    if (skip > 0) {
+      --skip;
+      return;
+    }
     append_json_line(event, &chunk);
     chunk += '\n';
     if (chunk.size() >= kChunk) {
@@ -169,17 +267,16 @@ namespace {
 
 // --- parse_json_line ------------------------------------------------------
 //
-// The writer emits a flat object of number/string/bool fields with no
+// The writer emits a flat object of number/string/bool members with no
 // escapes (string values are enum names), so a tiny hand scanner is
-// enough, no JSON library needed. It accepts the writer's grammar and
-// nothing more: members separated by single commas, integers as '-'?
-// digits with no leading zero, doubles as std::to_chars prints them
-// (at most the 10 significant digits the writer keeps), booleans bare,
-// quotes only around keys and enum names, each key at most once, and
-// only the keys the writer emits for the line's type. A trace may come
-// from a compromised node, so anything else is refused. Key order and
-// whitespace between tokens are not checked. Tokens are views into the
-// line: nothing is copied.
+// enough, no JSON library needed. It walks the same member table as the
+// writer and accepts the writer's lines only: each key the next member
+// of the table, every member present except an omit_zero one at 0,
+// single commas, quotes only around keys and names, and each number in
+// the exact text the writer prints for its value. A trace may come from
+// a compromised node, so anything else is refused. Only whitespace
+// between tokens is not checked. Tokens are views into the line:
+// nothing is copied.
 
 bool is_skipped_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
@@ -191,6 +288,8 @@ bool ends_bare_token(char c) {
 struct JsonScanner {
   std::string_view text;
   std::size_t pos = 0;
+  std::string_view key{};  // the key of the member to read next
+  bool closed = false;   // the closing brace was read instead of a key
 
   void skip_ws() {
     while (pos < text.size() && is_skipped_ws(text[pos])) ++pos;
@@ -214,6 +313,14 @@ struct JsonScanner {
     ++pos;  // closing quote
     return true;
   }
+  /// Reads `"key":` into key.
+  bool read_key() { return string_token(&key) && accept(':'); }
+  /// After a value: reads the next key, or the closing brace.
+  bool next_member() {
+    if (accept(',')) return read_key();
+    closed = accept('}');
+    return closed;
+  }
   /// Reads an unquoted value token (number, true, false).
   bool bare_token(std::string_view* out) {
     skip_ws();
@@ -223,10 +330,10 @@ struct JsonScanner {
     return !out->empty();
   }
   /// Reads a bare token of the writer's integer form, '-'? and 1 to 18
-  /// digits (too few to overflow) with no leading zero, in the same pass
-  /// as its value. On any other token it moves nothing past the
-  /// whitespace and returns false; bare_token and parse_value then read
-  /// and judge it.
+  /// digits (too few to overflow) with no leading zero and not "-0", in
+  /// the same pass as its value. On any other token it moves nothing
+  /// past the whitespace and returns false; bare_token and
+  /// writer_number then read and judge it.
   bool bare_integer(std::int64_t* out) {
     skip_ws();
     std::size_t end = pos;
@@ -239,7 +346,7 @@ struct JsonScanner {
       ++end;
     }
     if (end == digits || end - digits > 18) return false;
-    if (text[digits] == '0' && end - digits > 1) return false;
+    if (text[digits] == '0' && (end - digits > 1 || negative)) return false;
     if (end < text.size() && !ends_bare_token(text[end])) return false;
     const auto value = static_cast<std::int64_t>(magnitude);
     *out = negative ? -value : value;
@@ -248,275 +355,98 @@ struct JsonScanner {
   }
 };
 
-/// The whole token as std::from_chars reads it: '-'? digits for an
-/// integer (no '+', no whitespace) and the general format for a double
-/// (nan and inf included, no hex); out-of-range values and a leading
-/// zero before another digit ("007", "00.5") are refused.
+/// Reads a number token as std::from_chars does and accepts it only when
+/// it is the text JsonFields writes for that value: that refuses '+',
+/// leading zeros, "-0" integers, and doubles the writer would print
+/// otherwise ("1.0", more than 10 significant digits, "nan(1)").
 template <typename Number>
-bool parse_number(std::string_view token, Number* out) {
-  const std::size_t lead = !token.empty() && token[0] == '-' ? 1 : 0;
-  if (token.size() > lead + 1 && token[lead] == '0' &&
-      token[lead + 1] >= '0' && token[lead + 1] <= '9') {
-    return false;
-  }
+bool writer_number(std::string_view token, Number* out) {
   const char* last = token.data() + token.size();
   const auto [end, error] = std::from_chars(token.data(), last, *out);
-  return error == std::errc() && end == last;
+  NumberBuffer buffer;
+  return error == std::errc() && end == last &&
+         number_text(*out, &buffer) == token;
 }
 
-/// True when the mantissa of a double token has at most the 10
-/// significant digits the writer prints (%.10g), so the value survives
-/// a write unchanged; a "nan(payload)" form is refused as well.
-bool writer_precision(std::string_view token) {
-  int digits = 0;
-  for (const char c : token) {
-    if (c == 'e' || c == 'E') break;
-    if (c == '(') return false;
-    // Zeros before the first nonzero digit are not significant.
-    if ((c >= '1' && c <= '9') || (c == '0' && digits > 0)) ++digits;
-  }
-  return digits <= 10;
-}
-
-bool parse_bool(std::string_view token, std::int64_t* out) {
-  if (token == "true") {
-    *out = 1;
-    return true;
-  }
-  if (token == "false") {
-    *out = 0;
-    return true;
-  }
-  return false;
-}
-
-/// `known == name` for a non-empty `known`, testing length and first
-/// character before the full compare: most table entries fail there.
-bool same_key(std::string_view known, std::string_view name) {
-  return known.size() == name.size() && known[0] == name[0] && known == name;
-}
-
-/// Inverse of an enum-name function: the value v in [0, count) whose
-/// name_of(v) is `name`.
-template <typename NameOf>
-bool from_name(std::string_view name, std::int64_t count, NameOf name_of,
+/// The value v whose name names[v] is `name`, testing length and first
+/// character before the full compare: most candidates fail there.
+bool from_name(std::string_view name, std::span<const std::string_view> names,
                std::int64_t* out) {
-  for (std::int64_t v = 0; v < count; ++v) {
-    if (name == name_of(v)) {
-      *out = v;
+  for (std::size_t v = 0; v < names.size(); ++v) {
+    const std::string_view known = names[v];
+    if (known.size() == name.size() && known[0] == name[0] && known == name) {
+      *out = static_cast<std::int64_t>(v);
       return true;
     }
   }
   return false;
 }
 
-const char* detector_name(std::int64_t v) {
-  return to_string(static_cast<DetectorKind>(v));
-}
-
-/// What a key's value is and which TraceEvent slot it fills. The
-/// key→slot mapping is global: every key the writer emits names the same
-/// slot regardless of event type, so the parser needs no per-type
-/// dispatch.
-enum class Value : std::uint8_t {
-  kEndpoint,  // integer in NodeId/SpanId range (32 bits, non-negative)
-  kInteger,
-  kBoolean,
-  kDouble,
-  kOutcome,  // quoted enum names from here on
-  kReason,
-  kDetector,
-};
-enum class Slot : std::uint8_t {
-  kAt, kNode, kPeer, kSpan, kA, kB, kX, kY,
-  kNone,  // parsed and checked, then dropped
-};
-
-struct Field {
-  std::string_view key;
-  Value value;
-  Slot slot;
-};
-
-// Most frequent keys first: packet events dominate a trace.
-constexpr Field kFields[] = {
-    {"t", Value::kInteger, Slot::kAt},
-    {"node", Value::kEndpoint, Slot::kNode},
-    {"span", Value::kEndpoint, Slot::kSpan},
-    {"dst", Value::kEndpoint, Slot::kPeer},
-    {"src", Value::kEndpoint, Slot::kPeer},
-    {"packet", Value::kInteger, Slot::kA},
-    {"bytes", Value::kInteger, Slot::kB},
-    {"request", Value::kInteger, Slot::kA},
-    {"peer", Value::kEndpoint, Slot::kPeer},
-    {"source", Value::kEndpoint, Slot::kPeer},
-    {"client", Value::kEndpoint, Slot::kPeer},
-    {"from", Value::kInteger, Slot::kA},
-    {"count", Value::kInteger, Slot::kA},
-    {"samples", Value::kInteger, Slot::kA},
-    {"offset_ns", Value::kInteger, Slot::kA},
-    {"before", Value::kInteger, Slot::kA},
-    {"to", Value::kInteger, Slot::kB},
-    {"adopted", Value::kInteger, Slot::kB},
-    {"ta_time", Value::kInteger, Slot::kB},
-    {"n", Value::kInteger, Slot::kB},
-    {"step_ns", Value::kInteger, Slot::kNone},  // adopted - before
-    {"window_failed", Value::kBoolean, Slot::kA},
-    {"ok", Value::kBoolean, Slot::kA},
-    {"continuity_failed", Value::kBoolean, Slot::kB},
-    {"proactive", Value::kBoolean, Slot::kB},
-    {"tainted", Value::kBoolean, Slot::kB},
-    {"f_hz", Value::kDouble, Slot::kX},
-    {"wait_s", Value::kDouble, Slot::kX},
-    {"value", Value::kDouble, Slot::kX},
-    {"r2", Value::kDouble, Slot::kY},
-    {"threshold", Value::kDouble, Slot::kY},
-    {"outcome", Value::kOutcome, Slot::kB},
-    {"reason", Value::kReason, Slot::kB},
-    {"detector", Value::kDetector, Slot::kA},
-};
-
-constexpr std::size_t kFieldCount = std::size(kFields);
-static_assert(kFieldCount < 64, "a line's keys are a 64-bit mask");
-
-/// Index into kFields of `key`, or kFieldCount for an unknown key.
-std::size_t find_field(std::string_view key) {
-  std::size_t i = 0;
-  while (i < kFieldCount && !same_key(kFields[i].key, key)) ++i;
-  return i;
-}
-
-constexpr int kEventTypes =
-    static_cast<int>(TraceEventType::kDetectorAlarm) + 1;
-
-/// Per event type: its name, and the kFields keys its writer emits (bit
-/// i = kFields[i]). The key sets come from the writer itself: one probe
-/// event per type with every slot nonzero, so optional keys appear too.
-struct TypeTable {
-  std::array<std::string_view, kEventTypes> names;
-  std::array<std::uint64_t, kEventTypes> keys{};
-};
-
-const TypeTable& type_table() {
-  static const TypeTable table = [] {
-    TypeTable t;
-    std::string line;
-    for (int i = 0; i < kEventTypes; ++i) {
-      const auto type = static_cast<TraceEventType>(i);
-      t.names[i] = to_string(type);
-      line.clear();
-      append_json_line({.at = 1, .type = type, .node = 1, .peer = 1,
-                        .span = 1, .a = 1, .b = 1, .x = 1.0, .y = 1.0},
-                       &line);
-      for (std::size_t f = 0; f < kFieldCount; ++f) {
-        const std::string member = '"' + std::string(kFields[f].key) + "\":";
-        if (line.find(member) != std::string::npos) {
-          t.keys[i] |= std::uint64_t{1} << f;
-        }
-      }
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::optional<TraceEventType> type_from_name(const TypeTable& table,
-                                             std::string_view name) {
-  for (int i = 0; i < kEventTypes; ++i) {
-    if (same_key(table.names[i], name)) return static_cast<TraceEventType>(i);
-  }
-  return std::nullopt;
-}
-
-/// Judges a value token of `field`; integers, booleans and enum values
-/// land in *i64, doubles in *f64.
-bool parse_value(const Field& field, std::string_view token,
-                 std::int64_t* i64, double* f64) {
-  switch (field.value) {
-    case Value::kEndpoint:
-    case Value::kInteger: return parse_number(token, i64);
-    case Value::kBoolean: return parse_bool(token, i64);
-    case Value::kDouble:
-      return writer_precision(token) && parse_number(token, f64);
-    case Value::kOutcome: return from_name(token, 4, outcome_name, i64);
-    case Value::kReason: return from_name(token, 3, drop_reason_name, i64);
-    case Value::kDetector: return from_name(token, 3, detector_name, i64);
-  }
-  return false;
-}
-
-/// Reads the value of `field` at the scanner and stores it into its
-/// slot; false on a bad value. Enum names are the only quoted values.
-bool read_field(JsonScanner* scan, const Field& field, TraceEvent* event) {
-  std::int64_t i64 = 0;
-  double f64 = 0.0;
-  const bool integer =
-      field.value == Value::kEndpoint || field.value == Value::kInteger;
-  if (!integer || !scan->bare_integer(&i64)) {
-    const bool quoted = field.value >= Value::kOutcome;
-    std::string_view token;
-    if (quoted ? !scan->string_token(&token) : !scan->bare_token(&token)) {
+/// Reads the value of `member` and stores it into its slot; false on a
+/// value the writer would not print there.
+bool read_value(JsonScanner* scan, const Member& member, TraceEvent* event) {
+  std::string_view token;
+  if (member.value == Value::kDouble) {
+    double value = 0.0;
+    if (!scan->bare_token(&token) || !writer_number(token, &value)) {
       return false;
     }
-    if (!parse_value(field, token, &i64, &f64)) return false;
+    (member.slot == Slot::kX ? event->x : event->y) = value;
+    return true;
   }
-  if (field.value == Value::kEndpoint &&
-      (i64 < 0 || i64 > std::int64_t{0xffffffff})) {
+  std::int64_t value = 0;
+  const bool ok =
+      member.value <= Value::kInteger
+          ? scan->bare_integer(&value) ||
+                (scan->bare_token(&token) && writer_number(token, &value))
+          : (member.value == Value::kBoolean ? scan->bare_token(&token)
+                                             : scan->string_token(&token)) &&
+                from_name(token, names_of(member.value), &value);
+  if (!ok || (member.omit_zero && value == 0) ||
+      (member.value == Value::kEndpoint &&
+       (value < 0 || value > std::int64_t{0xffffffff}))) {
     return false;
   }
-  switch (field.slot) {
-    case Slot::kAt: event->at = i64; break;
-    case Slot::kNode: event->node = static_cast<NodeId>(i64); break;
-    case Slot::kPeer: event->peer = static_cast<NodeId>(i64); break;
-    case Slot::kSpan: event->span = static_cast<SpanId>(i64); break;
-    case Slot::kA: event->a = i64; break;
-    case Slot::kB: event->b = i64; break;
-    case Slot::kX: event->x = f64; break;
-    case Slot::kY: event->y = f64; break;
-    case Slot::kNone: break;
+  switch (member.slot) {
+    case Slot::kAt: event->at = value; break;
+    case Slot::kType: event->type = static_cast<TraceEventType>(value); break;
+    case Slot::kNode: event->node = static_cast<NodeId>(value); break;
+    case Slot::kPeer: event->peer = static_cast<NodeId>(value); break;
+    case Slot::kSpan: event->span = static_cast<SpanId>(value); break;
+    case Slot::kA: event->a = value; break;
+    case Slot::kB: event->b = value; break;
+    case Slot::kStep: {  // b - a, which must not overflow
+      std::int64_t step = 0;
+      return !__builtin_sub_overflow(event->b, event->a, &step) &&
+             step == value;
+    }
+    case Slot::kX:
+    case Slot::kY: break;
   }
   return true;
+}
+
+/// Reads `member` if the next key is its key. An absent omit_zero member
+/// leaves its slot at 0; any other mismatch refuses the line.
+bool read_member(JsonScanner* scan, const Member& member, TraceEvent* event) {
+  if (scan->closed || scan->key != member.key) return member.omit_zero;
+  return read_value(scan, member, event) && scan->next_member();
 }
 
 }  // namespace
 
 std::optional<TraceEvent> parse_json_line(std::string_view line) {
-  const TypeTable& types = type_table();
   JsonScanner scan{line};
-  if (!scan.accept('{')) return std::nullopt;
   TraceEvent event;
-  bool have_type = false;
-  // Keys seen so far, one bit per kFields entry. A repeated key is
-  // refused here; two different keys for one slot (where the last would
-  // silently win) are refused by the type check below, because the
-  // writer emits at most one key per slot for each type.
-  std::uint64_t keys = 0;
-  do {
-    std::string_view key;
-    if (!scan.string_token(&key) || !scan.accept(':')) return std::nullopt;
-    if (key == "type") {  // a quoted event type name
-      std::string_view name;
-      if (have_type || !scan.string_token(&name)) return std::nullopt;
-      const auto type = type_from_name(types, name);
-      if (!type) return std::nullopt;
-      event.type = *type;
-      have_type = true;
-    } else {
-      const std::size_t f = find_field(key);
-      const std::uint64_t bit = std::uint64_t{1} << f;
-      if (f == kFieldCount || (keys & bit) != 0 ||
-          !read_field(&scan, kFields[f], &event)) {
-        return std::nullopt;
-      }
-      keys |= bit;
-    }
-  } while (scan.accept(','));
-  if (!scan.accept('}')) return std::nullopt;
-  scan.skip_ws();
-  if (!have_type || scan.pos != line.size() ||
-      (keys & ~types.keys[static_cast<int>(event.type)]) != 0) {
-    return std::nullopt;
+  if (!scan.accept('{') || !scan.read_key()) return std::nullopt;
+  for (const Member& member : kHead) {
+    if (!read_member(&scan, member, &event)) return std::nullopt;
   }
+  for (const TypeMember& own : members_of(event.type)) {
+    if (!read_member(&scan, own.member, &event)) return std::nullopt;
+  }
+  scan.skip_ws();
+  if (!scan.closed || scan.pos != line.size()) return std::nullopt;
   return event;
 }
 

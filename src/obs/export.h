@@ -8,6 +8,7 @@
 // byte-identical files — the property the determinism tests pin down.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string_view>
@@ -30,19 +31,16 @@ void write_csv(const Registry& registry, std::ostream& out);
 ///    "before":1499998000,"adopted":1500002000,"step_ns":4000}
 void write_json_line(const TraceEvent& event, std::ostream& out);
 
-/// Every retained event of the ring, oldest first, one line each.
-void write_jsonl(const RingTraceSink& sink, std::ostream& out);
+/// The newest `last` retained events of the ring (all of them by
+/// default), oldest first, one line each.
+void write_jsonl(const RingTraceSink& sink, std::ostream& out,
+                 std::size_t last = SIZE_MAX);
 
 /// Inverse of write_json_line: parses one JSONL line back into an event.
-/// Accepts only what the writer emits (key order and whitespace between
-/// tokens aside): returns nullopt on malformed input, an unknown event
-/// type or key, a key the writer does not emit for the line's type, a
-/// repeated type or a second key for one event field, a quoted number
-/// or boolean, a bare enum name, a '+' sign, a leading zero, a double
-/// with more than the writer's 10 significant digits, or a missing or
-/// extra comma. Derived fields (step_ns) are ignored; for every event
-/// write(parse(write(e))) == write(e), which is what makes offline
-/// analysis of a dumped trace deterministic.
+/// It accepts exactly the lines write_json_line prints, whitespace
+/// between tokens aside, and refuses everything else (nullopt). So for
+/// every accepted line L, write(parse(L)) is L without that whitespace,
+/// which is what makes offline analysis of a dumped trace deterministic.
 std::optional<TraceEvent> parse_json_line(std::string_view line);
 
 /// Parses a whole JSONL document (one event per line; blank lines are

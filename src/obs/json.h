@@ -8,12 +8,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace triad::obs {
@@ -28,6 +30,24 @@ inline void append(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buffer, std::min<std::size_t>(n, sizeof(buffer) - 1));
 }
 
+/// Room for any number's text: 20 digits and a sign, or
+/// "-1.797693135e+308".
+using NumberBuffer = std::array<char, 32>;
+
+/// The text JsonFields writes for `value`, placed in *buffer.
+template <typename Number>
+std::string_view number_text(Number value, NumberBuffer* buffer) {
+  char* const first = buffer->data();
+  char* const last = first + buffer->size();
+  if constexpr (std::is_floating_point_v<Number>) {
+    return {first, std::to_chars(first, last, value,
+                                 std::chars_format::general, 10)
+                       .ptr};
+  } else {
+    return {first, std::to_chars(first, last, value).ptr};
+  }
+}
+
 /// Writes the `"key":value` members of one JSON object onto *out and
 /// places the commas; the caller writes the braces. Keys and string
 /// values are field and enum names: never escaped.
@@ -37,31 +57,30 @@ class JsonFields {
   explicit JsonFields(std::string* out, bool first = true)
       : out_(out), first_(first) {}
 
-  void integer(const char* key, std::int64_t value) { decimal(key, value); }
-  void uinteger(const char* key, std::uint64_t value) { decimal(key, value); }
-  void number(const char* key, double value) {
-    char buffer[32];  // "-1.797693135e+308" is the longest
-    char* end = std::to_chars(buffer, std::end(buffer), value,
-                              std::chars_format::general, 10)
-                    .ptr;
-    open(key).append(buffer, end);
+  void integer(std::string_view key, std::int64_t value) {
+    write_number(key, value);
   }
-  void str(const char* key, const char* value) {
+  void uinteger(std::string_view key, std::uint64_t value) {
+    write_number(key, value);
+  }
+  void number(std::string_view key, double value) {
+    write_number(key, value);
+  }
+  void str(std::string_view key, std::string_view value) {
     open(key).append(1, '"').append(value).append(1, '"');
   }
-  void boolean(const char* key, bool value) {
+  void boolean(std::string_view key, bool value) {
     open(key).append(value ? "true" : "false");
   }
 
  private:
-  template <typename Int>
-  void decimal(const char* key, Int value) {
-    char buffer[24];  // 20 digits and a sign at most
-    char* end = std::to_chars(buffer, std::end(buffer), value).ptr;
-    open(key).append(buffer, end);
+  template <typename Number>
+  void write_number(std::string_view key, Number value) {
+    NumberBuffer buffer;
+    open(key).append(number_text(value, &buffer));
   }
   const char* sep() { return std::exchange(first_, false) ? "" : ","; }
-  std::string& open(const char* key) {
+  std::string& open(std::string_view key) {
     return out_->append(sep()).append(1, '"').append(key).append("\":");
   }
 

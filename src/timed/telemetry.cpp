@@ -161,13 +161,8 @@ std::string TelemetryServer::render(std::string_view path,
     return os.str();
   }
   if (path == "/trace" && sources_.trace != nullptr) {
-    const std::vector<obs::TraceEvent> events = sources_.trace->events();
-    const std::size_t tail = std::min(events.size(), kTraceTail);
     std::ostringstream os;
-    for (std::size_t i = events.size() - tail; i < events.size(); ++i) {
-      obs::write_json_line(events[i], os);
-      os << '\n';
-    }
+    obs::write_jsonl(*sources_.trace, os, kTraceTail);
     return os.str();
   }
   if (path == "/prof" && sources_.prof) {

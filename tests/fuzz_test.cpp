@@ -10,9 +10,7 @@
 //    compromised node serves its own trace to the forensic tier).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -21,6 +19,7 @@
 #include "crypto/channel.h"
 #include "exp/scenario.h"
 #include "obs/export.h"
+#include "obs/span.h"
 #include "triad/messages.h"
 #include "util/rng.h"
 
@@ -162,7 +161,9 @@ std::string line_of(const obs::TraceEvent& event) {
 }
 
 /// Up to 8 lines per event type of a 2-minute seed-9 F- trace: every
-/// type the run emits, not only the packet lines that dominate it.
+/// type the run emits, not only the packet lines that dominate it. Each
+/// type the run does not emit gets one written line of an event with
+/// every slot nonzero.
 std::vector<std::string> recorded_fminus_lines() {
   exp::ScenarioConfig cfg;
   cfg.seed = 9;
@@ -180,60 +181,23 @@ std::vector<std::string> recorded_fminus_lines() {
   for (const obs::TraceEvent& event : sc.trace()->events()) {
     if (++per_type[event.type] <= 8) lines.push_back(line_of(event));
   }
+  for (int i = 0; i <= static_cast<int>(obs::TraceEventType::kDetectorAlarm);
+       ++i) {
+    const auto type = static_cast<obs::TraceEventType>(i);
+    if (per_type.count(type) != 0) continue;
+    // a=1 and b=2 are valid as every enum, count and boolean.
+    lines.push_back(line_of({.at = 1500000000, .type = type, .node = 3,
+                             .peer = 2, .span = obs::make_span_id(3, 7),
+                             .a = 1, .b = 2, .x = 1.5, .y = 0.25}));
+  }
   return lines;
 }
 
-bool same_event(const obs::TraceEvent& a, const obs::TraceEvent& b) {
-  return a.at == b.at && a.type == b.type && a.node == b.node &&
-         a.peer == b.peer && a.span == b.span && a.a == b.a && a.b == b.b &&
-         std::bit_cast<std::uint64_t>(a.x) ==
-             std::bit_cast<std::uint64_t>(b.x) &&
-         std::bit_cast<std::uint64_t>(a.y) ==
-             std::bit_cast<std::uint64_t>(b.y);
-}
-
-bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
-
-/// The (key, value) members of a line the parser accepted, so of the
-/// writer's flat grammar: quoted keys, values bare or quoted names.
-std::vector<std::pair<std::string, std::string>> members(
-    std::string_view line) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = line.find('{') + 1;
-  for (;;) {
-    const std::size_t key = line.find('"', pos) + 1;
-    const std::size_t key_end = line.find('"', key);
-    pos = line.find(':', key_end) + 1;
-    while (is_ws(line[pos])) ++pos;
-    std::size_t end = pos;
-    if (line[pos] == '"') {
-      end = line.find('"', pos + 1) + 1;
-    } else {
-      while (line[end] != ',' && line[end] != '}' && !is_ws(line[end])) ++end;
-    }
-    out.emplace_back(std::string(line.substr(key, key_end - key)),
-                     std::string(line.substr(pos, end - pos)));
-    pos = line.find_first_of(",}", end);
-    if (line[pos] == '}') return out;
-    ++pos;
-  }
-}
-
-/// The keys the writer emits for `type` when every field is nonzero.
-std::set<std::string> writer_keys(obs::TraceEventType type) {
-  std::set<std::string> keys;
-  for (const auto& [key, value] : members(line_of(
-           {.at = 1, .type = type, .node = 1, .peer = 1, .span = 1, .a = 1,
-            .b = 1, .x = 1.0, .y = 1.0}))) {
-    keys.insert(key);
-  }
-  return keys;
-}
-
-bool leading_zero(std::string_view value) {
-  if (!value.empty() && value[0] == '-') value.remove_prefix(1);
-  return value.size() > 1 && value[0] == '0' && value[1] >= '0' &&
-         value[1] <= '9';
+/// `line` without the whitespace the parser skips between tokens.
+std::string without_ws(std::string line) {
+  std::erase_if(line,
+                [](char c) { return c == ' ' || c == '\t' || c == '\r'; });
+  return line;
 }
 
 /// Byte offsets just past each member's separator: where a member may be
@@ -276,12 +240,17 @@ std::string mutate(Rng& rng, std::string line, const std::string& other) {
       line.erase(at, 1 + rng.next_below(3));
       break;
     }
-    case 3: {  // a member copied to another member boundary
+    case 3: {  // a member copied, or moved, to another member boundary
       const std::vector<std::size_t> starts = member_starts(line);
       const std::size_t from = pick(rng, starts);
       const std::size_t end = line.find_first_of(",}", from);
       const std::string member = line.substr(from, end - from) + ",";
-      line.insert(pick(rng, starts), member);
+      if (rng.next_below(2) == 0 && end < line.size() && line[end] == ',') {
+        line.erase(from, end + 1 - from);  // moved: out of the writer's order
+        line.insert(pick(rng, member_starts(line)), member);
+      } else {
+        line.insert(pick(rng, starts), member);
+      }
       break;
     }
     default: {  // splice: a head of this line, a tail of the other;
@@ -301,7 +270,6 @@ std::string mutate(Rng& rng, std::string line, const std::string& other) {
 TEST(TraceParserFuzz, MutatedRecordedLinesRoundTripOrAreRefused) {
   const std::vector<std::string> lines = recorded_fminus_lines();
   ASSERT_GE(lines.size(), 40u);
-  std::map<obs::TraceEventType, std::set<std::string>> allowed;
   Rng rng(2024);
   std::size_t accepted = 0;
   for (int i = 0; i < 30000; ++i) {
@@ -314,27 +282,12 @@ TEST(TraceParserFuzz, MutatedRecordedLinesRoundTripOrAreRefused) {
     const auto event = obs::parse_json_line(line);
     if (!event) continue;
     ++accepted;
-    // What the parser accepts, the writer could have written: the event
-    // survives write + parse unchanged.
-    const auto again = obs::parse_json_line(line_of(*event));
-    ASSERT_TRUE(again.has_value()) << line;
-    ASSERT_TRUE(same_event(*event, *again)) << line;
-    // None of the shapes the writer never emits: a repeated key (a
-    // second "type" included), a key the writer does not emit for this
-    // type (so a second key for one field), a leading zero.
-    auto [keys, fresh] = allowed.try_emplace(event->type);
-    if (fresh) keys->second = writer_keys(event->type);
-    std::set<std::string> seen;
-    for (const auto& [key, value] : members(line)) {
-      ASSERT_TRUE(seen.insert(key).second) << "repeated key: " << line;
-      ASSERT_TRUE(key == "type" || keys->second.count(key) == 1)
-          << "foreign key: " << line;
-      ASSERT_FALSE(leading_zero(value)) << "leading zero: " << line;
-    }
+    // What the parser accepts is what the writer prints, byte for byte,
+    // whitespace between tokens aside.
+    ASSERT_EQ(without_ws(line), line_of(*event)) << line;
   }
   // Neither vacuous nor trivially permissive: some mutations keep a line
-  // valid (whitespace, key order, a splice at member boundaries), most
-  // do not.
+  // valid (whitespace, a splice at member boundaries), most do not.
   EXPECT_GT(accepted, 300u);
   EXPECT_LT(accepted, 20000u);
 }

@@ -313,6 +313,28 @@ TEST(TraceExport, JsonlWritesOneLinePerEvent) {
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
+TEST(TraceExport, JsonlTailIsTheNewestLinesOfTheFullDump) {
+  RingTraceSink ring(4);
+  for (SimTime t = 1; t <= 6; ++t) {  // wraps: events 3..6 are retained
+    ring.emit(make_event(t, TraceEventType::kAex));
+  }
+  std::ostringstream full;
+  write_jsonl(ring, full);
+  std::vector<std::string> lines;
+  std::istringstream in(full.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  for (const std::size_t last : {0, 1, 3, 4, 9}) {
+    std::string want;
+    for (std::size_t i = 4 - std::min<std::size_t>(last, 4); i < 4; ++i) {
+      want += lines[i] + "\n";
+    }
+    std::ostringstream tail;
+    write_jsonl(ring, tail, last);
+    EXPECT_EQ(tail.str(), want) << "last " << last;
+  }
+}
+
 // --- causal spans ---------------------------------------------------------
 
 TEST(SpanId, PacksNodeAndSequence) {
@@ -731,16 +753,20 @@ TEST(TraceExport, ParserRejectsMalformedInput) {
   EXPECT_TRUE(parse_json_line("{\"t\":1,\"type\":\"aex\",\"count\":3}")
                   .has_value());
   // A bare value ends at any whitespace the scanner skips.
-  EXPECT_TRUE(parse_json_line("{\"t\":1 ,\"type\":\"aex\"}").has_value());
-  EXPECT_TRUE(parse_json_line("{\"t\":1\t,\"type\":\"aex\"}").has_value());
+  EXPECT_TRUE(parse_json_line("{\"t\":1 ,\"type\":\"aex\",\"count\":0}")
+                  .has_value());
+  EXPECT_TRUE(parse_json_line("{\"t\":1\t,\"type\":\"aex\",\"count\":0}")
+                  .has_value());
 }
 
 // What one bare value token parses to in an integer slot (`count`) and
-// in a double slot (`f_hz`). The table pins the accepted set to the
-// writer's forms: integers as '-'? digits, doubles as std::to_chars
-// prints them (nan and inf included) with at most the writer's 10
-// significant digits, no '+', no hex, no leading zero, out-of-range
-// values refused, and never a quoted value.
+// in a double slot (`f_hz`), each in an otherwise complete line. The
+// table pins the accepted set to the writer's forms: a token is
+// accepted only as the text the writer prints for its value, so
+// integers as '-'? digits (never "-0"), doubles as std::to_chars general
+// with 10 significant digits prints them (nan and inf included), no '+',
+// no hex, no leading zero, out-of-range values refused, and never a
+// quoted value.
 std::optional<std::int64_t> int_slot(const std::string& value) {
   const auto event =
       parse_json_line("{\"t\":1,\"type\":\"aex\",\"count\":" + value + "}");
@@ -750,7 +776,8 @@ std::optional<std::int64_t> int_slot(const std::string& value) {
 
 std::optional<double> double_slot(const std::string& value) {
   const auto event = parse_json_line(
-      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":" + value + "}");
+      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":" + value +
+      ",\"r2\":0,\"samples\":0}");
   if (!event) return std::nullopt;
   return event->x;
 }
@@ -768,25 +795,27 @@ TEST(TraceExport, ParserTokenTable) {
       {"5", 5, 5.0},
       {"+5", kNo, kNo},
       {"+-5", kNo, kNo},
-      {"-0", 0, -0.0},
+      {"-0", kNo, -0.0},
       // Past 10 significant digits a double would not survive a write.
       {"9223372036854775807", INT64_MAX, kNo},
       {"9223372036854775808", kNo, kNo},
       {"-9223372036854775808", INT64_MIN, kNo},
       {"1234567890", 1234567890, 1234567890.0},
-      {"0.001234567890", kNo, 0.00123456789},
+      {"0.001234567890", kNo, kNo},
       {"12345678901", 12345678901, kNo},
       {"007", kNo, kNo},
       {"-00.5", kNo, kNo},
       {"nan(1)", kNo, kNo},
       {"0x10", kNo, kNo},
-      {"1.0", kNo, 1.0},
+      {"1.0", kNo, kNo},
       {"", kNo, kNo},
       {"nan", kNo, kNan},
       {"-nan", kNo, -kNan},
       {"inf", kNo, kInf},
       {"-inf", kNo, -kInf},
-      {"1e-320", kNo, 1e-320},  // subnormal: to_chars writes these too
+      // Subnormals: the writer prints them with 10 significant digits.
+      {"1e-320", kNo, kNo},
+      {"9.999888672e-321", kNo, 9.999888672e-321},
       {"1e400", kNo, kNo},
   };
   const auto same = [](std::optional<double> got,
@@ -813,25 +842,52 @@ TEST(TraceExport, ParseJsonlCountsRejectedLines) {
       "{\"t\":1,\"type\":\"aex\",\"node\":2,\"count\":1}\n"
       "garbage\n"
       "\n"
-      // Lines the writer never emits: a quoted integer, a quoted boolean,
-      // a quoted empty value, a '+' sign, a missing and a trailing comma.
-      "{\"t\":\"5\",\"type\":\"aex\"}\n"
-      "{\"t\":5,\"type\":\"aex\",\"ok\":\"true\"}\n"
-      "{\"t\":\"\",\"type\":\"aex\"}\n"
-      "{\"t\":+1,\"type\":\"aex\"}\n"
-      "{\"t\":1 \"type\":\"aex\"}\n"
-      "{\"t\":1,\"type\":\"aex\",}\n"
+      // Lines the writer never emits, each complete but for its one
+      // defect: a quoted integer, a quoted boolean, a quoted empty value,
+      // a '+' sign, a missing and a trailing comma.
+      "{\"t\":\"5\",\"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":5,\"type\":\"handshake\",\"peer\":2,\"ok\":\"true\"}\n"
+      "{\"t\":\"\",\"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":+1,\"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":1 \"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":1,\"type\":\"aex\",\"count\":1,}\n"
       // A second type, a second key for a slot already set, a leading
       // zero, and a key the writer emits only for another type.
-      "{\"t\":1,\"type\":\"aex\",\"type\":\"clock_step\"}\n"
+      "{\"t\":1,\"type\":\"aex\",\"type\":\"clock_step\",\"count\":1}\n"
       "{\"t\":1,\"type\":\"aex\",\"count\":1,\"packet\":2}\n"
-      "{\"t\":007,\"type\":\"aex\"}\n"
-      "{\"t\":1,\"type\":\"aex\",\"bytes\":80}\n"
+      "{\"t\":007,\"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":1,\"type\":\"aex\",\"count\":1,\"bytes\":80}\n"
+      // Members out of the writer's order: type before t, node after the
+      // type's members, samples before r2.
+      "{\"type\":\"aex\",\"t\":1,\"count\":1}\n"
+      "{\"t\":1,\"type\":\"aex\",\"count\":1,\"node\":2}\n"
+      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":2900000000,"
+      "\"samples\":8,\"r2\":1}\n"
+      // A missing member (t, r2), an omit-at-zero member present at 0,
+      // numbers not in the writer's form (-0, 1.0).
+      "{\"type\":\"aex\",\"count\":1}\n"
+      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":2900000000,"
+      "\"samples\":8}\n"
+      "{\"t\":1,\"type\":\"aex\",\"node\":0,\"count\":1}\n"
+      "{\"t\":1,\"type\":\"aex\",\"count\":-0}\n"
+      "{\"t\":1,\"type\":\"calibration\",\"f_hz\":1.0,\"r2\":1,"
+      "\"samples\":8}\n"
+      // step_ns is adopted - before: a wrong one, one that overflows
+      // (would be signed overflow in forensic replay), and the same with
+      // the wrapped difference.
+      "{\"t\":5,\"type\":\"adoption\",\"node\":3,\"source\":2,"
+      "\"before\":100,\"adopted\":400,\"step_ns\":200}\n"
+      "{\"t\":5,\"type\":\"adoption\",\"node\":3,\"span\":9,\"source\":2,"
+      "\"before\":-9223372036854775808,\"adopted\":9223372036854775807,"
+      "\"step_ns\":0}\n"
+      "{\"t\":5,\"type\":\"adoption\",\"node\":3,\"span\":9,\"source\":2,"
+      "\"before\":-9223372036854775808,\"adopted\":9223372036854775807,"
+      "\"step_ns\":-1}\n"
       "{\"t\":2,\"type\":\"clock_step\",\"offset_ns\":-500}\n";
   std::size_t rejected = 0;
   const std::vector<TraceEvent> events = parse_jsonl(text, &rejected);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(rejected, 11u);
+  EXPECT_EQ(rejected, 22u);
   EXPECT_EQ(events[0].type, TraceEventType::kAex);
   EXPECT_EQ(events[0].node, 2u);
   EXPECT_EQ(events[1].type, TraceEventType::kClockStep);
