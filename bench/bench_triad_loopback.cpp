@@ -1,7 +1,7 @@
-// Loopback QPS/latency benchmark for the triad_timed serve path.
+// Loopback QPS benchmark for the triad_timed serve path.
 //
 // Runs a real TA + node (runtime::RealEnv, UDP on 127.0.0.1) in-process,
-// waits for calibration, then measures three phases:
+// waits for calibration, then measures two phases:
 //
 //   * offered-load: N requests pre-sealed OUTSIDE the timed window are
 //     pumped through a bounded-outstanding pipeline (sendmmsg bursts,
@@ -19,8 +19,9 @@
 //     ratio, so it prices the observability tax on the hot path
 //     (scripts/run_all.sh checks it is < 5%). The offered-load rows sum
 //     each kind's legs.
-//   * closed-loop: single outstanding request, seal/open inline,
-//     per-round-trip wall latency -> p50/p95/p99.
+//
+// Request latency is perfbench's `serve` workload (latency_p50_us,
+// latency_p90_us, serve.latency_p99_us), not this bench's.
 //
 // Client and server share the CI box's single core, so the reported QPS
 // is a lower bound on what the server alone could sustain.
@@ -49,6 +50,7 @@
 #include "obs/metrics.h"
 #include "runtime/monotonic_timer.h"
 #include "runtime/real_env.h"
+#include "stats/summary.h"
 #include "timed/service.h"
 #include "triad/messages.h"
 #include "util/parse.h"
@@ -73,22 +75,12 @@ constexpr std::size_t kPairs = 15;
 
 struct Options {
   std::size_t requests = 60000;
-  std::size_t rtt_samples = 2000;
   // Max outstanding offered-load requests. Sized so the server's socket
   // backlog stays under the default rcvbuf (each small datagram costs a
   // ~1 KiB sk_buff in kernel accounting) — pushing harder just turns
   // into kernel-side drops, not throughput.
   std::size_t window = 128;
 };
-
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
 
 // In-process TA + 3-node cluster. `skip` nonempty means bring-up failed
 // (socketless sandbox) and the bench should SKIP, not fail.
@@ -454,26 +446,8 @@ int run_bench(const Options& options) {
     telem_legs.push_back(telem);
   }
 
-  // --- closed-loop latency phase (on the plain cluster) -----------------
-  std::vector<double> rtts_ns;
-  rtts_ns.reserve(options.rtt_samples);
-  {
-    BlockingProbe probe(kClientId + 2, 1, plain.nodes[0]->serve_addr(),
-                        keyring);
-    for (std::size_t i = 0; i < options.rtt_samples; ++i) {
-      const rt::MonotonicTimer rtt;
-      if (probe.request(triad::milliseconds(100)).has_value()) {
-        rtts_ns.push_back(static_cast<double>(rtt.elapsed_ns()));
-      }
-    }
-  }
   plain.shutdown();
   observed.shutdown();
-
-  std::sort(rtts_ns.begin(), rtts_ns.end());
-  const double p50 = percentile(rtts_ns, 0.50);
-  const double p95 = percentile(rtts_ns, 0.95);
-  const double p99 = percentile(rtts_ns, 0.99);
 
   const LoadResult base = total(base_legs);
   const LoadResult telem = total(telem_legs);
@@ -486,18 +460,12 @@ int run_bench(const Options& options) {
   // Overhead in per-request cost, the median of the pairs' ratios;
   // negative = telemetry legs came out faster (the legs share noisy
   // cores, so small negatives happen).
-  std::vector<double> sorted_ratios = ratios;
-  std::sort(sorted_ratios.begin(), sorted_ratios.end());
-  const double overhead_pct = (percentile(sorted_ratios, 0.50) - 1.0) * 100.0;
+  const double overhead_pct =
+      (triad::stats::quantile(ratios, 0.50) - 1.0) * 100.0;
   std::printf(
       "  overhead %+11.1f %% per request (median of %zu pairs, %zu live "
       "scrapes)\n",
       overhead_pct, kPairs, scrapes);
-  std::printf("closed-loop: %zu/%zu round-trips\n", rtts_ns.size(),
-              options.rtt_samples);
-  std::printf("  p50      %12.1f us\n", p50 / 1e3);
-  std::printf("  p95      %12.1f us\n", p95 / 1e3);
-  std::printf("  p99      %12.1f us\n", p99 / 1e3);
 
   // Acceptance guards: every response authenticated (zero unsealed-path
   // fallbacks), timestamps monotone — in every leg — and the scraper
@@ -529,10 +497,9 @@ int main(int argc, char** argv) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    std::size_t* target = arg == "--requests"      ? &options.requests
-                          : arg == "--rtt-samples" ? &options.rtt_samples
-                          : arg == "--window"      ? &options.window
-                                                   : nullptr;
+    std::size_t* target = arg == "--requests" ? &options.requests
+                          : arg == "--window" ? &options.window
+                                              : nullptr;
     // Each count is 1..kMaxCount: every request is sealed and kept in
     // memory up front, so a huge value is a bad value, not an attempt.
     std::uint64_t value = 0;
@@ -541,7 +508,7 @@ int main(int argc, char** argv) {
         value > kMaxCount) {
       std::cerr << "bench_triad_loopback: bad " << arg << "\n"
                 << "usage: bench_triad_loopback [--requests N]"
-                   " [--rtt-samples N] [--window N]  (each N in 1.."
+                   " [--window N]  (each N in 1.."
                 << kMaxCount << ")\n";
       return 2;
     }

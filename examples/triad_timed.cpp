@@ -4,8 +4,9 @@
 //   --role ta      the Time Authority (reference clock root of trust)
 //   --role node    a triad::Node + SO_REUSEPORT serve workers answering
 //                  sealed timestamp requests from external clients
-//   --role client  a probe issuing sealed requests against a node's
-//                  serve endpoint and checking monotonicity
+//   --role client  a probe (timed::BlockingProbe) issuing sealed requests
+//                  to the --server serve endpoints, failing over across
+//                  them, and checking each node's answers are monotone
 //
 // The observability flags behave exactly as on triad_sim: --metrics
 // writes a Prometheus dump, --trace a JSONL protocol trace, --prof /
@@ -25,6 +26,7 @@
 #include <csignal>
 #include <cstdint>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,9 +56,8 @@ struct Options {
   /// --calib-*, --telemetry and --detector* land here directly.
   triad::timed::ServiceConfig service;
   Duration duration = 0;  // 0 = run until SIGTERM/SIGINT
-  // client role
-  std::optional<SockAddr> server;
-  NodeId server_id = 1;
+  // client role: --server entries, in preference order
+  std::vector<std::pair<NodeId, SockAddr>> servers;
   int requests = 10;
   triad::obs::ObsOutputs outputs;
   bool help = false;
@@ -81,8 +82,8 @@ std::string usage() {
       "  --calib-pairs N         calibration round-trip pairs (default 8)\n"
       "  --calib-wait-high S     calibration high wait, at most 2 (the\n"
       "                          TA drops longer waits; default 1.0)\n"
-      "  --server ip:port        node serve endpoint to probe (client)\n"
-      "  --server-id N           the probed node's identity (client)\n"
+      "  --server id=ip:port     a node's serve endpoint to probe (client;\n"
+      "                          repeat to fail over across nodes)\n"
       "  --requests N            probes to issue (client, default 10)\n"
       "  --telemetry ip:port     read-only TCP telemetry listener serving\n"
       "                          /metrics, /trace, /prof (triad_mon scrapes\n"
@@ -197,15 +198,13 @@ std::optional<Options> parse_args(int argc, char** argv, std::ostream& err) {
     } else if (arg == "--telemetry") {
       ok = take(parse_addr<std::optional<SockAddr>>, &service.telemetry);
     } else if (arg == "--server") {
-      ok = take(parse_addr<std::optional<SockAddr>>, &options.server);
+      ok = take(parse_peer, &options.servers);
     } else if (arg == "--workers") {
       ok = take(parse_workers, &service.workers);
     } else if (arg == "--peer") {
       ok = take(parse_peer, &service.peers);
     } else if (arg == "--ta-id") {
       ok = take(triad::parse_node_id, &service.ta_id);
-    } else if (arg == "--server-id") {
-      ok = take(triad::parse_node_id, &options.server_id);
     } else if (arg == "--seed") {
       ok = take(triad::parse_u64, &service.seed);
     } else if (arg == "--duration") {
@@ -243,19 +242,19 @@ void on_signal(int) {
 
 int run_client(const Options& options, std::ostream& out,
                std::ostream& err) {
-  if (!options.server.has_value()) {
-    err << "triad_timed: --role client needs --server ip:port\n";
+  if (options.servers.empty()) {
+    err << "triad_timed: --role client needs --server id=ip:port\n";
     return 2;
   }
   const triad::crypto::ClusterKeyring keyring(triad::Bytes(32, 0x42));
-  triad::timed::BlockingProbe probe(options.service.node.id,
-                                    options.server_id, *options.server,
+  triad::timed::BlockingProbe probe(options.service.node.id, options.servers,
                                     keyring);
   if (!probe.valid()) {
     err << "triad_timed: cannot open client socket\n";
     return 1;
   }
-  triad::SimTime last = 0;
+  // Monotone per serving node: different nodes' clocks are not ordered.
+  std::map<NodeId, triad::SimTime> last;
   int served = 0;
   for (int i = 0; i < options.requests; ++i) {
     const auto ts = probe.request();
@@ -263,8 +262,9 @@ int run_client(const Options& options, std::ostream& out,
       out << "request " << (i + 1) << ": unavailable\n";
       continue;
     }
-    const bool monotone = ts->timestamp > last;
-    last = ts->timestamp;
+    triad::SimTime& previous = last[ts->served_by];
+    const bool monotone = ts->timestamp > previous;
+    previous = ts->timestamp;
     ++served;
     out << "request " << (i + 1) << ": t=" << ts->timestamp
         << "ns bound=" << ts->error_bound << "ns from=" << ts->served_by

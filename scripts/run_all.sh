@@ -176,8 +176,8 @@ if "$TIMED" --role ta --id 9 --listen "127.0.0.1:$REALENV_PORT" \
     ready=0
     for t in $(seq 1 50); do
       if "$TIMED" --role client --id "$((100 * i + 100 + t))" \
-          --server "127.0.0.1:$((REALENV_PORT + 10 + i))" \
-          --server-id "$i" --requests 1 > /dev/null 2>&1; then
+          --server "$i=127.0.0.1:$((REALENV_PORT + 10 + i))" \
+          --requests 1 > /dev/null 2>&1; then
         ready=1; break
       fi
       sleep 0.1
@@ -188,7 +188,7 @@ if "$TIMED" --role ta --id 9 --listen "127.0.0.1:$REALENV_PORT" \
   done
   for i in 1 2 3; do
     "$TIMED" --role client --id "$((40 + i))" \
-        --server "127.0.0.1:$((REALENV_PORT + 10 + i))" --server-id "$i" \
+        --server "$i=127.0.0.1:$((REALENV_PORT + 10 + i))" \
         --requests 50 > "$ART/realenv_client$i.txt" 2>&1 \
       || { echo "realenv tier: client against node $i failed" >&2
            realenv_ok=0; }

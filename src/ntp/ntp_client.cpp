@@ -5,7 +5,6 @@
 
 #include "ntp/ntp_server.h"  // wire-format tags
 #include "obs/metrics.h"
-#include "resilient/marzullo.h"
 #include "util/bytes.h"
 #include "util/log.h"
 
@@ -78,12 +77,13 @@ void NtpClient::poll() {
   for (Source& source : sources_) {
     source.outstanding_id = next_request_id_++;
     source.outstanding_t1 = clock_.now();
-    ByteWriter w;
+    ByteWriter w(std::move(plaintext_));
     w.put_u8(kNtpRequestTag);
     w.put_u64(source.outstanding_id);
     w.put_i64(source.outstanding_t1);
-    env_.transport().send(config_.id, source.server,
-                          channel_.seal(source.server, w.data()));
+    plaintext_ = w.take();
+    channel_.seal_into(source.server, plaintext_, frame_);
+    env_.transport().send(config_.id, source.server, frame_);
   }
 
   // Next poll at 2^tau seconds regardless of whether answers arrive
@@ -93,12 +93,12 @@ void NtpClient::poll() {
 }
 
 void NtpClient::on_packet(const runtime::Packet& packet) {
-  const auto opened = channel_.open(packet.payload);
-  if (!opened) return;
+  const auto sender = channel_.open_into(packet.payload, plaintext_);
+  if (!sender) return;
 
   Source* source = nullptr;
   for (Source& candidate : sources_) {
-    if (candidate.server == opened->sender) {
+    if (candidate.server == *sender) {
       source = &candidate;
       break;
     }
@@ -108,7 +108,7 @@ void NtpClient::on_packet(const runtime::Packet& packet) {
   NtpSample sample;
   std::uint64_t id = 0;
   try {
-    ByteReader reader(opened->plaintext);
+    ByteReader reader(plaintext_);
     if (reader.get_u8() != kNtpResponseTag) return;
     id = reader.get_u64();
     sample.t1 = reader.get_i64();
@@ -138,37 +138,34 @@ void NtpClient::select_and_apply() {
   const Duration horizon = 4 * (seconds(1) << tau_);
 
   // Stage 1: per-server candidate = its filter's min-delay fresh sample.
-  struct Candidate {
-    resilient::ClockSample sample;
-  };
-  std::vector<Candidate> candidates;
-  std::vector<resilient::Interval> intervals;
+  candidates_.clear();
+  intervals_.clear();
   for (Source& source : sources_) {
     const auto best = source.filter.select(local_now, horizon);
     if (!best) continue;
-    candidates.push_back({*best});
+    candidates_.push_back(*best);
     const Duration e = best->delay / 2 + config_.selection_margin;
-    intervals.push_back({best->offset - e, best->offset + e});
+    intervals_.push_back({best->offset - e, best->offset + e});
   }
-  if (candidates.empty()) return;
+  if (candidates_.empty()) return;
 
   // Stage 2: Marzullo over candidate offset intervals; a server whose
   // interval misses the majority intersection is a falseticker. The
   // quorum is over the *configured* server set — otherwise whichever
   // (possibly lying) server answers first forms a majority of one.
-  const auto best_overlap = resilient::marzullo(intervals);
+  const auto best_overlap = resilient::marzullo(intervals_, events_);
   if (best_overlap.count * 2 <= config_.servers.size()) return;
-  const auto chimers = resilient::overlapping(intervals, best_overlap.best);
-  stats_.falsetickers_rejected += candidates.size() - chimers.size();
+  resilient::overlapping(intervals_, best_overlap.best, chimers_);
+  stats_.falsetickers_rejected += candidates_.size() - chimers_.size();
 
   // Stage 3: among true-chimers, the freshest minimum-delay candidate
   // drives the discipline — but only when it is genuinely new.
   const resilient::ClockSample* chosen = nullptr;
-  for (std::size_t idx : chimers) {
-    const auto& sample = candidates[idx].sample;
+  for (std::size_t idx : chimers_) {
+    const auto& sample = candidates_[idx];
     if (chosen == nullptr || sample.delay < chosen->delay ||
         (sample.delay == chosen->delay && sample.at > chosen->at)) {
-      chosen = &candidates[idx].sample;
+      chosen = &sample;
     }
   }
   if (chosen == nullptr || chosen->at == last_applied_sample_at_ ||

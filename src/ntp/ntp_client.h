@@ -18,6 +18,7 @@
 #include "ntp/disciplined_clock.h"
 #include "ntp/sample.h"
 #include "resilient/clock_filter.h"
+#include "resilient/marzullo.h"
 #include "runtime/env.h"
 #include "tsc/tsc.h"
 #include "util/types.h"
@@ -95,6 +96,13 @@ class NtpClient {
   bool started_ = false;
   runtime::TimerId next_poll_{};
   NtpClientStats stats_;
+  // Scratch reused by every message and select_and_apply() call.
+  Bytes plaintext_;
+  Bytes frame_;
+  std::vector<resilient::ClockSample> candidates_;
+  std::vector<resilient::Interval> intervals_;
+  std::vector<resilient::SweepEvent> events_;
+  std::vector<std::size_t> chimers_;
 };
 
 }  // namespace triad::ntp

@@ -35,15 +35,15 @@ NtpServer::~NtpServer() {
 }
 
 void NtpServer::on_packet(const runtime::Packet& packet) {
-  const auto opened = channel_.open(packet.payload);
-  if (!opened) {
+  const auto client = channel_.open_into(packet.payload, plaintext_);
+  if (!client) {
     ++stats_.rejected_frames;
     return;
   }
   std::uint64_t id = 0;
   SimTime t1 = 0;
   try {
-    ByteReader reader(opened->plaintext);
+    ByteReader reader(plaintext_);
     if (reader.get_u8() != kNtpRequestTag) {
       ++stats_.rejected_frames;
       return;
@@ -57,16 +57,18 @@ void NtpServer::on_packet(const runtime::Packet& packet) {
   }
 
   const SimTime t2 = env_.now() + lie_offset_;
-  const NodeId client = opened->sender;
   ++stats_.requests_served;
-  env_.schedule_after(processing_delay_, [this, client, id, t1, t2] {
-    ByteWriter w;
+  env_.schedule_after(processing_delay_, [this, client = *client, id, t1,
+                                          t2] {
+    ByteWriter w(std::move(plaintext_));
     w.put_u8(kNtpResponseTag);
     w.put_u64(id);
     w.put_i64(t1);
     w.put_i64(t2);
     w.put_i64(env_.now() + lie_offset_);  // t3
-    env_.transport().send(address_, client, channel_.seal(client, w.data()));
+    plaintext_ = w.take();
+    channel_.seal_into(client, plaintext_, frame_);
+    env_.transport().send(address_, client, frame_);
   });
 }
 

@@ -51,6 +51,8 @@ class NtpServer {
   Duration processing_delay_;
   Duration lie_offset_ = 0;
   NtpServerStats stats_;
+  Bytes plaintext_;  // scratch reused by every request and reply
+  Bytes frame_;
 };
 
 }  // namespace triad::ntp

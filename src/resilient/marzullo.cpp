@@ -5,11 +5,6 @@
 
 namespace triad::resilient {
 
-MarzulloResult marzullo(const std::vector<Interval>& intervals) {
-  std::vector<SweepEvent> events;
-  return marzullo(intervals, events);
-}
-
 MarzulloResult marzullo(std::span<const Interval> intervals,
                         std::vector<SweepEvent>& events) {
   MarzulloResult result;
@@ -67,13 +62,6 @@ MarzulloResult marzullo(std::span<const Interval> intervals,
   // All intervals are points at the same place (count events degenerate).
   result.best = {best_lo, best_lo};
   return result;
-}
-
-std::vector<std::size_t> overlapping(const std::vector<Interval>& intervals,
-                                     const Interval& window) {
-  std::vector<std::size_t> out;
-  overlapping(intervals, window, out);
-  return out;
 }
 
 void overlapping(std::span<const Interval> intervals, const Interval& window,

@@ -36,20 +36,14 @@ struct SweepEvent {
 };
 
 /// Computes the best intersection. Empty input yields count == 0.
-/// Throws std::invalid_argument on an interval with hi < lo.
-MarzulloResult marzullo(const std::vector<Interval>& intervals);
-
-/// marzullo() with caller-provided sweep storage: `events` is overwritten
-/// and its capacity reused, so a warm caller allocates nothing.
+/// Throws std::invalid_argument on an interval with hi < lo. `events` is
+/// sweep storage: overwritten, its capacity reused, so a warm caller
+/// allocates nothing.
 MarzulloResult marzullo(std::span<const Interval> intervals,
                         std::vector<SweepEvent>& events);
 
-/// Indices of intervals overlapping `window` (the true-chimer set).
-std::vector<std::size_t> overlapping(const std::vector<Interval>& intervals,
-                                     const Interval& window);
-
-/// overlapping() into caller memory: `out` is overwritten, its capacity
-/// reused.
+/// Indices of intervals overlapping `window` (the true-chimer set), into
+/// `out`: overwritten, its capacity reused.
 void overlapping(std::span<const Interval> intervals, const Interval& window,
                  std::vector<std::size_t>& out);
 

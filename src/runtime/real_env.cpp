@@ -448,7 +448,7 @@ int timeout_until(std::optional<SimTime> deadline, SimTime now) {
 }  // namespace
 
 void EpollLoop::run(RealScheduler& scheduler, const Clock& clock) {
-  while (!stopped()) {
+  while (!stop_requested_.exchange(false, std::memory_order_acq_rel)) {
     poll_once(scheduler, clock,
               timeout_until(scheduler.next_deadline(), clock.now()));
   }
@@ -456,7 +456,8 @@ void EpollLoop::run(RealScheduler& scheduler, const Clock& clock) {
 
 void EpollLoop::run_until(RealScheduler& scheduler, const Clock& clock,
                           SimTime deadline) {
-  while (!stopped() && clock.now() < deadline) {
+  while (!stop_requested_.exchange(false, std::memory_order_acq_rel) &&
+         clock.now() < deadline) {
     std::optional<SimTime> next = scheduler.next_deadline();
     if (!next.has_value() || *next > deadline) next = deadline;
     poll_once(scheduler, clock, timeout_until(next, clock.now()));

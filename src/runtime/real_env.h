@@ -3,8 +3,9 @@
 //
 // This is the second binding of Clock/Scheduler/Transport (the first is
 // SimEnv): the same protocol components — triad::Node, ta::TimeAuthority,
-// TrustedTimeClient — run unmodified against real sockets. What carries
-// over from the determinism contract (DESIGN.md, "Runtime layer"):
+// TrustedTimeClient (timed::BlockingProbe; tests/real_env_test.cpp) — run
+// unmodified against real sockets. What carries over from the
+// determinism contract (DESIGN.md, "Runtime layer"):
 //   * one event loop per environment totally orders callbacks; timers
 //     with equal deadlines fire in scheduling order (FIFO), by the same
 //     runtime::TimerQueue sim::Simulation runs on;
@@ -247,7 +248,9 @@ class RealScheduler;
 /// control: fd readability callbacks and the scheduler's due timers all
 /// run here, which is what totally orders callbacks like the simulator
 /// does. stop() is safe from other threads and from signal handlers
-/// (one eventfd write).
+/// (one eventfd write). A stop is used up by the run it ends, so the
+/// same loop can run again; a stop that lands while no run is active
+/// makes the next run return at once.
 class EpollLoop {
  public:
   EpollLoop();
@@ -269,9 +272,6 @@ class EpollLoop {
 
   /// Requests the loop to exit its next iteration. Async-signal-safe.
   void stop();
-  [[nodiscard]] bool stopped() const {
-    return stop_requested_.load(std::memory_order_acquire);
-  }
 
  private:
   /// One pass: wait up to `timeout_ms`, dispatch fds, fire due timers.
@@ -287,7 +287,7 @@ class EpollLoop {
   UniqueFd epoll_fd_;
   UniqueFd wakeup_fd_;  // eventfd: stop() and cross-thread nudges
   std::vector<FdHandler> handlers_;
-  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> stop_requested_{false};  // cleared by the run it ends
 };
 
 /// The simulator's TimerQueue read against a wall Clock. Unlike

@@ -3,10 +3,8 @@
 #include <sstream>
 #include <utility>
 
-#include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "triad/messages.h"
 
 namespace triad::timed {
 
@@ -247,63 +245,38 @@ void TimedService::register_worker_metrics(obs::Registry* registry) {
 
 // --- BlockingProbe -----------------------------------------------------
 
+namespace {
+
+ClientConfig probe_client_config(
+    NodeId self,
+    const std::vector<std::pair<NodeId, runtime::SockAddr>>& servers) {
+  ClientConfig config{.id = self, .cluster = {}};
+  for (const auto& server : servers) config.cluster.push_back(server.first);
+  return config;
+}
+
+}  // namespace
+
+BlockingProbe::BlockingProbe(
+    NodeId self, std::vector<std::pair<NodeId, runtime::SockAddr>> servers,
+    const crypto::Keyring& keyring)
+    : env_({.listen = runtime::kLoopbackAny, .peers = servers}),
+      client_(env_, keyring, probe_client_config(self, servers)) {}
+
 BlockingProbe::BlockingProbe(NodeId self, NodeId server,
                              runtime::SockAddr server_addr,
                              const crypto::Keyring& keyring)
-    : self_(self),
-      server_(server),
-      server_addr_(server_addr),
-      socket_(runtime::UdpSocket::bind(runtime::kLoopbackAny)),
-      channel_(self, keyring) {}
+    : BlockingProbe(self, {{server, server_addr}}, keyring) {}
 
 std::optional<TrustedTimestamp> BlockingProbe::request(Duration timeout) {
-  if (!socket_.valid()) return std::nullopt;
-  proto::PeerTimeRequest request;
-  request.request_id = next_request_id_++;
-  const Bytes sealed = channel_.seal(server_, proto::encode(request));
-  const Bytes datagram = net::wire::encode_frame(self_, server_, sealed);
-  if (!socket_.send_to(server_addr_, datagram)) return std::nullopt;
-
-  socket_.set_recv_timeout_ms(
-      std::max(1, static_cast<int>(timeout / 1'000'000)));
-  std::array<runtime::RecvView, runtime::kRecvBatch> views;
-  // A stale response (from an earlier timed-out request) may arrive
-  // first; keep reading until the id matches or the timeout hits.
-  runtime::MonotonicTimer waited;
-  while (static_cast<Duration>(waited.elapsed_ns()) < timeout) {
-    const std::size_t n = socket_.recv_batch(views);
-    if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto frame = net::wire::decode_frame(views[i].data);
-      if (!frame.has_value() || frame->dst != self_) continue;
-      const auto opened = channel_.open(frame->payload);
-      if (!opened.has_value()) {
-        ++bad_frames_;
-        continue;
-      }
-      const auto message = proto::decode(opened->plaintext);
-      const auto* response =
-          message.has_value()
-              ? std::get_if<proto::PeerTimeResponse>(&*message)
-              : nullptr;
-      if (response == nullptr) {
-        ++bad_frames_;
-        continue;
-      }
-      if (response->request_id != request.request_id) continue;
-      if (response->tainted) {
-        ++tainted_answers_;
-        return std::nullopt;
-      }
-      TrustedTimestamp result;
-      result.timestamp = response->timestamp;
-      result.error_bound = response->error_bound;
-      result.served_by = opened->sender;
-      return result;
-    }
-  }
-  ++timeouts_;
-  return std::nullopt;
+  if (!valid()) return std::nullopt;
+  std::optional<TrustedTimestamp> result;
+  client_.request_timestamp(timeout, [&](auto answer) {
+    result = answer;
+    env_.stop();
+  });
+  env_.run();
+  return result;
 }
 
 }  // namespace triad::timed

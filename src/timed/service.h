@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/channel.h"
@@ -280,38 +281,42 @@ class TimedService {
   std::atomic<bool> started_{false};
 };
 
-/// Synchronous sealed-timestamp probe: one UDP socket, one request at a
-/// time, blocking with a timeout. Used by `triad_timed --role client`,
-/// the realenv smoke tier, and tests. (The loopback bench pipelines
-/// instead; see bench/bench_triad_loopback.cpp.)
+/// Synchronous sealed-timestamp probe: a TrustedTimeClient on its own
+/// RealEnv (an ephemeral loopback socket, `servers` as its address
+/// book), one request at a time; request() runs the env until the
+/// client's callback stops it. Used by `triad_timed --role client`, the
+/// realenv smoke tier, and tests. (The loopback bench pipelines instead;
+/// see bench/bench_triad_loopback.cpp.)
 class BlockingProbe {
  public:
+  /// `servers` is non-empty, in TrustedTimeClient's rotation order.
+  BlockingProbe(NodeId self,
+                std::vector<std::pair<NodeId, runtime::SockAddr>> servers,
+                const crypto::Keyring& keyring);
   BlockingProbe(NodeId self, NodeId server, runtime::SockAddr server_addr,
                 const crypto::Keyring& keyring);
 
-  [[nodiscard]] bool valid() const { return socket_.valid(); }
+  [[nodiscard]] bool valid() const { return env_.valid(); }
 
-  /// One sealed PeerTimeRequest/PeerTimeResponse round-trip. Returns
-  /// nullopt on timeout, auth failure, or a tainted answer.
+  /// One sealed PeerTimeRequest/PeerTimeResponse exchange, giving each
+  /// server `timeout` (> 0) before trying the next. Returns nullopt when
+  /// every server timed out or answered tainted.
   [[nodiscard]] std::optional<TrustedTimestamp> request(
       Duration timeout = milliseconds(200));
 
-  [[nodiscard]] std::uint64_t bad_frames() const { return bad_frames_; }
-  [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
+  [[nodiscard]] std::uint64_t bad_frames() const {
+    return client_.stats().bad_frames;
+  }
+  [[nodiscard]] std::uint64_t timeouts() const {
+    return client_.stats().timeouts;
+  }
   [[nodiscard]] std::uint64_t tainted_answers() const {
-    return tainted_answers_;
+    return client_.stats().tainted_answers;
   }
 
  private:
-  NodeId self_;
-  NodeId server_;
-  runtime::SockAddr server_addr_;
-  runtime::UdpSocket socket_;
-  crypto::SecureChannel channel_;
-  std::uint64_t next_request_id_ = 1;
-  std::uint64_t bad_frames_ = 0;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t tainted_answers_ = 0;
+  runtime::RealEnv env_;
+  TrustedTimeClient client_;  // declared after env_: detaches first
 };
 
 }  // namespace triad::timed

@@ -15,9 +15,6 @@ TrustedTimeClient::TrustedTimeClient(runtime::Env env,
   if (config_.cluster.empty()) {
     throw std::invalid_argument("TrustedTimeClient: empty cluster");
   }
-  if (config_.node_timeout <= 0) {
-    throw std::invalid_argument("TrustedTimeClient: bad timeout");
-  }
   env_.transport().attach(
       config_.id, [this](const runtime::Packet& packet) { on_packet(packet); });
 }
@@ -27,14 +24,19 @@ TrustedTimeClient::~TrustedTimeClient() {
   env_.transport().detach(config_.id);
 }
 
-void TrustedTimeClient::request_timestamp(Callback callback) {
+void TrustedTimeClient::request_timestamp(Duration node_timeout,
+                                          Callback callback) {
   if (!callback) {
     throw std::invalid_argument("TrustedTimeClient: null callback");
+  }
+  if (node_timeout <= 0) {
+    throw std::invalid_argument("TrustedTimeClient: bad timeout");
   }
   ++stats_.requests;
   Pending pending;
   pending.request_id = next_request_id_++;
   pending.start_offset = rotation_++ % config_.cluster.size();
+  pending.node_timeout = node_timeout;
   pending.callback = std::move(callback);
   try_next(std::move(pending));
 }
@@ -44,18 +46,18 @@ void TrustedTimeClient::try_next(Pending pending) {
     finish(pending, std::nullopt);
     return;
   }
-  const NodeId target =
-      config_.cluster[(pending.start_offset + pending.attempt) %
-                      config_.cluster.size()];
+  pending.target = config_.cluster[(pending.start_offset + pending.attempt) %
+                                   config_.cluster.size()];
   ++pending.attempt;
 
   proto::PeerTimeRequest request;
   request.request_id = pending.request_id;
-  env_.transport().send(config_.id, target,
-                        channel_.seal(target, proto::encode(request)));
+  proto::encode_into(request, plaintext_);
+  channel_.seal_into(pending.target, plaintext_, frame_);
+  env_.transport().send(config_.id, pending.target, frame_);
 
   const std::uint64_t id = pending.request_id;
-  pending.timeout = env_.schedule_after(config_.node_timeout, [this, id] {
+  pending.timeout = env_.schedule_after(pending.node_timeout, [this, id] {
     const auto it = std::find_if(
         pending_.begin(), pending_.end(),
         [id](const Pending& p) { return p.request_id == id; });
@@ -81,12 +83,12 @@ void TrustedTimeClient::finish(Pending& pending,
 }
 
 void TrustedTimeClient::on_packet(const runtime::Packet& packet) {
-  const auto opened = channel_.open(packet.payload);
-  if (!opened) {
+  const auto sender = channel_.open_into(packet.payload, plaintext_);
+  if (!sender) {
     ++stats_.bad_frames;
     return;
   }
-  const auto message = proto::decode(opened->plaintext);
+  const auto message = proto::decode(plaintext_);
   if (!message ||
       !std::holds_alternative<proto::PeerTimeResponse>(*message)) {
     ++stats_.bad_frames;
@@ -94,11 +96,15 @@ void TrustedTimeClient::on_packet(const runtime::Packet& packet) {
   }
   const auto& response = std::get<proto::PeerTimeResponse>(*message);
 
+  // Only the node a request is waiting on may settle it: a late answer
+  // from a node the request already timed out on is stale, whatever it
+  // says.
   const auto it = std::find_if(pending_.begin(), pending_.end(),
                                [&](const Pending& p) {
-                                 return p.request_id == response.request_id;
+                                 return p.request_id == response.request_id &&
+                                        p.target == *sender;
                                });
-  if (it == pending_.end()) return;  // stale answer after timeout rotation
+  if (it == pending_.end()) return;
 
   if (response.tainted) {
     ++stats_.tainted_answers;
@@ -113,7 +119,7 @@ void TrustedTimeClient::on_packet(const runtime::Packet& packet) {
   Pending done = std::move(*it);
   pending_.erase(it);
   finish(done, TrustedTimestamp{response.timestamp, response.error_bound,
-                                opened->sender});
+                                *sender});
 }
 
 }  // namespace triad

@@ -5,7 +5,9 @@
 // the (attacker-controlled) network. The client queries cluster nodes in
 // rotation over the authenticated channel, skipping tainted nodes and
 // timing out onto the next one — so a single unavailable or unreachable
-// node does not stall the application.
+// node does not stall the application. Only the node a request waits on
+// can answer it: a late answer from a node it gave up on is dropped.
+// timed::BlockingProbe runs this client on real sockets.
 //
 // Wire format: the client reuses PeerTimeRequest/PeerTimeResponse; a
 // node answers clients exactly as it answers peers (timestamp + tainted
@@ -28,9 +30,6 @@ namespace triad {
 struct ClientConfig {
   NodeId id = 0;
   std::vector<NodeId> cluster;  // node addresses to query, in preference order
-  /// Per-node timeout before trying the next node. A request tries each
-  /// cluster node once before it fails.
-  Duration node_timeout = milliseconds(5);
 };
 
 struct ClientStats {
@@ -60,9 +59,10 @@ class TrustedTimeClient {
   TrustedTimeClient& operator=(const TrustedTimeClient&) = delete;
 
   /// Requests a trusted timestamp; the callback fires exactly once, with
-  /// nullopt if every attempted node was tainted or unreachable.
-  /// Multiple requests may be in flight concurrently.
-  void request_timestamp(Callback callback);
+  /// nullopt if every attempted node was tainted or unreachable. Each
+  /// cluster node is tried once, for at most `node_timeout` (> 0) before
+  /// the next. Multiple requests may be in flight concurrently.
+  void request_timestamp(Duration node_timeout, Callback callback);
 
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
 
@@ -71,6 +71,8 @@ class TrustedTimeClient {
     std::uint64_t request_id = 0;
     std::size_t attempt = 0;       // index into the rotation for this req
     std::size_t start_offset = 0;  // round-robin start position
+    NodeId target = 0;             // the node being waited on
+    Duration node_timeout = 0;
     Callback callback;
     runtime::TimerId timeout{};
   };
@@ -86,6 +88,8 @@ class TrustedTimeClient {
   std::uint64_t next_request_id_ = 1;
   std::size_t rotation_ = 0;  // round-robin over cluster nodes
   ClientStats stats_;
+  Bytes plaintext_;  // scratch: encode_into/open_into, then seal or decode
+  Bytes frame_;
 };
 
 }  // namespace triad

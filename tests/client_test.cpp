@@ -9,6 +9,9 @@
 namespace triad {
 namespace {
 
+// Per-node timeout before a request moves on to the next node.
+constexpr Duration kNodeTimeout = milliseconds(5);
+
 struct ClientFixture {
   ClientFixture() : scenario(make_config()) {
     ClientConfig config;
@@ -37,7 +40,7 @@ TEST(TrustedTimeClient, FetchesTimestampFromCalibratedCluster) {
   f.scenario.run_until(minutes(1));
 
   std::optional<TrustedTimestamp> result;
-  f.client->request_timestamp([&](auto r) { result = r; });
+  f.client->request_timestamp(kNodeTimeout, [&](auto r) { result = r; });
   f.scenario.run_for(milliseconds(50));
 
   ASSERT_TRUE(result.has_value());
@@ -59,7 +62,7 @@ TEST(TrustedTimeClient, SkipsTaintedNodeAndUsesNext) {
   ASSERT_EQ(f.scenario.node(0).state(), NodeState::kTainted);
 
   std::optional<TrustedTimestamp> result;
-  f.client->request_timestamp([&](auto r) { result = r; });
+  f.client->request_timestamp(kNodeTimeout, [&](auto r) { result = r; });
   f.scenario.run_for(milliseconds(50));
 
   ASSERT_TRUE(result.has_value());
@@ -79,7 +82,7 @@ TEST(TrustedTimeClient, AllNodesTaintedReportsFailure) {
     f.scenario.node(i).monitoring_thread().deliver_aex();
   }
   std::optional<std::optional<TrustedTimestamp>> outcome;
-  f.client->request_timestamp([&](auto r) { outcome = r; });
+  f.client->request_timestamp(kNodeTimeout, [&](auto r) { outcome = r; });
   f.scenario.run_for(seconds(1));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->has_value());
@@ -107,7 +110,7 @@ TEST(TrustedTimeClient, TimeoutRotatesToNextNode) {
   f.scenario.network().add_middlebox(&blackhole);
 
   std::optional<TrustedTimestamp> result;
-  f.client->request_timestamp([&](auto r) { result = r; });
+  f.client->request_timestamp(kNodeTimeout, [&](auto r) { result = r; });
   f.scenario.run_for(milliseconds(100));
 
   ASSERT_TRUE(result.has_value());
@@ -123,7 +126,7 @@ TEST(TrustedTimeClient, ManyConcurrentRequests) {
 
   int done = 0;
   for (int i = 0; i < 50; ++i) {
-    f.client->request_timestamp([&](auto r) {
+    f.client->request_timestamp(kNodeTimeout, [&](auto r) {
       EXPECT_TRUE(r.has_value());
       ++done;
     });
@@ -140,7 +143,7 @@ TEST(TrustedTimeClient, RoundRobinSpreadsLoad) {
 
   std::map<NodeId, int> served;
   for (int i = 0; i < 30; ++i) {
-    f.client->request_timestamp([&](auto r) {
+    f.client->request_timestamp(kNodeTimeout, [&](auto r) {
       if (r) ++served[r->served_by];
     });
     f.scenario.run_for(milliseconds(10));
@@ -158,9 +161,9 @@ TEST(TrustedTimeClient, CallbackMayReissueRequests) {
   std::function<void(std::optional<TrustedTimestamp>)> next =
       [&](std::optional<TrustedTimestamp> r) {
         ASSERT_TRUE(r.has_value());
-        if (++chain < 5) f.client->request_timestamp(next);
+        if (++chain < 5) f.client->request_timestamp(kNodeTimeout, next);
       };
-  f.client->request_timestamp(next);
+  f.client->request_timestamp(kNodeTimeout, next);
   f.scenario.run_for(seconds(1));
   EXPECT_EQ(chain, 5);
 }
@@ -172,16 +175,58 @@ TEST(TrustedTimeClient, InvalidConfigThrows) {
   EXPECT_THROW(
       TrustedTimeClient(f.scenario.env(), f.scenario.keyring(), bad),
       std::invalid_argument);
-  bad.cluster = {1};
-  bad.node_timeout = 0;
-  EXPECT_THROW(
-      TrustedTimeClient(f.scenario.env(), f.scenario.keyring(), bad),
-      std::invalid_argument);
+  EXPECT_THROW(f.client->request_timestamp(0, [](auto) {}),
+               std::invalid_argument);
 }
 
 TEST(TrustedTimeClient, NullCallbackThrows) {
   ClientFixture f;
-  EXPECT_THROW(f.client->request_timestamp(nullptr), std::invalid_argument);
+  EXPECT_THROW(f.client->request_timestamp(kNodeTimeout, nullptr),
+               std::invalid_argument);
+}
+
+// A request that timed out on node 1 and moved on to node 2 must wait
+// for node 2: node 1's late tainted answer is stale and may not end it.
+// Node 1's answers take 6 ms (past the 5 ms node timeout) and node 2's
+// 3 ms, so node 1's lands first, while node 2's is still in flight.
+TEST(TrustedTimeClient, LateAnswerFromAbandonedNodeIsIgnored) {
+  ClientFixture f;
+  f.scenario.start();
+  f.scenario.run_until(minutes(1));
+
+  class SlowReplies final : public net::Middlebox {
+   public:
+    SlowReplies(NodeId slow, NodeId fast) : slow_(slow), fast_(fast) {}
+    Action on_packet(const net::Packet& p, SimTime) override {
+      if (p.src == slow_) return {.extra_delay = milliseconds(6)};
+      if (p.src == fast_) return {.extra_delay = milliseconds(3)};
+      return {};
+    }
+
+   private:
+    NodeId slow_;
+    NodeId fast_;
+  } slow_replies(f.scenario.node_address(0), f.scenario.node_address(1));
+  f.scenario.network().add_middlebox(&slow_replies);
+
+  ClientConfig config;
+  config.id = 60;
+  config.cluster = {f.scenario.node_address(0), f.scenario.node_address(1)};
+  TrustedTimeClient client(f.scenario.env(), f.scenario.keyring(), config);
+  f.scenario.node(0).monitoring_thread().deliver_aex();
+  ASSERT_EQ(f.scenario.node(0).state(), NodeState::kTainted);
+
+  std::optional<std::optional<TrustedTimestamp>> outcome;
+  client.request_timestamp(kNodeTimeout, [&](auto r) { outcome = r; });
+  f.scenario.run_for(milliseconds(50));
+
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->has_value());
+  EXPECT_EQ((*outcome)->served_by, f.scenario.node_address(1));
+  EXPECT_EQ(client.stats().timeouts, 1u);
+  EXPECT_EQ(client.stats().tainted_answers, 0u);
+  EXPECT_EQ(client.stats().failures, 0u);
+  f.scenario.network().remove_middlebox(&slow_replies);
 }
 
 }  // namespace

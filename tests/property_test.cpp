@@ -301,11 +301,13 @@ TEST_P(MarzulloProperty, IntersectionInvariants) {
     const SimTime len = rng.uniform_int(0, 500);
     intervals.push_back({lo, lo + len});
   }
-  const auto result = resilient::marzullo(intervals);
+  std::vector<resilient::SweepEvent> events;
+  const auto result = resilient::marzullo(intervals, events);
 
   // (1) count is achievable: the returned window overlaps exactly that
   // many source intervals.
-  const auto overlapped = resilient::overlapping(intervals, result.best);
+  std::vector<std::size_t> overlapped;
+  resilient::overlapping(intervals, result.best, overlapped);
   EXPECT_EQ(overlapped.size(), result.count);
 
   // (2) count is maximal: no single point is covered by more intervals.

@@ -437,6 +437,27 @@ TEST(RealEnvTest, SimAndRealTraceSequencesMatch) {
   EXPECT_EQ(real_trace[4].type, obs::TraceEventType::kPacketDeliver);
 }
 
+// A stop() ends only the run it lands in (or, landing between runs, the
+// next one): the env runs again afterwards, for as long as asked.
+TEST(RealEnvTest, StopIsUsedUpByTheRunItEnds) {
+  RealEnv env(RealEnvConfig{});
+  ASSERT_TRUE(env.valid()) << env.bind_error();
+
+  env.env().schedule_after(milliseconds(5), [&env] { env.stop(); });
+  const MonotonicTimer first;
+  env.run_for(seconds(5));
+  EXPECT_LT(first.elapsed_ms(), 1000.0);
+
+  const MonotonicTimer second;
+  env.run_for(milliseconds(50));
+  EXPECT_GE(second.elapsed_ms(), 50.0);
+
+  env.stop();  // before the run: that run returns at once
+  const MonotonicTimer third;
+  env.run_for(seconds(5));
+  EXPECT_LT(third.elapsed_ms(), 1000.0);
+}
+
 TEST(TimedServiceTest, ServesMonotoneSealedTimestamps) {
   SKIP_WITHOUT_SOCKETS();
   using namespace triad::timed;
@@ -490,6 +511,69 @@ TEST(TimedServiceTest, ServesMonotoneSealedTimestamps) {
   ta_thread.join();
   EXPECT_GE(node.total_responses(), 21u);
   EXPECT_EQ(node.total_bad_frames(), 0u);
+}
+
+// One probe over two nodes: once node 1 stops answering, every request
+// still gets an untainted answer, from node 2, after timing out on node 1
+// whenever the probe's rotation starts there.
+TEST(TimedServiceTest, ProbeFailsOverWhenANodeStops) {
+  SKIP_WITHOUT_SOCKETS();
+  using namespace triad::timed;
+  const crypto::ClusterKeyring keyring(Bytes(32, 0x42));
+
+  ServiceConfig ta_config;
+  ta_config.role = Role::kTa;
+  ta_config.ta_id = 9;
+  TimedService ta(ta_config);
+  ASSERT_TRUE(ta.valid()) << ta.error();
+  ta.start();
+  std::thread ta_thread([&ta] { ta.run(); });
+
+  std::vector<std::unique_ptr<TimedService>> nodes;
+  std::vector<std::thread> node_threads;
+  std::vector<std::pair<NodeId, SockAddr>> servers;
+  for (NodeId id : {NodeId{1}, NodeId{2}}) {
+    ServiceConfig config;
+    config.role = Role::kNode;
+    config.node.id = id;
+    config.node.ta_address = 9;
+    config.node.calib_pairs = 2;
+    config.node.calib_wait_high = milliseconds(20);
+    config.peers = {{9, ta.protocol_addr()}};
+    nodes.push_back(std::make_unique<TimedService>(config));
+    ASSERT_TRUE(nodes.back()->valid()) << nodes.back()->error();
+    nodes.back()->start();
+    node_threads.emplace_back([node = nodes.back().get()] { node->run(); });
+    servers.emplace_back(id, nodes.back()->serve_addr());
+  }
+
+  BlockingProbe probe(50, servers, keyring);
+  ASSERT_TRUE(probe.valid());
+  bool answered[2] = {false, false};
+  const MonotonicTimer waited;
+  while (!(answered[0] && answered[1]) && waited.elapsed_ms() < 10000.0) {
+    if (const auto ts = probe.request(milliseconds(100)); ts.has_value()) {
+      ASSERT_TRUE(ts->served_by == 1 || ts->served_by == 2);
+      answered[ts->served_by - 1] = true;
+    }
+  }
+  ASSERT_TRUE(answered[0] && answered[1]) << "nodes never became available";
+
+  nodes[0]->stop();
+  node_threads[0].join();
+  const std::uint64_t timeouts_before = probe.timeouts();
+  for (int i = 0; i < 10; ++i) {
+    const auto ts = probe.request(milliseconds(100));
+    ASSERT_TRUE(ts.has_value()) << "request " << i;
+    EXPECT_EQ(ts->served_by, 2u);
+  }
+  EXPECT_GE(probe.timeouts() - timeouts_before, 1u);
+  EXPECT_EQ(probe.bad_frames(), 0u);
+
+  nodes[1]->stop();
+  node_threads[1].join();
+  ta.stop();
+  ta_thread.join();
 }
 
 // ---- ServeWorker on its own -------------------------------------------

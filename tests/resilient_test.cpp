@@ -10,57 +10,64 @@
 namespace triad::resilient {
 namespace {
 
+// marzullo() over an interval list, with fresh sweep storage.
+MarzulloResult marzullo_of(const std::vector<Interval>& intervals) {
+  std::vector<SweepEvent> events;
+  return marzullo(intervals, events);
+}
+
 TEST(Marzullo, EmptyInput) {
-  const auto r = marzullo({});
+  const auto r = marzullo_of({});
   EXPECT_EQ(r.count, 0u);
 }
 
 TEST(Marzullo, SingleInterval) {
-  const auto r = marzullo({{10, 20}});
+  const auto r = marzullo_of({{10, 20}});
   EXPECT_EQ(r.count, 1u);
   EXPECT_EQ(r.best, (Interval{10, 20}));
   EXPECT_EQ(r.midpoint(), 15);
 }
 
 TEST(Marzullo, FullOverlap) {
-  const auto r = marzullo({{0, 100}, {10, 50}, {20, 40}});
+  const auto r = marzullo_of({{0, 100}, {10, 50}, {20, 40}});
   EXPECT_EQ(r.count, 3u);
   EXPECT_EQ(r.best, (Interval{20, 40}));
 }
 
 TEST(Marzullo, MajorityAgainstOutlier) {
   // Three honest clocks around 100, one false-ticker far ahead.
-  const auto r = marzullo({{95, 105}, {98, 108}, {96, 104}, {500, 520}});
+  const auto r = marzullo_of({{95, 105}, {98, 108}, {96, 104}, {500, 520}});
   EXPECT_EQ(r.count, 3u);
   EXPECT_GE(r.best.lo, 95);
   EXPECT_LE(r.best.hi, 108);
 }
 
 TEST(Marzullo, DisjointIntervalsPickFirstBest) {
-  const auto r = marzullo({{0, 10}, {20, 30}});
+  const auto r = marzullo_of({{0, 10}, {20, 30}});
   EXPECT_EQ(r.count, 1u);
 }
 
 TEST(Marzullo, TouchingIntervalsCountAsOverlap) {
-  const auto r = marzullo({{0, 10}, {10, 20}});
+  const auto r = marzullo_of({{0, 10}, {10, 20}});
   EXPECT_EQ(r.count, 2u);
   EXPECT_EQ(r.best, (Interval{10, 10}));
 }
 
 TEST(Marzullo, TwoClustersPicksLarger) {
   const auto r =
-      marzullo({{0, 10}, {1, 11}, {100, 110}, {101, 111}, {102, 112}});
+      marzullo_of({{0, 10}, {1, 11}, {100, 110}, {101, 111}, {102, 112}});
   EXPECT_EQ(r.count, 3u);
   EXPECT_EQ(r.best, (Interval{102, 110}));
 }
 
 TEST(Marzullo, InvalidIntervalThrows) {
-  EXPECT_THROW(marzullo({{10, 5}}), std::invalid_argument);
+  EXPECT_THROW(marzullo_of({{10, 5}}), std::invalid_argument);
 }
 
 TEST(Marzullo, OverlappingIndexHelper) {
   const std::vector<Interval> ivs = {{0, 10}, {5, 15}, {20, 30}};
-  const auto idx = overlapping(ivs, {8, 12});
+  std::vector<std::size_t> idx;
+  overlapping(ivs, {8, 12}, idx);
   EXPECT_EQ(idx, (std::vector<std::size_t>{0, 1}));
 }
 
