@@ -73,24 +73,17 @@ int main() {
       "AEX-independence ablation — does the paper's iid assumption matter?",
       "Markov Triad-like delays; stickiness 1/3 = iid; 20 min per cell");
 
-  std::printf("%12s %14s %10s %16s %20s\n", "stickiness", "availability",
-              "ta_reqs", "max|drift| (ms)", "F- honest drift (ms)");
+  bench::print_table_head({"stickiness", "availability", "TA reqs",
+                           "max \\|drift\\|", "F− honest drift"});
   for (double stickiness : {1.0 / 3.0, 0.6, 0.8, 0.95}) {
     const Row row = run(stickiness);
-    std::printf("%12.2f %13.2f%% %10llu %16.1f %20.0f\n", stickiness,
-                row.availability * 100.0,
-                static_cast<unsigned long long>(row.ta_requests),
-                row.max_drift_ms, row.infected_drift_ms);
+    bench::print_row(
+        {bench::fmt("%.2f", stickiness),
+         bench::fmt("%.2f %%", row.availability * 100.0),
+         bench::fmt("%llu", static_cast<unsigned long long>(row.ta_requests)),
+         bench::fmt("%.1f ms", row.max_drift_ms),
+         bench::fmt("%.0f ms", row.infected_drift_ms)});
   }
 
-  std::printf("\n");
-  bench::print_summary_row(
-      "fault-free behaviour vs AEX correlation",
-      "assumption 'successive delays independent' (§IV)",
-      "availability/drift barely move across the sweep");
-  bench::print_summary_row(
-      "F- infection vs AEX correlation",
-      "propagation needs only *some* honest AEXs",
-      "large honest drift at every stickiness");
   return 0;
 }

@@ -57,38 +57,31 @@ int main() {
       "Calibration ablation — why Triad drifts at ~110 ppm",
       "median |F_calib - F_TSC| in ppm over 15 seeds per cell");
 
-  std::printf("\n--- sweep 1: network jitter (8 pairs, 1 s spread) ---\n");
-  std::printf("%12s %16s\n", "jitter_us", "median_err_ppm");
+  // One table, one row per cell; each sweep varies one knob and fixes
+  // the other two at 120 us jitter, 8 pairs, 1 s spread.
+  std::printf("\n");
+  bench::print_table_head({"sweep", "setting", "median error"});
   for (Duration jitter :
        {microseconds(10), microseconds(30), microseconds(60),
         microseconds(120), microseconds(250), microseconds(500)}) {
-    std::printf("%12lld %16.1f\n",
-                static_cast<long long>(jitter / 1000),
-                median_error_ppm(jitter, 8, seconds(1)));
+    bench::print_row(
+        {"jitter (8 pairs, 1 s spread)",
+         bench::fmt("%lld µs", static_cast<long long>(jitter / 1000)),
+         bench::fmt("%.1f ppm", median_error_ppm(jitter, 8, seconds(1)))});
   }
-
-  std::printf("\n--- sweep 2: regression pairs (120 us jitter, 1 s) ---\n");
-  std::printf("%12s %16s\n", "pairs", "median_err_ppm");
   for (int pairs : {2, 4, 8, 16, 32, 64}) {
-    std::printf("%12d %16.1f\n", pairs,
-                median_error_ppm(microseconds(120), pairs, seconds(1)));
+    bench::print_row(
+        {"pairs (120 µs jitter, 1 s spread)", bench::fmt("%d", pairs),
+         bench::fmt("%.1f ppm",
+                    median_error_ppm(microseconds(120), pairs, seconds(1)))});
   }
-
-  std::printf("\n--- sweep 3: wait-time spread (120 us jitter, 8 pairs) ---\n");
-  std::printf("%12s %16s\n", "spread_ms", "median_err_ppm");
   for (Duration spread : {milliseconds(250), milliseconds(500), seconds(1),
                           seconds(2), seconds(8), seconds(32)}) {
-    std::printf("%12lld %16.1f\n",
-                static_cast<long long>(spread / 1'000'000),
-                median_error_ppm(microseconds(120), 8, spread));
+    bench::print_row(
+        {"wait spread (120 µs jitter, 8 pairs)",
+         bench::fmt("%lld ms", static_cast<long long>(spread / 1'000'000)),
+         bench::fmt("%.1f ppm",
+                    median_error_ppm(microseconds(120), 8, spread))});
   }
-
-  std::printf("\n");
-  bench::print_summary_row(
-      "error at paper operating point (120 us, 8 pairs, 1 s)",
-      "~110 ppm fault-free drift", "see sweep rows");
-  bench::print_summary_row(
-      "error vs NTP-style 32 s windows",
-      "NTP: 15 ppm bound; 16 s-36 h windows", "~30x lower at 32 s spread");
   return 0;
 }

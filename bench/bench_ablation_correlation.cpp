@@ -24,8 +24,8 @@ int main() {
       "Correlation ablation — why the Fig. 2 sawtooth exists (60 min/row)",
       "machine-interrupt full-hit probability swept; Triad-like AEXs");
 
-  std::printf("%12s %10s %14s %16s %16s\n", "full_hit_p", "ta_refs",
-              "peer_jumps", "max|drift| (ms)", "drift@end (ms)");
+  bench::print_table_head({"full-hit p", "TA refs", "peer adoptions",
+                           "max \\|drift\\|", "\\|drift\\| at end"});
   for (double p : {1.0, 0.8, 0.5, 0.2, 0.0}) {
     exp::ScenarioConfig cfg;
     cfg.seed = 99;
@@ -48,20 +48,12 @@ int main() {
     for (const auto& adoption : rec.adoptions()) {
       if (adoption.source != sc.ta_address()) ++jumps;
     }
-    std::printf("%12.1f %10llu %14llu %16.1f %16.1f\n", p,
-                static_cast<unsigned long long>(ta_refs),
-                static_cast<unsigned long long>(jumps), max_drift,
-                end_drift);
+    bench::print_row(
+        {bench::fmt("%.1f", p),
+         bench::fmt("%llu", static_cast<unsigned long long>(ta_refs)),
+         bench::fmt("%llu", static_cast<unsigned long long>(jumps)),
+         bench::fmt("%.1f ms", max_drift), bench::fmt("%.1f ms", end_drift)});
   }
 
-  std::printf("\n");
-  bench::print_summary_row(
-      "high correlation (paper's machine)",
-      "frequent TA resets bound drift (Fig. 2 sawtooth)",
-      "many ta_refs, small max drift");
-  bench::print_summary_row(
-      "no correlation",
-      "cluster follows its fastest clock \"arbitrarily long\"",
-      "few ta_refs, drift grows unchecked");
   return 0;
 }

@@ -98,19 +98,21 @@ int main() {
          };
        }},
   };
-  const char* attacks_names[] = {"none", "F+", "F-"};
+  const char* attacks_names[] = {"none", "F+", "F−"};
 
-  std::printf("%-12s %-6s %16s %16s %10s %8s\n", "variant", "attack",
-              "honest|drift|ms", "victim|drift|ms", "ta_reqs", "avail%");
+  bench::print_table_head({"variant", "attack", "honest \\|drift\\|",
+                           "victim \\|drift\\|", "TA reqs",
+                           "honest availability"});
   for (const Variant& variant : variants) {
     for (int attack = -1; attack <= 1; ++attack) {
       const Cell cell = run_cell(variant, attack,
                                  1000 + static_cast<std::uint64_t>(attack));
-      std::printf("%-12s %-6s %16.1f %16.1f %10llu %8.2f\n",
-                  variant.name.c_str(), attacks_names[attack + 1],
-                  cell.honest_worst_ms, cell.victim_worst_ms,
-                  static_cast<unsigned long long>(cell.ta_requests),
-                  cell.honest_avail * 100.0);
+      bench::print_row({variant.name, attacks_names[attack + 1],
+                        bench::fmt("%.1f ms", cell.honest_worst_ms),
+                        bench::fmt("%.1f ms", cell.victim_worst_ms),
+                        bench::fmt("%llu", static_cast<unsigned long long>(
+                                               cell.ta_requests)),
+                        bench::fmt("%.2f %%", cell.honest_avail * 100.0)});
     }
   }
 
@@ -121,8 +123,8 @@ int main() {
   // limits revisions, which also slows the honest repair of an F-
   // poisoned initial calibration.
   std::printf("\n--- long-window revision guard vs ramp / F- (15 min) ---\n");
-  std::printf("%-10s %-8s %22s %22s\n", "guard", "attack",
-              "worst F_err (ppm)", "final F_err (ppm)");
+  bench::print_table_head(
+      {"guard", "attack", "worst F error", "final F error"});
   for (const double guard_ppm : {0.0, 1000.0}) {
     for (const int attack : {0 /*ramp*/, 1 /*F-*/}) {
       exp::ScenarioConfig cfg;
@@ -164,22 +166,14 @@ int main() {
       });
       sc.run_until(minutes(15));
       if (ramp) sc.network().remove_middlebox(ramp.get());
-      std::printf("%-10s %-8s %22.0f %22.0f\n",
-                  guard_ppm == 0 ? "off" : "1000ppm",
-                  attack == 0 ? "ramp" : "F-", worst_ppm, final_ppm);
+      bench::print_row(
+          {guard_ppm == 0 ? std::string("off")
+                          : bench::fmt("%.0f ppm", guard_ppm),
+           attack == 0 ? "ramp" : "F−",
+           bench::fmt("%.0f ppm", worst_ppm),
+           bench::fmt("%.0f ppm", final_ppm)});
     }
   }
 
-  std::printf("\n");
-  bench::print_summary_row(
-      "original under F-", "honest nodes infected (paper Fig. 6)",
-      "honest drift ~ victim drift (large)");
-  bench::print_summary_row(
-      "triad+ under F-", "honest nodes isolated from the false-ticker",
-      "honest drift stays ms-level");
-  bench::print_summary_row(
-      "revision guard trade-off",
-      "caps ramp poisoning; slows honest F- repair",
-      "see second table");
   return 0;
 }

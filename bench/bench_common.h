@@ -1,11 +1,15 @@
 // Shared output helpers for the figure-reproduction binaries.
 //
 // Each bench prints: (1) a header naming the paper artefact, (2) the
-// plot-ready series (downsampled CSV), and (3) a PAPER-vs-MEASURED
-// summary block — the rows EXPERIMENTS.md records.
+// plot-ready series (downsampled CSV), and (3) its result tables as
+// markdown rows, `| a | b | c |`. Those rows are the ones EXPERIMENTS.md
+// holds: the `paper-<bench>` ctest entry (bench/paper_pin.cmake)
+// compares them line for line with the bench's EXPERIMENTS.md sections.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 #include "stats/timeseries.h"
@@ -43,11 +47,45 @@ inline void print_series(const stats::TimeSeries& series,
   }
 }
 
-inline void print_summary_row(const std::string& metric,
-                              const std::string& paper,
-                              const std::string& measured) {
-  std::printf("SUMMARY | %-44s | paper: %-22s | measured: %s\n",
-              metric.c_str(), paper.c_str(), measured.c_str());
+/// printf into a string: every measured table cell is formatted from a
+/// computed value through this.
+[[gnu::format(printf, 1, 2)]] inline std::string fmt(const char* format,
+                                                     ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof buf, format, args);
+  va_end(args);
+  return buf;
+}
+
+/// `format` applied to value(0) … value(n - 1), joined by " / " (one
+/// cell holding a per-node value).
+template <class Value>
+std::string per_node(std::size_t n, const char* format, Value value) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out += " / ";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, format, value(i));
+    out += buf;
+  }
+  return out;
+}
+
+/// Prints one markdown table row: `| a | b | c |`.
+inline void print_row(std::initializer_list<std::string> cells) {
+  std::string line = "|";
+  for (const std::string& cell : cells) line += " " + cell + " |";
+  std::printf("%s\n", line.c_str());
+}
+
+/// Prints a table's header row and its `|---|…|` separator.
+inline void print_table_head(std::initializer_list<std::string> columns) {
+  print_row(columns);
+  std::string line = "|";
+  for (std::size_t i = 0; i < columns.size(); ++i) line += "---|";
+  std::printf("%s\n", line.c_str());
 }
 
 }  // namespace triad::bench

@@ -61,18 +61,15 @@ int main() {
   print_cdf(cdf_b, "low-AEX");
 
   std::printf("\n");
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%.3f / %.3f / %.3f",
-                cdf_a.at(0.010), cdf_a.at(0.532), cdf_a.at(1.590));
-  bench::print_summary_row("Fig1a CDF at 10ms / 532ms / 1.59s",
-                           "0.333 / 0.667 / 1.000", buf);
-  std::snprintf(buf, sizeof buf, "%.1f s",
-                cdf_b.quantile(0.5));
-  bench::print_summary_row("Fig1b median inter-AEX delay",
-                           "~324 s (5.4 min)", buf);
-  std::snprintf(buf, sizeof buf, "%.3f",
-                cdf_b.at(330.0) - cdf_b.at(310.0));
-  bench::print_summary_row("Fig1b mass near 5.4-min mode (310..330 s)",
-                           "\"most AEXs\"", buf);
+  bench::print_table_head({"Metric", "Paper", "Measured"});
+  bench::print_row({"Fig. 1a CDF at 10 ms / 532 ms / 1.59 s",
+                    "0.333 / 0.667 / 1.000",
+                    bench::fmt("%.3f / %.3f / %.3f", cdf_a.at(0.010),
+                               cdf_a.at(0.532), cdf_a.at(1.590))});
+  bench::print_row({"Fig. 1b median inter-AEX delay",
+                    "~324 s (\"most AEXs every 5.4 min\")",
+                    bench::fmt("%.1f s", cdf_b.quantile(0.5))});
+  bench::print_row({"Fig. 1b mass within 310–330 s", "\"most AEXs\"",
+                    bench::fmt("%.3f", cdf_b.at(330.0) - cdf_b.at(310.0))});
   return 0;
 }

@@ -56,32 +56,27 @@ int main() {
   }
 
   std::printf("\n");
-  char buf[160];
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::snprintf(buf, sizeof buf, "%.3f MHz",
-                  sc.node(i).calibrated_frequency_hz() / 1e6);
-    const char* paper[] = {"2899.363 MHz", "2900.260 MHz", "2900.510 MHz"};
-    bench::print_summary_row("F_calib node " + std::to_string(i + 1),
-                             paper[i], buf);
-  }
-  std::snprintf(buf, sizeof buf, "%d jumps of 20-120 ms", jumps_50_70);
-  bench::print_summary_row("peer-untaint time jumps (paper: 50-70 ms)",
-                           "jumps at partial AEXs", buf);
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::snprintf(buf, sizeof buf, "%.3f %%",
-                  sc.node(i).availability() * 100.0);
-    bench::print_summary_row(
-        "availability node " + std::to_string(i + 1) + " over 8 h",
-        "99.9 %", buf);
-  }
-  std::snprintf(buf, sizeof buf, "%llu / %llu / %llu",
-                static_cast<unsigned long long>(
-                    sc.node(0).stats().full_calibrations),
-                static_cast<unsigned long long>(
-                    sc.node(1).stats().full_calibrations),
-                static_cast<unsigned long long>(
-                    sc.node(2).stats().full_calibrations));
-  bench::print_summary_row("full calibrations per node over 8 h",
-                           "1 (single FullCalib)", buf);
+  bench::print_table_head({"Metric", "Paper", "Measured"});
+  bench::print_row(
+      {"F_calib per node", "2899.363 / 2900.260 / 2900.510 MHz",
+       bench::per_node(3, "%.3f",
+                       [&sc](std::size_t i) {
+                         return sc.node(i).calibrated_frequency_hz() / 1e6;
+                       }) +
+           " MHz"});
+  bench::print_row({"single FullCalib at start (Fig. 3b)", "yes",
+                    bench::per_node(3, "%llu", [&sc](std::size_t i) {
+                      return static_cast<unsigned long long>(
+                          sc.node(i).stats().full_calibrations);
+                    })});
+  bench::print_row({"peer-untaint forward jumps",
+                    "50–70 ms at t ∈ {1705, 2623, 2688} s",
+                    bench::fmt("%d jumps of 20–120 ms", jumps_50_70)});
+  bench::print_row({"availability over 8 h", "99.9 %",
+                    bench::per_node(3, "%.3f",
+                                    [&sc](std::size_t i) {
+                                      return sc.node(i).availability() * 100;
+                                    }) +
+                        " %"});
   return 0;
 }

@@ -49,31 +49,27 @@ int main() {
     if (dt > 0 && dv / dt < steepest) steepest = dv / dt;
   }
 
-  std::printf("\n");
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%.3f MHz",
-                sc.node(2).calibrated_frequency_hz() / 1e6);
-  bench::print_summary_row("F3_calib under F+ (+100 ms on 1 s probes)",
-                           "3191.224 MHz", buf);
-  std::snprintf(buf, sizeof buf, "%.1f ms/s", steepest);
-  bench::print_summary_row("victim drift rate between refreshes",
-                           "-91 ms/s", buf);
-  std::snprintf(buf, sizeof buf, "%.1f ms", rec.drift_ms(2).min_value());
-  bench::print_summary_row("victim peak negative drift",
-                           "grows for minutes (unbounded)", buf);
-  std::snprintf(buf, sizeof buf, "%.3f / %.3f MHz",
-                sc.node(0).calibrated_frequency_hz() / 1e6,
-                sc.node(1).calibrated_frequency_hz() / 1e6);
-  bench::print_summary_row("honest F1/F2_calib",
-                           "2900.223 / 2900.595 MHz", buf);
   const double honest_extreme =
       std::max(std::abs(rec.drift_ms(0).min_value()),
                std::abs(rec.drift_ms(0).max_value()));
-  std::snprintf(buf, sizeof buf, "|drift| <= %.1f ms", honest_extreme);
-  bench::print_summary_row("honest nodes unaffected by F+",
-                           "ppm-level drift only", buf);
-  std::snprintf(buf, sizeof buf, "%.2f %%", sc.node(2).availability() * 100);
-  bench::print_summary_row("victim availability (low AEX rate helps it)",
-                           "not degraded by the attack", buf);
+
+  std::printf("\n");
+  bench::print_table_head({"Metric", "Paper", "Measured"});
+  bench::print_row({"F3_calib", "3191.224 MHz",
+                    bench::fmt("%.3f MHz",
+                               sc.node(2).calibrated_frequency_hz() / 1e6)});
+  bench::print_row({"victim drift rate between refreshes", "−91 ms/s",
+                    bench::fmt("%.1f ms/s", steepest)});
+  bench::print_row({"victim peak negative drift",
+                    "minutes-long unchecked descent",
+                    bench::fmt("%.1f ms", rec.drift_ms(2).min_value())});
+  bench::print_row({"honest F1/F2_calib", "2900.223 / 2900.595 MHz",
+                    bench::fmt("%.3f / %.3f MHz",
+                               sc.node(0).calibrated_frequency_hz() / 1e6,
+                               sc.node(1).calibrated_frequency_hz() / 1e6)});
+  bench::print_row({"honest node 1 peak \\|drift\\|", "ppm-level drift only",
+                    bench::fmt("%.1f ms", honest_extreme)});
+  bench::print_row({"victim availability", "not degraded (fewer AEXs help)",
+                    bench::fmt("%.2f %%", sc.node(2).availability() * 100)});
   return 0;
 }

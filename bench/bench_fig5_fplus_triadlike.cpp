@@ -39,21 +39,18 @@ int main() {
   }
 
   std::printf("\n");
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%.3f MHz",
-                sc.node(2).calibrated_frequency_hz() / 1e6);
-  bench::print_summary_row("F3_calib (vs Fig. 4: ~4e-6 relative diff)",
-                           "3191.210 MHz", buf);
-  std::snprintf(buf, sizeof buf, "%.1f ms", fine.drift_ms(2).min_value());
-  bench::print_summary_row("victim lower oscillation bound",
-                           "about -150 ms", buf);
-  std::snprintf(buf, sizeof buf, "%.1f ms", fine.drift_ms(2).max_value());
-  bench::print_summary_row("victim upper bound (peers' drift)",
-                           "honest nodes' drift", buf);
-  std::snprintf(buf, sizeof buf, "%llu peer adoptions",
-                static_cast<unsigned long long>(
-                    sc.node(2).stats().peer_adoptions));
-  bench::print_summary_row("victim re-adopts honest time after AEXs",
-                           "oscillation mechanism", buf);
+  bench::print_table_head({"Metric", "Paper", "Measured"});
+  bench::print_row({"F3_calib (≈ same as Fig. 4)", "3191.210 MHz",
+                    bench::fmt("%.3f MHz",
+                               sc.node(2).calibrated_frequency_hz() / 1e6)});
+  bench::print_row({"victim lower oscillation bound", "≈ −150 ms",
+                    bench::fmt("%.1f ms", fine.drift_ms(2).min_value())});
+  bench::print_row({"victim upper bound", "honest nodes' drift",
+                    bench::fmt("%+.1f ms", fine.drift_ms(2).max_value())});
+  bench::print_row({"victim re-adopts peer time after every AEX",
+                    "oscillation mechanism",
+                    bench::fmt("%llu peer adoptions in 10 min",
+                               static_cast<unsigned long long>(
+                                   sc.node(2).stats().peer_adoptions))});
   return 0;
 }

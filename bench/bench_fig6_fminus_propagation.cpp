@@ -145,9 +145,40 @@ int main() {
     if (key == "first_jump_at_s") paper_first_jump_at_s = value;
   }
 
-  std::printf("\n--- infection across seeds (campaign grid) ---\n");
-  std::printf("%8s %16s %16s %20s %14s\n", "seed", "first_jump_ms",
-              "first_jump_at_s", "honest_peak_|drift|", "alarm_at_s");
+  std::printf("\n");
+  bench::print_table_head({"Metric", "Paper", "Measured"});
+  bench::print_row({"F3_calib", "2609.951 MHz",
+                    bench::fmt("%.3f MHz", figure.victim_freq_hz / 1e6)});
+  bench::print_row(
+      {"victim clock speed", "+113 ms/s",
+       bench::fmt("%+.0f ms/s",
+                  (tsc::kPaperTscFrequencyHz / figure.victim_freq_hz - 1.0) *
+                      1000.0)});
+  bench::print_row({"honest drift at the switch (t = 104 s)", "ppm-level",
+                    bench::fmt("%.1f ms", figure.honest_drift_at_switch_ms)});
+  bench::print_row({"first forward jump onto victim's clock",
+                    "~+35 ms at t = 104 s",
+                    bench::fmt("%+.1f ms at t = %.1f s", paper_first_jump_ms,
+                               paper_first_jump_at_s)});
+  bench::print_row({"honest peak drift after switch (nodes 1 / 2)",
+                    "ratchets upward, unbounded",
+                    bench::fmt("%+.0f / %+.0f ms by t = 420 s",
+                               figure.peak_drift_node1_ms,
+                               figure.peak_drift_node2_ms)});
+  bench::print_row({"node 1 AEX count at switch → end (Fig. 6b)",
+                    "~0 then linear",
+                    bench::fmt("%.0f → %.0f", figure.aex_at_switch,
+                               figure.aex_at_end)});
+  bench::print_row(
+      {"online detector alarm vs first jump", "— (not in the paper)",
+       bench::fmt("alarm at t = %.1f s, %+.1f s before the jump",
+                  paper_run.detector_first_alarm_s,
+                  paper_first_jump_at_s - paper_run.detector_first_alarm_s)});
+
+  // The replicate seeds bound how seed-dependent the infection is.
+  std::printf("\n");
+  bench::print_table_head({"seed", "first jump", "first jump at",
+                           "honest peak \\|drift\\|", "first alarm at"});
   for (const campaign::RunResult& run : result.runs) {
     double jump = 0.0;
     double at = 0.0;
@@ -155,39 +186,11 @@ int main() {
       if (key == "first_jump_ms") jump = value;
       if (key == "first_jump_at_s") at = value;
     }
-    std::printf("%8llu %16.1f %16.1f %17.0f ms %14.1f\n",
-                static_cast<unsigned long long>(run.seed), jump, at,
-                run.honest_max_abs_drift_ms, run.detector_first_alarm_s);
+    bench::print_row({bench::fmt("%llu",
+                                 static_cast<unsigned long long>(run.seed)),
+                      bench::fmt("%+.1f ms", jump), bench::fmt("%.1f s", at),
+                      bench::fmt("%.0f ms", run.honest_max_abs_drift_ms),
+                      bench::fmt("%.1f s", run.detector_first_alarm_s)});
   }
-
-  std::printf("\n");
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "%.3f MHz", figure.victim_freq_hz / 1e6);
-  bench::print_summary_row("F3_calib under F- (+100 ms on 0 s probes)",
-                           "2609.951 MHz", buf);
-  std::snprintf(buf, sizeof buf, "+%.0f ms/s (1/0.9 of real time)",
-                (tsc::kPaperTscFrequencyHz / figure.victim_freq_hz - 1.0) *
-                    1000.0);
-  bench::print_summary_row("victim clock speed", "+113 ms/s", buf);
-  std::snprintf(buf, sizeof buf, "%.1f ms", figure.honest_drift_at_switch_ms);
-  bench::print_summary_row("honest drift before the switch (t<104 s)",
-                           "ppm-level", buf);
-  std::snprintf(buf, sizeof buf, "+%.1f ms at t=%.1f s", paper_first_jump_ms,
-                paper_first_jump_at_s);
-  bench::print_summary_row("first forward jump onto the victim's clock",
-                           "~+35 ms at t=104 s", buf);
-  std::snprintf(buf, sizeof buf, "%.0f / %.0f ms", figure.peak_drift_node1_ms,
-                figure.peak_drift_node2_ms);
-  bench::print_summary_row("honest nodes' peak drift after infection",
-                           "ratchets upward (Fig. 6a)", buf);
-  std::snprintf(buf, sizeof buf, "%.0f then %.0f AEX", figure.aex_at_switch,
-                figure.aex_at_end);
-  bench::print_summary_row("honest AEX count before/after switch (Fig. 6b)",
-                           "~0 then linear increase", buf);
-  std::snprintf(buf, sizeof buf, "alarm at %.1f s, %+.1f s before the jump",
-                paper_run.detector_first_alarm_s,
-                paper_first_jump_at_s - paper_run.detector_first_alarm_s);
-  bench::print_summary_row("online detection vs first infection jump",
-                           "alarm precedes the jump", buf);
   return 0;
 }

@@ -25,6 +25,7 @@ struct NtpOutcome {
   double final_offset_ms = 0;
   double freq_correction_ppm = 0;
   int tau = 0;
+  unsigned long long falsetickers = 0;
 };
 
 NtpOutcome run_ntp(int attack_mode /* 0 none, 1 uniform, 2 selective */) {
@@ -63,7 +64,8 @@ NtpOutcome run_ntp(int attack_mode /* 0 none, 1 uniform, 2 selective */) {
   h.run_for(minutes(30));
 
   return {to_milliseconds(client.now() - h.now()),
-          client.clock().frequency_correction_ppm(), client.current_tau()};
+          client.clock().frequency_correction_ppm(), client.current_tau(),
+          client.stats().falsetickers_rejected};
 }
 
 }  // namespace
@@ -93,29 +95,12 @@ int main() {
                     std::abs(rec.drift_ms(0).min_value()));
   };
 
-  std::printf("%-38s %16s %14s %6s\n", "configuration", "|error| (ms)",
-              "freq corr ppm", "tau");
-  std::printf("%-38s %16.2f %14s %6s\n", "Triad honest node, no attack",
-              run_triad(false), "-", "-");
   const NtpOutcome clean = run_ntp(0);
-  std::printf("%-38s %16.2f %14.1f %6d\n", "NTP client, no attack",
-              std::abs(clean.final_offset_ms), clean.freq_correction_ppm,
-              clean.tau);
-  std::printf("%-38s %16.2f %14s %6s\n",
-              "Triad honest node, F- on peer",
-              run_triad(true), "-", "-");
   const NtpOutcome uniform = run_ntp(1);
-  std::printf("%-38s %16.2f %14.1f %6d\n",
-              "NTP client, +100 ms on all replies",
-              std::abs(uniform.final_offset_ms), uniform.freq_correction_ppm,
-              uniform.tau);
   const NtpOutcome selective = run_ntp(2);
-  std::printf("%-38s %16.2f %14.1f %6d\n",
-              "NTP client, +100 ms on 3/4 replies",
-              std::abs(selective.final_offset_ms),
-              selective.freq_correction_ppm, selective.tau);
 
   // Multi-server selection: 2 honest servers + 1 lying by +5 s.
+  NtpOutcome quorum;
   {
     runtime::ClusterConfig cluster;
     cluster.seed = 4243;
@@ -133,27 +118,40 @@ int main() {
                           tsc::kPaperTscFrequencyHz, config);
     client.start();
     h.run_for(minutes(30));
-    std::printf("%-38s %16.2f %14.1f %6d  (falsetickers rejected: %llu)\n",
-                "NTP client, 1 of 3 servers lying +5s",
-                std::abs(to_milliseconds(client.now() - h.now())),
-                client.clock().frequency_correction_ppm(),
-                client.current_tau(),
-                static_cast<unsigned long long>(
-                    client.stats().falsetickers_rejected));
+    quorum = {to_milliseconds(client.now() - h.now()),
+              client.clock().frequency_correction_ppm(),
+              client.current_tau(), client.stats().falsetickers_rejected};
   }
 
+  bench::print_table_head({"configuration", "\\|error\\|"});
+  bench::print_row({"Triad honest node",
+                    bench::fmt("%.2f ms", run_triad(false))});
+  bench::print_row({"NTP client, honest",
+                    bench::fmt("%.2f ms", std::abs(clean.final_offset_ms))});
+  bench::print_row({"Triad honest node, F− on a peer",
+                    bench::fmt("%.2f ms", run_triad(true))});
+  bench::print_row({"NTP, +100 ms on all replies",
+                    bench::fmt("%.2f ms", std::abs(uniform.final_offset_ms))});
+  bench::print_row(
+      {"NTP, +100 ms on 3/4 replies",
+       bench::fmt("%.2f ms", std::abs(selective.final_offset_ms))});
+  bench::print_row({"NTP, 1 of 3 servers lying +5 s",
+                    bench::fmt("%.2f ms", std::abs(quorum.final_offset_ms))});
+
+  // The NTP clients' discipline state. Each starts with a nominal
+  // frequency 100 ppm wrong, except the multi-server one.
   std::printf("\n");
-  bench::print_summary_row("honest accuracy",
-                           "NTP far below Triad's ~110 ppm sawtooth",
-                           "sub-ms vs tens of ms");
-  bench::print_summary_row("uniform delaying",
-                           "offset bias bounded by delay/2",
-                           "<= ~50 ms, no compounding");
-  bench::print_summary_row("selective delaying",
-                           "min-delay filter discards attacked samples",
-                           "ms-level error");
-  bench::print_summary_row(
-      "frequency learning", "starts 100 ppm wrong, learns the residual",
-      "correction converges to ≈ +100 ppm");
+  bench::print_table_head({"NTP client", "frequency correction", "poll tau",
+                           "falsetickers rejected"});
+  const auto ntp_row = [](const char* client, const NtpOutcome& out) {
+    bench::print_row({client,
+                      bench::fmt("%+.1f ppm", out.freq_correction_ppm),
+                      bench::fmt("%d", out.tau),
+                      bench::fmt("%llu", out.falsetickers)});
+  };
+  ntp_row("honest", clean);
+  ntp_row("+100 ms on all replies", uniform);
+  ntp_row("+100 ms on 3/4 replies", selective);
+  ntp_row("1 of 3 servers lying +5 s", quorum);
   return 0;
 }

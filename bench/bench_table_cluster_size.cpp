@@ -32,25 +32,20 @@ int main() {
   campaign::CampaignRunner runner(options);
   const campaign::CampaignResult result = runner.run(spec);
 
-  std::printf("%8s %14s %18s %20s %16s\n", "nodes", "availability",
-              "ta_reqs/node/hour", "peer_untaint_rate", "events");
+  bench::print_table_head({"nodes", "availability", "TA reqs/node/hour",
+                           "peer-untaint success", "sim events"});
   // One seed per cell, so runs are the cells, already in grid
   // (cluster-size) order.
   for (const campaign::RunResult& run : result.runs) {
     const auto n = spec.node_counts[run.cell];
     const double ta_per_node_hour =
         run.ta_requests / static_cast<double>(n) * 2.0;  // 30 min -> hour
-    std::printf("%8zu %13.2f%% %18.1f %19.1f%% %16.0f\n", n,
-                run.availability * 100.0, ta_per_node_hour,
-                run.peer_untaint_rate * 100.0, run.events_executed);
+    bench::print_row({bench::fmt("%zu", n),
+                      bench::fmt("%.2f %%", run.availability * 100.0),
+                      bench::fmt("%.1f", ta_per_node_hour),
+                      bench::fmt("%.1f %%", run.peer_untaint_rate * 100.0),
+                      bench::fmt("%.0f", run.events_executed)});
   }
 
-  std::printf("\n");
-  bench::print_summary_row("TA load vs cluster size",
-                           "fewer TA requests with peers",
-                           "drops sharply from n=1 to n>=2");
-  bench::print_summary_row("availability vs cluster size",
-                           "peers untaint faster than the TA",
-                           "rises with n");
   return 0;
 }

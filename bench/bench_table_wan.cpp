@@ -4,13 +4,17 @@
 // One Triad node per site, TA at site 0. Two controlled sweeps separate
 // the two WAN effects:
 //  * sweep A (fixed jitter, growing base delay): the symmetric base
-//    delay cancels in the wait-time regression — F_calib stays put —
-//    while the *reference offset* of TA-remote nodes grows with the
-//    one-way delay (Triad adopts TA stamps without compensation);
-//  * sweep B (fixed base, growing jitter): calibration error grows
-//    linearly with jitter — Triad's 1 s-spread regression is unusable
-//    over jittery WANs, reinforcing §V's call for NTP-style long-window
-//    sync (see bench_ntp_discipline).
+//    delay cancels in the wait-time regression, while a TA-remote node
+//    adopts the TA's stamp one one-way delay late (Triad does not
+//    compensate), so the offset it takes from each TA reference is
+//    -(one-way delay). Between TA references it follows its peers: the
+//    three sites have independent interrupt hubs, so no machine-wide
+//    interrupt taints every node at once and forces a TA reset (the
+//    p = 0 row of bench_ablation_correlation);
+//  * sweep B (fixed base, growing jitter): calibration error leaves the
+//    ~100 ppm band once jitter reaches milliseconds — Triad's 1 s-spread
+//    regression is unusable over jittery WANs, reinforcing §V's call for
+//    NTP-style long-window sync (see bench_ntp_discipline).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -25,10 +29,19 @@ namespace {
 using namespace triad;
 
 struct Row {
-  double f_err_ppm = 0;
-  double ref_offset_ms = 0;  // node 2's median drift
+  double f_err_ppm = 0;       // worst node's |F_calib - F_TSC|
+  std::uint64_t ta_refs = 0;  // node 2's TA time references
+  double ref_offset_ms = 0;   // node 2's offset right after them (median)
+  std::uint64_t peer_adoptions = 0;  // node 2's
+  double median_drift_ms = 0;        // node 2's, over the whole run
   double availability = 0;
 };
+
+double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
 
 Row run(Duration base, Duration jitter) {
   exp::ScenarioConfig cfg;
@@ -50,10 +63,23 @@ Row run(Duration base, Duration jitter) {
                            tsc::kPaperTscFrequencyHz * 1e6);
     row.availability += sc.node(i).availability() / 3.0;
   }
-  std::vector<double> values;
-  for (const auto& s : rec.drift_ms(1).samples()) values.push_back(s.value);
-  std::sort(values.begin(), values.end());
-  row.ref_offset_ms = values.empty() ? 0.0 : values[values.size() / 2];
+  // Node 2 (index 1) is TA-remote. The offset it takes from a TA
+  // reference is its clock right after adopting the TA's stamp, minus
+  // true time.
+  std::vector<double> offsets;
+  for (const auto& ev : rec.adoptions()) {
+    if (ev.node != 1) continue;
+    if (ev.source == sc.ta_address()) {
+      offsets.push_back(to_milliseconds(ev.adopted - ev.at));
+    } else {
+      ++row.peer_adoptions;
+    }
+  }
+  row.ta_refs = sc.node(1).stats().ta_time_references;
+  row.ref_offset_ms = median(offsets);
+  std::vector<double> drift;
+  for (const auto& s : rec.drift_ms(1).samples()) drift.push_back(s.value);
+  row.median_drift_ms = median(drift);
   return row;
 }
 
@@ -65,38 +91,38 @@ int main() {
       "WAN sweeps — Triad across sites (20 min per row)",
       "3 nodes on 3 machines, TA at site 0");
 
-  std::printf("\n--- sweep A: base one-way delay (jitter fixed 200 us) ---\n");
-  std::printf("%10s %16s %18s %14s\n", "base_ms", "F_err_ppm(max)",
-              "ref_offset_ms(n2)", "availability");
-  for (Duration base : {milliseconds(5), milliseconds(20), milliseconds(50),
-                        milliseconds(100)}) {
-    const Row row = run(base, microseconds(200));
-    std::printf("%10lld %16.1f %18.2f %13.2f%%\n",
-                static_cast<long long>(base / 1'000'000), row.f_err_ppm,
-                row.ref_offset_ms, row.availability * 100.0);
-  }
-
-  std::printf("\n--- sweep B: jitter (base fixed 20 ms) ---\n");
-  std::printf("%10s %16s %18s %14s\n", "jitter_ms", "F_err_ppm(max)",
-              "ref_offset_ms(n2)", "availability");
-  for (Duration jitter :
-       {microseconds(200), milliseconds(1), milliseconds(4),
-        milliseconds(10)}) {
-    const Row row = run(milliseconds(20), jitter);
-    std::printf("%10.1f %16.1f %18.2f %13.2f%%\n",
-                static_cast<double>(jitter) / 1e6, row.f_err_ppm,
-                row.ref_offset_ms, row.availability * 100.0);
-  }
-
+  // Sweep A grows the base delay at 200 us jitter; sweep B grows the
+  // jitter at a 20 ms base. Their shared cell (20 ms, 200 us) runs once.
+  struct Cell {
+    Duration base;
+    Duration jitter;
+  };
+  const Cell cells[] = {
+      {milliseconds(5), microseconds(200)},
+      {milliseconds(20), microseconds(200)},
+      {milliseconds(50), microseconds(200)},
+      {milliseconds(100), microseconds(200)},
+      {milliseconds(20), milliseconds(1)},
+      {milliseconds(20), milliseconds(4)},
+      {milliseconds(20), milliseconds(10)},
+  };
   std::printf("\n");
-  bench::print_summary_row("base delay (symmetric)",
-                           "cancels in the regression slope",
-                           "F_err flat across sweep A");
-  bench::print_summary_row("reference offset of remote nodes",
-                           "~ one-way delay behind the TA",
-                           "tracks base delay in sweep A");
-  bench::print_summary_row("jitter",
-                           "the real enemy of 1 s-spread calibration",
-                           "F_err grows ~linearly in sweep B");
+  bench::print_table_head(
+      {"base delay", "jitter", "worst F_calib error", "node 2 TA refs",
+       "node 2 offset after a TA ref (median)", "node 2 peer adoptions",
+       "node 2 median drift", "availability"});
+  for (const Cell& cell : cells) {
+    const Row row = run(cell.base, cell.jitter);
+    bench::print_row(
+        {bench::fmt("%lld ms", static_cast<long long>(cell.base / 1'000'000)),
+         bench::fmt("%.1f ms", static_cast<double>(cell.jitter) / 1e6),
+         bench::fmt("%.1f ppm", row.f_err_ppm),
+         bench::fmt("%llu", static_cast<unsigned long long>(row.ta_refs)),
+         bench::fmt("%.2f ms", row.ref_offset_ms),
+         bench::fmt("%llu",
+                    static_cast<unsigned long long>(row.peer_adoptions)),
+         bench::fmt("%.2f ms", row.median_drift_ms),
+         bench::fmt("%.2f %%", row.availability * 100.0)});
+  }
   return 0;
 }

@@ -134,15 +134,15 @@ Cluster start_cluster(bool telemetry) {
       node_config.detectors.ta_address = kTaId;
       node_config.telemetry = rt::kLoopbackAny;
     }
-    rt::ObsBinding obs;
+    triad::obs::Registry* metrics = nullptr;
     if (telemetry) {
       // A per-node registry makes /metrics a real page (not a 404), so
       // the scraper's renders cost what production scrapes cost.
       cluster.registries.push_back(std::make_unique<triad::obs::Registry>());
-      obs.metrics = cluster.registries.back().get();
+      metrics = cluster.registries.back().get();
     }
     cluster.nodes.push_back(
-        std::make_unique<TimedService>(node_config, obs));
+        std::make_unique<TimedService>(node_config, metrics));
     if (!cluster.nodes.back()->valid()) {
       cluster.skip = cluster.nodes.back()->error();
       cluster.nodes.pop_back();
@@ -198,22 +198,12 @@ class Scraper {
 
  private:
   void run() {
-    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
     while (!stop_.load(std::memory_order_relaxed)) {
       for (const auto& node : nodes_) {
-        rt::TcpConn conn =
-            rt::TcpConn::dial(node->telemetry_addr(), /*timeout_ms=*/500);
-        if (!conn.valid()) continue;
-        if (!conn.write_all(triad::BytesView{
-                reinterpret_cast<const std::uint8_t*>(request.data()),
-                request.size()})) {
-          continue;
+        if (rt::http_get(node->telemetry_addr(), "/metrics",
+                         /*timeout_ms=*/500)) {
+          scrapes_.fetch_add(1, std::memory_order_relaxed);
         }
-        conn.shutdown_write();
-        std::uint8_t buf[4096];
-        while (conn.read_some(buf, sizeof(buf)) > 0) {
-        }
-        scrapes_.fetch_add(1, std::memory_order_relaxed);
       }
       // ~20 sweeps/s over 3 nodes — an order of magnitude above any real
       // Prometheus cadence, while leaving the shared single core mostly

@@ -56,42 +56,18 @@ struct Source {
   std::string path;               // offline
 };
 
-// One HTTP/1.0 GET against a telemetry endpoint; returns the body or
-// nullopt (dial failure, non-200, truncated response).
-std::optional<std::string> http_get(triad::runtime::SockAddr addr,
-                                    const std::string& path,
-                                    std::string* error) {
-  triad::runtime::TcpConn conn = triad::runtime::TcpConn::dial(
-      addr, /*timeout_ms=*/2000, error);
-  if (!conn.valid()) return std::nullopt;
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!conn.write_all(triad::BytesView{
-          reinterpret_cast<const std::uint8_t*>(request.data()),
-          request.size()})) {
-    *error = "send failed";
+// The body of a 200 answer to GET `path` from a telemetry endpoint, or
+// nullopt (dial failure, non-200, truncated response; reason in *error).
+std::optional<std::string> scrape(triad::runtime::SockAddr addr,
+                                  std::string_view path, std::string* error) {
+  auto response =
+      triad::runtime::http_get(addr, path, /*timeout_ms=*/2000, error);
+  if (!response.has_value()) return std::nullopt;
+  if (response->status != "HTTP/1.0 200 OK") {
+    *error = "bad status: " + response->status.substr(0, 64);
     return std::nullopt;
   }
-  conn.shutdown_write();
-  std::string response;
-  std::uint8_t buf[4096];
-  for (;;) {
-    const std::size_t n = conn.read_some(buf, sizeof(buf));
-    if (n == 0) break;
-    response.append(reinterpret_cast<const char*>(buf), n);
-  }
-  const auto line_end = response.find("\r\n");
-  if (line_end == std::string::npos ||
-      response.compare(0, line_end, "HTTP/1.0 200 OK") != 0) {
-    *error = "bad status: " +
-             response.substr(0, std::min<std::size_t>(line_end, 64));
-    return std::nullopt;
-  }
-  const auto body = response.find("\r\n\r\n");
-  if (body == std::string::npos) {
-    *error = "truncated response";
-    return std::nullopt;
-  }
-  return response.substr(body + 4);
+  return std::move(response->body);
 }
 
 bool write_file(const std::filesystem::path& path, const std::string& text) {
@@ -183,7 +159,7 @@ int main(int argc, char** argv) {
     std::string text;
     if (source.live) {
       std::string error;
-      const auto body = http_get(source.addr, "/trace", &error);
+      const auto body = scrape(source.addr, "/trace", &error);
       if (!body.has_value()) {
         std::cerr << "triad_mon: node " << source.id << ": /trace scrape"
                   << " failed: " << error << "\n";
@@ -225,7 +201,7 @@ int main(int argc, char** argv) {
       }
       if (source.live) {
         std::string error;
-        const auto metrics = http_get(source.addr, "/metrics", &error);
+        const auto metrics = scrape(source.addr, "/metrics", &error);
         if (metrics.has_value()) {
           write_file(dir / (stem + ".metrics.prom"), *metrics);
         } else {

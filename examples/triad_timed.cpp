@@ -304,9 +304,7 @@ int run_service(const Options& options, std::ostream& out,
     config.trace_capacity = std::size_t{1} << 18;
   }
 
-  triad::runtime::ObsBinding obs;
-  obs.metrics = &registry;
-  triad::timed::TimedService service(std::move(config), obs);
+  triad::timed::TimedService service(std::move(config), &registry);
   if (!service.valid()) {
     err << "triad_timed: " << service.error() << "\n";
     return 1;

@@ -19,11 +19,6 @@
 # read from the inventory's detector= label values instead of the
 # built-in slope/disagreement/jump fallback — so a detector added in
 # code is demanded here without touching this script.
-#
-# With `-v http=1` the input is a raw scrape of a telemetry endpoint
-# (triad_timed --telemetry): the status line must be HTTP/1.0 200 OK,
-# header lines up to the first blank line are skipped, trailing \r is
-# stripped, and the body is validated as above.
 
 function fail(msg) {
   printf "check_prom: line %d: %s\n", NR, msg
@@ -59,18 +54,6 @@ BEGIN {
 }
 
 {
-  if (http) {
-    sub(/\r+$/, "")
-    if (NR == 1) {
-      if ($0 != "HTTP/1.0 200 OK") fail("bad status line: " $0)
-      status_ok = 1
-      next
-    }
-    if (!in_body) {
-      if ($0 == "") in_body = 1
-      next
-    }
-  }
   if ($0 == "") next
   if (substr($0, 1, 1) == "#") {
     if ($2 != "HELP" && $2 != "TYPE") fail("unknown comment: " $0)
@@ -113,10 +96,6 @@ BEGIN {
 
 END {
   if (bad) exit 1
-  if (http && !status_ok) {
-    print "check_prom: empty scrape (no status line)"
-    exit 1
-  }
   if (samples == 0) {
     print "check_prom: no samples found"
     exit 1

@@ -316,6 +316,39 @@ void TcpConn::shutdown_write() {
   if (valid()) ::shutdown(fd_.get(), SHUT_WR);
 }
 
+std::optional<HttpResponse> http_get(SockAddr addr, std::string_view path,
+                                     int timeout_ms, std::string* error) {
+  TcpConn conn = TcpConn::dial(addr, timeout_ms, error);
+  if (!conn.valid()) return std::nullopt;
+  const std::string request =
+      "GET " + std::string(path) + " HTTP/1.0\r\n\r\n";
+  if (!conn.write_all(BytesView{
+          reinterpret_cast<const std::uint8_t*>(request.data()),
+          request.size()})) {
+    if (error != nullptr) *error = "send failed";
+    return std::nullopt;
+  }
+  conn.shutdown_write();
+  std::string response;
+  std::uint8_t buf[4096];
+  for (;;) {
+    const std::size_t n = conn.read_some(buf, sizeof(buf));
+    if (n == 0) break;
+    response.append(reinterpret_cast<const char*>(buf), n);
+  }
+  const auto line_end = response.find("\r\n");
+  const auto body = response.find("\r\n\r\n");
+  if (line_end == std::string::npos || body == std::string::npos) {
+    if (error != nullptr) {
+      *error = "truncated response (" + std::to_string(response.size()) +
+               " bytes)";
+    }
+    return std::nullopt;
+  }
+  return HttpResponse{response.substr(0, line_end),
+                      response.substr(body + 4)};
+}
+
 TcpListener TcpListener::open(SockAddr addr, std::string* error) {
   UniqueFd fd(
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));

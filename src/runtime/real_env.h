@@ -216,6 +216,20 @@ class TcpConn {
   int timeout_ms_ = 0;  // 0 = no cumulative write deadline
 };
 
+/// One HTTP/1.0 GET over TcpConn::dial (the telemetry scrape client of
+/// triad_mon, the loopback bench and the telemetry tests). `timeout_ms`
+/// bounds the connect and each read/write. Returns the status line
+/// (`HTTP/1.0 200 OK`, without CRLF) and the body, whatever the status;
+/// nullopt on a dial or send failure or a response without a status
+/// line and header end (reason in *error when non-null).
+struct HttpResponse {
+  std::string status;
+  std::string body;
+};
+[[nodiscard]] std::optional<HttpResponse> http_get(
+    SockAddr addr, std::string_view path, int timeout_ms = 2000,
+    std::string* error = nullptr);
+
 /// RAII listening TCP socket for the telemetry endpoints. The listener
 /// itself is non-blocking (epoll-registered); accepted connections come
 /// back as blocking TcpConns with timeouts (see TcpConn).

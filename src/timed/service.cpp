@@ -17,15 +17,15 @@ constexpr Duration kSnapshotPeriod = milliseconds(1);
 
 // --- TimedService ------------------------------------------------------
 
-TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
+TimedService::TimedService(ServiceConfig config, obs::Registry* metrics)
     : config_(std::move(config)), keyring_(config_.master_secret) {
   runtime::RealEnvConfig env_config;
   env_config.seed = config_.seed;
   env_config.listen = config_.listen;
   env_config.peers = config_.peers;
-  env_config.obs = obs;
-  env_config.obs.trace = build_trace_chain(obs.trace, obs.metrics);
-  registry_ = obs.metrics;
+  env_config.obs.metrics = metrics;
+  env_config.obs.trace = build_trace_chain(metrics);
+  registry_ = metrics;
   env_ = std::make_unique<runtime::RealEnv>(std::move(env_config));
   if (!env_->valid()) {
     error_ = "protocol endpoint: " + env_->bind_error();
@@ -34,7 +34,7 @@ TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
 
   if (config_.telemetry.has_value()) {
     TelemetryServer::Sources sources;
-    sources.registry = obs.metrics;
+    sources.registry = metrics;
     sources.trace = ring_.has_value() ? &*ring_ : nullptr;
     sources.prof = [] {
       std::ostringstream os;
@@ -84,7 +84,7 @@ TimedService::TimedService(ServiceConfig config, runtime::ObsBinding obs)
     }
     workers_.push_back(std::move(worker));
   }
-  register_worker_metrics(obs.metrics);
+  register_worker_metrics(metrics);
 }
 
 TimedService::~TimedService() {
@@ -166,8 +166,7 @@ std::uint64_t TimedService::total_bad_frames() const {
   return total;
 }
 
-obs::TraceSink* TimedService::build_trace_chain(obs::TraceSink* external,
-                                                obs::Registry* registry) {
+obs::TraceSink* TimedService::build_trace_chain(obs::Registry* registry) {
   if (config_.trace_capacity > 0) {
     ring_.emplace(config_.trace_capacity);
     if (registry != nullptr) {
@@ -184,23 +183,12 @@ obs::TraceSink* TimedService::build_trace_chain(obs::TraceSink* external,
     }
   }
 
-  // Recording legs: the caller's external sink plus the internal ring.
-  obs::TraceSink* record = external;
-  if (ring_.has_value()) {
-    if (record != nullptr) {
-      record_tee_ = std::make_unique<obs::TeeTraceSink>();
-      record_tee_->add(record);
-      record_tee_->add(&*ring_);
-      record = record_tee_.get();
-    } else {
-      record = &*ring_;
-    }
-  }
+  obs::TraceSink* record = ring_.has_value() ? &*ring_ : nullptr;
   if (!config_.enable_detectors) return record;
 
-  // Alarms feed back into the *recording* legs only — never the bank
-  // itself — so every kDetectorAlarm lands right after its triggering
-  // event and replaying the shipped trace offline reproduces the same
+  // Alarms feed back into the ring only — never the bank itself — so
+  // every kDetectorAlarm lands right after its triggering event and
+  // replaying the shipped trace offline reproduces the same
   // alarm sequence (the offline==online invariant).
   bank_ = std::make_unique<obs::DetectorBank>(config_.detectors, registry,
                                               record);

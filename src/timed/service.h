@@ -183,8 +183,8 @@ struct ServiceConfig {
   // --- live telemetry (PR 9) -------------------------------------------
   /// Internal trace ring capacity (0 = none). The ring records the
   /// node's protocol trace for the /trace endpoint, the final dump
-  /// (trace_ring()), and the detector bank's causal context. An external
-  /// ObsBinding.trace sink keeps working alongside it (tee).
+  /// (trace_ring()), and the detector bank's causal context; it is the
+  /// service's only trace recording.
   std::size_t trace_capacity = 0;
   /// Online detectors (slope/disagreement/jump) teeing off the trace
   /// path after the recording sinks — alarms fire live and land in the
@@ -206,7 +206,10 @@ struct ServiceConfig {
 /// stop() from a signal handler, then read stats after run() returns.
 class TimedService {
  public:
-  TimedService(ServiceConfig config, runtime::ObsBinding obs = {});
+  /// `metrics` (optional) receives the service's metric families and
+  /// backs /metrics.
+  explicit TimedService(ServiceConfig config,
+                        obs::Registry* metrics = nullptr);
   ~TimedService();
   TimedService(const TimedService&) = delete;
   TimedService& operator=(const TimedService&) = delete;
@@ -260,15 +263,13 @@ class TimedService {
 
  private:
   void register_worker_metrics(obs::Registry* registry);
-  [[nodiscard]] obs::TraceSink* build_trace_chain(
-      obs::TraceSink* external, obs::Registry* registry);
+  [[nodiscard]] obs::TraceSink* build_trace_chain(obs::Registry* registry);
 
   ServiceConfig config_;
   crypto::ClusterKeyring keyring_;
   std::optional<obs::RingTraceSink> ring_;
   std::unique_ptr<obs::DetectorBank> bank_;
-  std::unique_ptr<obs::TeeTraceSink> record_tee_;  // external + ring
-  std::unique_ptr<obs::TeeTraceSink> env_tee_;     // recorders + bank
+  std::unique_ptr<obs::TeeTraceSink> env_tee_;  // ring + bank
   obs::Registry* registry_ = nullptr;
   std::unique_ptr<runtime::RealEnv> env_;
   std::unique_ptr<TriadNode> node_;
@@ -284,9 +285,9 @@ class TimedService {
 /// Synchronous sealed-timestamp probe: a TrustedTimeClient on its own
 /// RealEnv (an ephemeral loopback socket, `servers` as its address
 /// book), one request at a time; request() runs the env until the
-/// client's callback stops it. Used by `triad_timed --role client`, the
-/// realenv smoke tier, and tests. (The loopback bench pipelines instead;
-/// see bench/bench_triad_loopback.cpp.)
+/// client's callback stops it. Used by `triad_timed --role client`,
+/// perfbench and tests. (The loopback bench pipelines instead; see
+/// bench/bench_triad_loopback.cpp.)
 class BlockingProbe {
  public:
   /// `servers` is non-empty, in TrustedTimeClient's rotation order.

@@ -2,7 +2,7 @@
 // scheduler ordering, and the SimEnv-vs-RealEnv protocol cross-check.
 //
 // Every test that needs sockets GTEST_SKIPs when the sandbox cannot bind
-// loopback UDP (the CI fallback the realenv smoke tier also honours).
+// loopback UDP (as the `net`-labelled triad_timed ctest entries do).
 // These tests carry the `net` ctest label; see tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 

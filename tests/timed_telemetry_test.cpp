@@ -44,35 +44,7 @@ bool sockets_available() {
     }                                                           \
   } while (0)
 
-/// Minimal HTTP/1.0 GET, the same shape triad_mon and the run_all.sh
-/// /dev/tcp scraper use. Returns (status line, body).
-std::optional<std::pair<std::string, std::string>> http_get(
-    SockAddr addr, const std::string& path) {
-  std::string error;
-  TcpConn conn = TcpConn::dial(addr, 2000, &error);
-  if (!conn.valid()) return std::nullopt;
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!conn.write_all(BytesView{
-          reinterpret_cast<const std::uint8_t*>(request.data()),
-          request.size()})) {
-    return std::nullopt;
-  }
-  conn.shutdown_write();
-  std::string response;
-  std::uint8_t buf[4096];
-  for (;;) {
-    const std::size_t n = conn.read_some(buf, sizeof(buf));
-    if (n == 0) break;
-    response.append(reinterpret_cast<const char*>(buf), n);
-  }
-  const auto line_end = response.find("\r\n");
-  const auto body = response.find("\r\n\r\n");
-  if (line_end == std::string::npos || body == std::string::npos) {
-    return std::nullopt;
-  }
-  return std::make_pair(response.substr(0, line_end),
-                        response.substr(body + 4));
-}
+using runtime::http_get;
 
 /// True when any sample line of `family` on the Prometheus page carries
 /// a nonzero value.
@@ -118,7 +90,7 @@ struct Cluster {
     ta_config.trace_capacity = 1 << 14;
     ta_config.telemetry = runtime::kLoopbackAny;
     ta.emplace(std::move(ta_config),
-               runtime::ObsBinding{&ta_registry, nullptr});
+               &ta_registry);
 
     ServiceConfig node_config;
     node_config.role = Role::kNode;
@@ -134,7 +106,7 @@ struct Cluster {
     node_config.detectors.ta_address = 9;
     node_config.detectors.nominal_frequency_hz = nominal_frequency_hz;
     node.emplace(std::move(node_config),
-                 runtime::ObsBinding{&node_registry, nullptr});
+                 &node_registry);
   }
 
   bool valid() const { return ta->valid() && node->valid(); }
@@ -157,7 +129,7 @@ struct Cluster {
           shipped.has_value()) {
         std::size_t rejected = 0;
         for (const obs::TraceEvent& event :
-             obs::parse_jsonl(shipped->second, &rejected)) {
+             obs::parse_jsonl(shipped->body, &rejected)) {
           if (event.type == obs::TraceEventType::kCalibration) return true;
         }
       }
@@ -193,35 +165,35 @@ TEST(TimedTelemetry, EndpointsServeMetricsTraceProfAnd404) {
 
   const auto metrics = http_get(addr, "/metrics");
   ASSERT_TRUE(metrics.has_value());
-  EXPECT_EQ(metrics->first, "HTTP/1.0 200 OK");
-  EXPECT_NE(metrics->second.find("obs_trace_dropped_total"),
+  EXPECT_EQ(metrics->status, "HTTP/1.0 200 OK");
+  EXPECT_NE(metrics->body.find("obs_trace_dropped_total"),
             std::string::npos);
-  EXPECT_NE(metrics->second.find("obs_trace_ring_high_watermark"),
+  EXPECT_NE(metrics->body.find("obs_trace_ring_high_watermark"),
             std::string::npos);
-  EXPECT_NE(metrics->second.find("triad_timed_requests_total"),
+  EXPECT_NE(metrics->body.find("triad_timed_requests_total"),
             std::string::npos);
 
   const auto trace = http_get(addr, "/trace");
   ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->first, "HTTP/1.0 200 OK");
+  EXPECT_EQ(trace->status, "HTTP/1.0 200 OK");
   std::size_t rejected = 0;
   const std::vector<obs::TraceEvent> events =
-      obs::parse_jsonl(trace->second, &rejected);
+      obs::parse_jsonl(trace->body, &rejected);
   EXPECT_EQ(rejected, 0u);
   EXPECT_FALSE(events.empty());
 
   const auto prof = http_get(addr, "/prof");
   ASSERT_TRUE(prof.has_value());
-  EXPECT_EQ(prof->first, "HTTP/1.0 200 OK");
+  EXPECT_EQ(prof->status, "HTTP/1.0 200 OK");
 
   const auto missing = http_get(addr, "/nope");
   ASSERT_TRUE(missing.has_value());
-  EXPECT_EQ(missing->first, "HTTP/1.0 404 Not Found");
+  EXPECT_EQ(missing->status, "HTTP/1.0 404 Not Found");
 
   // The TA's listener works the same way (its trace ships kTaServe).
   const auto ta_trace = http_get(cluster.ta->telemetry_addr(), "/trace");
   ASSERT_TRUE(ta_trace.has_value());
-  EXPECT_EQ(ta_trace->first, "HTTP/1.0 200 OK");
+  EXPECT_EQ(ta_trace->status, "HTTP/1.0 200 OK");
 
   cluster.stop_and_join();
   EXPECT_GE(cluster.node->telemetry()->scrapes(), 4u);
@@ -241,7 +213,7 @@ TEST(TimedTelemetry, ScrapedFamiliesMatchTheExitDump) {
 
   std::ostringstream dump;
   cluster.node_registry.write_prometheus(dump);
-  EXPECT_EQ(prom_families(scraped->second), prom_families(dump.str()));
+  EXPECT_EQ(prom_families(scraped->body), prom_families(dump.str()));
 }
 
 TimedService* g_signal_service = nullptr;
@@ -298,7 +270,7 @@ TEST(TimedTelemetry, BindFailureReportsErrnoDetail) {
   config.telemetry = occupant.local_addr();  // guaranteed EADDRINUSE
   obs::Registry registry;
   TimedService service(std::move(config),
-                       runtime::ObsBinding{&registry, nullptr});
+                       &registry);
   EXPECT_FALSE(service.valid());
   EXPECT_NE(service.error().find("telemetry endpoint: bind"),
             std::string::npos)
@@ -315,7 +287,7 @@ TEST(TimedTelemetry, IdleConnectionsAreCappedAndSwept) {
   config.telemetry_request_deadline = milliseconds(100);
   obs::Registry registry;
   TimedService service(std::move(config),
-                       runtime::ObsBinding{&registry, nullptr});
+                       &registry);
   ASSERT_TRUE(service.valid()) << service.error();
   service.start();
   std::thread runner([&service] { service.run(); });
@@ -349,7 +321,7 @@ TEST(TimedTelemetry, IdleConnectionsAreCappedAndSwept) {
   // The plane still serves well-behaved scrapers afterwards.
   const auto metrics = http_get(addr, "/metrics");
   ASSERT_TRUE(metrics.has_value());
-  EXPECT_EQ(metrics->first, "HTTP/1.0 200 OK");
+  EXPECT_EQ(metrics->status, "HTTP/1.0 200 OK");
 
   service.stop();
   runner.join();
@@ -379,7 +351,7 @@ TEST(TimedTelemetry, BatchDepthGaugeResetsWhenScrapersDisconnect) {
     (void)probe.request();
     if (const auto metrics = http_get(addr, "/metrics");
         metrics.has_value()) {
-      sampled = gauge_nonzero(metrics->second, "triad_timed_batch_depth");
+      sampled = gauge_nonzero(metrics->body, "triad_timed_batch_depth");
     }
     holder.close_now();
   }
@@ -394,7 +366,7 @@ TEST(TimedTelemetry, BatchDepthGaugeResetsWhenScrapersDisconnect) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     if (const auto metrics = http_get(addr, "/metrics");
         metrics.has_value()) {
-      zeroed = !gauge_nonzero(metrics->second, "triad_timed_batch_depth");
+      zeroed = !gauge_nonzero(metrics->body, "triad_timed_batch_depth");
     }
   }
   EXPECT_TRUE(zeroed);
@@ -422,7 +394,7 @@ TEST(TimedTelemetry, OnlineAlarmsEqualOfflineReplayOfShippedTrace) {
 
   std::size_t rejected = 0;
   const std::vector<obs::TraceEvent> events =
-      obs::parse_jsonl(shipped->second, &rejected);
+      obs::parse_jsonl(shipped->body, &rejected);
   ASSERT_EQ(rejected, 0u);
   obs::DetectorConfig config;
   config.ta_address = 9;
