@@ -7,10 +7,13 @@
 //    delay cancels in the wait-time regression, while a TA-remote node
 //    adopts the TA's stamp one one-way delay late (Triad does not
 //    compensate), so the offset it takes from each TA reference is
-//    -(one-way delay). Between TA references it follows its peers: the
+//    -(one-way delay). Between TA references it runs peer rounds: the
 //    three sites have independent interrupt hubs, so no machine-wide
 //    interrupt taints every node at once and forces a TA reset (the
-//    p = 0 row of bench_ablation_correlation);
+//    p = 0 row of bench_ablation_correlation). The original policy
+//    adopts a peer's stamp only when it is ahead of the local clock, and
+//    the stamp arrives one one-way delay old, so at large base delays
+//    the rounds mostly keep the local clock (the kept-local column);
 //  * sweep B (fixed base, growing jitter): calibration error leaves the
 //    ~100 ppm band once jitter reaches milliseconds — Triad's 1 s-spread
 //    regression is unusable over jittery WANs, reinforcing §V's call for
@@ -32,7 +35,10 @@ struct Row {
   double f_err_ppm = 0;       // worst node's |F_calib - F_TSC|
   std::uint64_t ta_refs = 0;  // node 2's TA time references
   double ref_offset_ms = 0;   // node 2's offset right after them (median)
-  std::uint64_t peer_adoptions = 0;  // node 2's
+  std::uint64_t peer_rounds = 0;     // node 2's, and how they ended:
+  std::uint64_t peer_adoptions = 0;  //   a peer's stamp adopted,
+  std::uint64_t kept_local = 0;      //   its own clock kept,
+  std::uint64_t ta_fallbacks = 0;    //   or no answer, so the TA asked
   double median_drift_ms = 0;        // node 2's, over the whole run
   double availability = 0;
 };
@@ -75,7 +81,11 @@ Row run(Duration base, Duration jitter) {
       ++row.peer_adoptions;
     }
   }
-  row.ta_refs = sc.node(1).stats().ta_time_references;
+  const NodeStats& stats = sc.node(1).stats();
+  row.ta_refs = stats.ta_time_references;
+  row.peer_rounds = stats.peer_rounds;
+  row.kept_local = stats.kept_local;
+  row.ta_fallbacks = stats.ta_fallbacks;
   row.ref_offset_ms = median(offsets);
   std::vector<double> drift;
   for (const auto& s : rec.drift_ms(1).samples()) drift.push_back(s.value);
@@ -109,7 +119,8 @@ int main() {
   std::printf("\n");
   bench::print_table_head(
       {"base delay", "jitter", "worst F_calib error", "node 2 TA refs",
-       "node 2 offset after a TA ref (median)", "node 2 peer adoptions",
+       "node 2 offset after a TA ref (median)", "node 2 peer rounds",
+       "node 2 peer adoptions", "node 2 kept local", "node 2 TA fallbacks",
        "node 2 median drift", "availability"});
   for (const Cell& cell : cells) {
     const Row row = run(cell.base, cell.jitter);
@@ -119,8 +130,12 @@ int main() {
          bench::fmt("%.1f ppm", row.f_err_ppm),
          bench::fmt("%llu", static_cast<unsigned long long>(row.ta_refs)),
          bench::fmt("%.2f ms", row.ref_offset_ms),
+         bench::fmt("%llu", static_cast<unsigned long long>(row.peer_rounds)),
          bench::fmt("%llu",
                     static_cast<unsigned long long>(row.peer_adoptions)),
+         bench::fmt("%llu", static_cast<unsigned long long>(row.kept_local)),
+         bench::fmt("%llu",
+                    static_cast<unsigned long long>(row.ta_fallbacks)),
          bench::fmt("%.2f ms", row.median_drift_ms),
          bench::fmt("%.2f %%", row.availability * 100.0)});
   }

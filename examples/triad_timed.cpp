@@ -339,7 +339,7 @@ int run_service(const Options& options, std::ostream& out,
   profile.finish(&registry);
 
   // --- final summary + dumps (the shape of triad_sim's single-run
-  // summary, campaign::run_cli in src/campaign/cli.cpp) ---------------
+  // summary, run_one in src/campaign/cli.cpp) ------------------------
   if (triad::TriadNode* node = service.node(); node != nullptr) {
     summary << "node " << id
             << ": state=" << triad::to_string(node->state())

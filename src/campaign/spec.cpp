@@ -136,7 +136,9 @@ bool set_spec_value(CampaignSpec* spec, std::string_view key,
     spec->node_counts.clear();
     for (const std::string& item : split_list(value)) {
       std::uint64_t n = 0;
-      if (!parse_u64(item, &n) || n == 0) return bad("nodes");
+      if (!parse_u64(item, &n) || n == 0 || n > kMaxNodes) {
+        return bad("nodes");
+      }
       spec->node_counts.push_back(n);
     }
     if (spec->node_counts.empty()) return bad("nodes");

@@ -76,12 +76,14 @@ struct CampaignSpec {
   /// Flattens the grid (see header comment for the order). Requires
   /// validate().empty().
   [[nodiscard]] std::vector<RunSpec> expand() const;
+
+  bool operator==(const CampaignSpec&) const = default;
 };
 
 /// Sets one spec key from its text value, as a spec-file line or the
-/// matching triad_campaign flag gives it (keys as for parse_spec). On an
-/// unknown key or a bad value returns false and writes a message to
-/// `error`. The axis names are checked later, by validate().
+/// matching flag of either tool gives it (keys as for parse_spec). On an
+/// unknown key or a bad value (nodes above kMaxNodes too) returns false
+/// and writes a message to `error`. validate() checks the axis names.
 bool set_spec_value(CampaignSpec* spec, std::string_view key,
                     std::string_view value, std::string* error);
 

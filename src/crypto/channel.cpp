@@ -1,5 +1,7 @@
 #include "crypto/channel.h"
 
+#include <utility>
+
 #include "crypto/hmac.h"
 #include "obs/prof.h"
 #include "util/bytes.h"
@@ -58,11 +60,11 @@ Bytes ClusterKeyring::direction_key(NodeId sender, NodeId receiver) const {
 SecureChannel::SecureChannel(NodeId self, const Keyring& keyring)
     : self_(self), keyring_(keyring) {}
 
-const Aes256Gcm& SecureChannel::cipher_for(NodeId sender, NodeId receiver) {
-  const std::uint64_t key = pair_key(sender, receiver);
+const Aes256Gcm& SecureChannel::sealing_cipher(NodeId receiver) {
+  const std::uint64_t key = pair_key(self_, receiver);
   auto it = ciphers_.find(key);
   if (it == ciphers_.end()) {
-    it = ciphers_.emplace(key, Aes256Gcm(keyring_.direction_key(sender,
+    it = ciphers_.emplace(key, Aes256Gcm(keyring_.direction_key(self_,
                                                                 receiver)))
              .first;
   }
@@ -87,7 +89,7 @@ void SecureChannel::seal_into(NodeId receiver, BytesView plaintext,
   put_le(p + 4, receiver, 4);
   put_le(p + 8, counter, 8);
   put_le(p + kAadSize, plaintext.size(), 4);
-  cipher_for(self_, receiver)
+  sealing_cipher(receiver)
       .seal_to(make_iv(self_, counter), plaintext, BytesView(p, kAadSize),
                p + kHeaderSize, p + kHeaderSize + plaintext.size());
 }
@@ -127,14 +129,28 @@ std::optional<NodeId> SecureChannel::open_into(BytesView frame,
 
   if (receiver != self_) return fail(OpenError::kWrongReceiver);
 
+  // An unknown sender's cipher is derived into scratch_ and cached only
+  // once its tag verifies: a forged sender id costs one derivation and
+  // leaves nothing behind.
+  const std::uint64_t key = pair_key(sender, receiver);
+  const auto cached = ciphers_.find(key);
+  const bool miss = cached == ciphers_.end();
+  if (miss && (!scratch_ || scratch_->pair != key)) {
+    scratch_.emplace(
+        Scratch{key, Aes256Gcm(keyring_.direction_key(sender, receiver))});
+  }
   // Authenticate on views into the frame; the plaintext is written (and
   // grown, if it must) only once the tag checks out.
-  if (!cipher_for(sender, receiver)
+  if (!(miss ? scratch_->cipher : cached->second)
            .open_to(make_iv(sender, counter),
                     frame.subspan(kHeaderSize, ct_len),
                     frame.first(kAadSize), p + kHeaderSize + ct_len,
                     plaintext)) {
     return fail(OpenError::kAuthFailed);
+  }
+  if (miss) {
+    ciphers_.emplace(key, std::move(scratch_->cipher));
+    scratch_.reset();
   }
 
   // Replay check happens only after authentication so an attacker cannot

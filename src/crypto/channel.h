@@ -56,6 +56,8 @@ enum class OpenError {
 /// per peer and, per sender, an anti-replay sliding window (64 frames,
 /// DTLS/IPsec style): datagrams may arrive reordered, but no frame is
 /// ever accepted twice and frames older than the window are dropped.
+/// A sender's cipher is cached only once a frame from it authenticates,
+/// so frames with made-up sender ids leave nothing behind.
 class SecureChannel {
  public:
   SecureChannel(NodeId self, const Keyring& keyring);
@@ -88,7 +90,8 @@ class SecureChannel {
                                                 OpenError* error = nullptr);
 
  private:
-  [[nodiscard]] const Aes256Gcm& cipher_for(NodeId sender, NodeId receiver);
+  /// The cipher this node seals to `receiver` with, cached on first use.
+  [[nodiscard]] const Aes256Gcm& sealing_cipher(NodeId receiver);
 
   /// Sliding-window anti-replay state for one sender.
   struct ReplayWindow {
@@ -101,6 +104,13 @@ class SecureChannel {
   NodeId self_;
   const Keyring& keyring_;
   std::unordered_map<std::uint64_t, Aes256Gcm> ciphers_;  // (s,r) -> cipher
+  /// The last cache miss's cipher and (sender, receiver) pair: open_into
+  /// moves it into ciphers_ once a frame authenticates under it.
+  struct Scratch {
+    std::uint64_t pair;
+    Aes256Gcm cipher;
+  };
+  std::optional<Scratch> scratch_;
   std::unordered_map<NodeId, std::uint64_t> send_counters_;
   std::unordered_map<NodeId, ReplayWindow> replay_windows_;
 };

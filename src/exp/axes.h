@@ -1,6 +1,8 @@
 // One name -> value table per scenario axis (defined in axes.cpp): the
-// only place the names are spelled. exp::parse_cli and CampaignSpec
-// check names against them; campaign::build_scenario maps through them.
+// only place the names are spelled. CampaignSpec::validate (behind both
+// triad_sim's and triad_campaign's flags) and triad_sim's per-node --env
+// check names against them, refusing with bad(); campaign::build_scenario
+// maps through them.
 #pragma once
 
 #include <optional>
@@ -37,18 +39,15 @@ struct Axis {
     if (const T* value = find(name)) return *value;
     throw std::invalid_argument(bad(name));
   }
-  /// Every name in table order: "none|fplus|fminus".
-  [[nodiscard]] std::string choices() const {
-    std::string text;
-    for (const auto& entry : names) {
-      text.append(text.empty() ? "" : "|").append(entry.first);
-    }
-    return text;
-  }
-  /// "bad attack 'sneaky' (none|fplus|fminus)".
+  /// "bad attack 'sneaky' (none|fplus|fminus)": every name in table
+  /// order.
   [[nodiscard]] std::string bad(std::string_view name) const {
-    return "bad " + std::string(what) + " '" + std::string(name) + "' (" +
-           choices() + ")";
+    std::string text =
+        "bad " + std::string(what) + " '" + std::string(name) + "' (";
+    for (const auto& entry : names) {
+      text.append(text.back() == '(' ? "" : "|").append(entry.first);
+    }
+    return text + ")";
   }
 };
 

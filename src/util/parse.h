@@ -31,6 +31,11 @@ bool parse_seed_range(std::string_view text, std::uint64_t* lo,
 /// rather than an allocation that exhausts memory.
 inline constexpr std::uint64_t kMaxSeeds = 4096;
 
+/// Largest cluster a campaign grid or triad_sim run may ask for (the
+/// paper's largest grid has 7 nodes). Every node gets a full-mesh peer
+/// list, so a typo like 100000 would otherwise ask for ~10^10 entries.
+inline constexpr std::uint64_t kMaxNodes = 256;
+
 /// Most worker threads --jobs may start: the bound triad_timed's
 /// --workers has.
 inline constexpr std::size_t kMaxJobs = 64;

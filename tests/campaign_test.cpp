@@ -126,6 +126,14 @@ TEST(CampaignSpec, ParseRejectsBadSpecs) {
   const auto cap = parse_spec("seeds = 1..4000, 5001..5096\n", &error);
   ASSERT_TRUE(cap.has_value()) << error;
   EXPECT_EQ(cap->seeds.size(), kMaxSeeds);
+  // Cluster sizes stop at kMaxNodes (parse level only: no scenario is
+  // built from the value).
+  EXPECT_FALSE(parse_spec("nodes = 3, 257\n", &error));
+  EXPECT_EQ(error, "spec line 1: bad nodes '3, 257'");
+  EXPECT_FALSE(parse_spec("nodes = 4294967297\n", &error));
+  const auto nodes_cap = parse_spec("nodes = 256\n", &error);
+  ASSERT_TRUE(nodes_cap.has_value()) << error;
+  EXPECT_EQ(nodes_cap->node_counts, (std::vector<std::size_t>{kMaxNodes}));
   EXPECT_FALSE(parse_spec("duration = 10\n", &error));
   EXPECT_FALSE(parse_spec("attacks = chaos\n", &error));
   EXPECT_NE(error.find("attack"), std::string::npos);
@@ -431,24 +439,26 @@ TEST(CampaignRunner, HonestSweepRaisesNoAlarms) {
   }
 }
 
-// triad_sim's sweep mode drives the same engine.
+// triad_sim's sweep mode (more than one seed) drives the same engine.
 TEST(SimSweep, SeedRangeProducesAggregateReport) {
-  exp::CliOptions options;
-  options.seed_range = {{1, 3}};
-  options.duration = seconds(30);
-  options.attack = "fminus";
-  options.jobs = 2;
-  ASSERT_TRUE(exp::is_sweep(options));
+  std::vector<const char*> args = {"triad_sim", "--seeds",  "1..3",
+                                   "--duration", "30s",     "--attack",
+                                   "fminus",     "--jobs",  "2"};
+  std::string error;
+  const auto options = parse_sim_cli(static_cast<int>(args.size()),
+                                     args.data(), &error);
+  ASSERT_TRUE(options.has_value()) << error;
+  ASSERT_EQ(options->spec.run_count(), 3u);
   std::ostringstream out, err;
-  EXPECT_EQ(run_sim_sweep(options, out, err), 0);
+  EXPECT_EQ(run_sim_cli(*options, out, err), 0);
   EXPECT_NE(out.str().find("\"runs\": 3"), std::string::npos);
   EXPECT_NE(err.str().find("sweep: seeds=1..3"), std::string::npos);
 
   // Byte-identical across jobs from this entry point too.
-  exp::CliOptions serial = options;
+  SimCliOptions serial = *options;
   serial.jobs = 1;
   std::ostringstream out1, err1;
-  EXPECT_EQ(run_sim_sweep(serial, out1, err1), 0);
+  EXPECT_EQ(run_sim_cli(serial, out1, err1), 0);
   EXPECT_EQ(out.str(), out1.str());
 }
 

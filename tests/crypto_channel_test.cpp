@@ -263,6 +263,71 @@ TEST_F(SecureChannelTest, WrongReceiverReportedBeforeAuthentication) {
   EXPECT_EQ(open_error(carol_, frame), OpenError::kWrongReceiver);
 }
 
+// ---- Cipher cache ----
+
+/// Counts the direction keys a channel derives, one per cipher it builds.
+class CountingKeyring final : public Keyring {
+ public:
+  [[nodiscard]] Bytes direction_key(NodeId sender,
+                                    NodeId receiver) const override {
+    ++derivations;
+    return inner_.direction_key(sender, receiver);
+  }
+  mutable int derivations = 0;
+
+ private:
+  ClusterKeyring inner_{secret()};
+};
+
+// `frame` claiming to come from `sender`: its tag no longer verifies.
+Bytes with_sender(Bytes frame, NodeId sender) {
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<std::uint8_t>(sender >> (8 * i));
+  }
+  return frame;
+}
+
+TEST_F(SecureChannelTest, ForgedSenderIdsLeaveNoCipherCached) {
+  CountingKeyring keyring;
+  SecureChannel bob(2, keyring);
+  const Bytes frame = alice_.seal(2, Bytes{1, 2, 3});
+  constexpr NodeId kFirst = 1000;
+  constexpr int kForged = 1000;
+  for (int i = 0; i < kForged; ++i) {
+    OpenError err{};
+    EXPECT_FALSE(
+        bob.open(with_sender(frame, kFirst + i), &err).has_value());
+    EXPECT_EQ(err, OpenError::kAuthFailed);
+  }
+  EXPECT_EQ(keyring.derivations, kForged);
+  // Nothing was cached: the first forged id derives again.
+  EXPECT_FALSE(bob.open(with_sender(frame, kFirst)).has_value());
+  EXPECT_EQ(keyring.derivations, kForged + 1);
+  // The one scratch slot spares a flood of the same id its derivations.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(bob.open(with_sender(frame, kFirst)).has_value());
+  }
+  EXPECT_EQ(keyring.derivations, kForged + 1);
+  // The real sender still gets through, after all of it.
+  EXPECT_TRUE(bob.open(frame).has_value());
+}
+
+TEST_F(SecureChannelTest, AuthenticSenderDerivesOnce) {
+  CountingKeyring keyring;
+  SecureChannel bob(2, keyring);
+  for (int i = 0; i < 100; ++i) {
+    const Bytes frame = alice_.seal(2, Bytes{static_cast<std::uint8_t>(i)});
+    ASSERT_TRUE(bob.open(frame).has_value()) << i;
+    // A forged frame between two real ones finds the cached cipher.
+    EXPECT_FALSE(bob.open(with_sender(frame, 77)).has_value());
+  }
+  // One derivation for alice, and one for the forged id 77.
+  EXPECT_EQ(keyring.derivations, 2);
+  // Sealing back to alice derives her direction's key once.
+  for (int i = 0; i < 10; ++i) (void)bob.seal(1, Bytes{1});
+  EXPECT_EQ(keyring.derivations, 3);
+}
+
 // ---- Allocation budget ----
 
 TEST_F(SecureChannelTest, SealAndOpenAllocateOnlyTheirResults) {
