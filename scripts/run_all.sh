@@ -7,12 +7,11 @@
 #   scripts/run_all.sh      # build, cppcheck + clang-tidy when
 #                           # installed, ctest, telemetry overhead
 #   TRIAD_SANITIZE=address scripts/run_all.sh
-#                           # first builds with ASan+UBSan (Debug) and
-#                           # runs the whole suite under them
-#                           # (TRIAD_SANITIZE=1 still works)
+#                           # first runs `cmake --workflow --preset asan`:
+#                           # ASan+UBSan (Debug), the whole suite
 #   TRIAD_SANITIZE=thread scripts/run_all.sh
-#                           # first builds with TSan and runs the
-#                           # thread-heavy tests under it
+#                           # first runs `cmake --workflow --preset tsan`:
+#                           # TSan, the tests labelled `threads`
 #   TRIAD_PERF_GATE=fail scripts/run_all.sh
 #                           # fails the run when bench_triad_loopback's
 #                           # telemetry overhead is above 5%; the
@@ -21,7 +20,8 @@
 # Legs, in order; the first failing one stops the run:
 #   1. configure and build $BUILD_DIR (warnings are errors);
 #   2. cppcheck and clang-tidy over src/, each only when installed;
-#   3. the sanitizer build and its ctest run, when TRIAD_SANITIZE is set;
+#   3. the sanitizer workflow (CMakePresets.json), when TRIAD_SANITIZE
+#      is address or thread;
 #   4. ctest over $BUILD_DIR;
 #   5. bench_triad_loopback's `overhead` line (telemetry on vs off).
 set -u
@@ -53,39 +53,23 @@ if command -v clang-tidy > /dev/null 2>&1; then
     || { echo "clang-tidy failed" >&2; exit 1; }
 fi
 
+# The presets' test steps: tsan selects the `threads` label (set where
+# each test is registered); TSan exits nonzero on any report, so a clean
+# pass means zero races. asan runs everything.
 case "${TRIAD_SANITIZE:-0}" in
-  0) ;;
-  thread)
-    { cmake -B build-tsan -G Ninja -DTRIAD_SANITIZE=thread \
-        && cmake --build build-tsan; } \
-      || { echo "TSan build failed" >&2; exit 1; }
-    # The thread-heavy paths: the Logger's concurrent level/gating test,
-    # the campaign worker pool (jobs 1 vs 4 byte-compare runs inside the
-    # tsan-campaign ctest entry), the real-transport runtime (epoll
-    # loops + SO_REUSEPORT serve workers + snapshot board in
-    # real_env_test), and the telemetry plane (scrape-signal atomics +
-    # node-thread listener in timed_telemetry_test). TSan exits nonzero
-    # on any report, so a clean pass means zero races.
-    ctest --test-dir build-tsan --output-on-failure \
-        -R 'LogTest|tsan-campaign|RealEnv|RealScheduler|UdpSocket|UdpTransport|TimedService|TimedTelemetry|SockAddr' \
-        2>&1 | tee "$ART"/test_output_tsan.txt
-    test "${PIPESTATUS[0]}" -eq 0 \
-      || { echo "TSan tier failed" >&2; exit 1; }
-    ;;
-  *)
-    # Debug (-O0): sanitizer accuracy over speed, and GCC 12's optimizer
-    # false-fires -Wrestrict/-Wmaybe-uninitialized under -Werror at -O2
-    # when combined with -fsanitize=address,undefined.
-    { cmake -B build-asan -G Ninja -DTRIAD_SANITIZE=address \
-          -DCMAKE_BUILD_TYPE=Debug \
-        && cmake --build build-asan; } \
-      || { echo "ASan build failed" >&2; exit 1; }
-    ctest --test-dir build-asan --output-on-failure 2>&1 \
-      | tee "$ART"/test_output_asan.txt
-    test "${PIPESTATUS[0]}" -eq 0 \
-      || { echo "ASan tier failed" >&2; exit 1; }
-    ;;
+  0) preset= ;;
+  address) preset=asan ;;
+  thread) preset=tsan ;;
+  *) echo "TRIAD_SANITIZE must be address or thread" \
+          "(got '$TRIAD_SANITIZE')" >&2
+     exit 1 ;;
 esac
+if [ -n "$preset" ]; then
+  cmake --workflow --preset "$preset" 2>&1 \
+    | tee "$ART/test_output_$preset.txt"
+  test "${PIPESTATUS[0]}" -eq 0 \
+    || { echo "$preset workflow failed" >&2; exit 1; }
+fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 \
   | tee "$ART"/test_output.txt
@@ -126,8 +110,4 @@ else
 fi
 
 echo "artifacts under $ART/ (test_output.txt, bench_triad_loopback.txt)"
-case "${TRIAD_SANITIZE:-0}" in
-  0) ;;
-  thread) echo "wrote $ART/test_output_tsan.txt (TSan run)" ;;
-  *) echo "wrote $ART/test_output_asan.txt (ASan+UBSan run)" ;;
-esac
+[ -z "$preset" ] || echo "wrote $ART/test_output_$preset.txt ($preset run)"

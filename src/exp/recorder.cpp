@@ -31,24 +31,29 @@ Recorder::Recorder(Scenario& scenario, Duration sample_period)
     drift_gauges_.resize(n);  // no-op handles
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    NodeHooks hooks;
-    hooks.on_adoption = [this, i](SimTime before, SimTime adopted,
-                                  NodeId source) {
-      adoptions_.push_back(AdoptionEvent{scenario_.simulation().now(), i,
-                                         before, adopted, source});
-    };
-    hooks.on_state_change = [this, i](NodeState from, NodeState to) {
-      state_changes_.push_back(
-          StateChangeEvent{scenario_.simulation().now(), i, from, to});
-      state_[i]->record(scenario_.simulation().now(),
-                        static_cast<double>(to));
-    };
-    scenario_.node(i).set_hooks(std::move(hooks));
-  }
-
+  scenario_.trace_tee().add(this);
   timer_ = std::make_unique<runtime::PeriodicTimer>(
       scenario_.env(), sample_period, [this] { sample(); });
+}
+
+Recorder::~Recorder() { scenario_.trace_tee().remove(this); }
+
+void Recorder::emit(const obs::TraceEvent& event) {
+  const bool adoption = event.type == obs::TraceEventType::kAdoption;
+  if (!adoption && event.type != obs::TraceEventType::kStateChange) return;
+  // Node i lives at node_address(i) = node_address(0) + i; any other
+  // endpoint maps past node_count().
+  const std::size_t i = event.node - scenario_.node_address(0);
+  if (i >= scenario_.node_count()) return;
+  if (adoption) {
+    adoptions_.push_back(
+        AdoptionEvent{event.at, i, event.a, event.b, event.peer});
+    return;
+  }
+  const auto to = static_cast<NodeState>(event.b);
+  state_changes_.push_back(
+      StateChangeEvent{event.at, i, static_cast<NodeState>(event.a), to});
+  state_[i]->record(event.at, static_cast<double>(to));
 }
 
 void Recorder::sample() {

@@ -8,6 +8,9 @@
 // plus cluster-wide network traffic (bytes on the wire) and the
 // discrete clock-adoption (time-jump) events.
 //
+// Adoptions and state changes are the nodes' kAdoption/kStateChange
+// trace events: the Recorder is a TraceSink on the scenario's tee.
+//
 // Counters are read from the node and network stats structs — the same
 // fields the registry's triad_node_*_total / triad_net_bytes_*_total
 // series export, so the two views agree. When the scenario has a metrics
@@ -39,11 +42,15 @@ struct StateChangeEvent {
   NodeState to{};
 };
 
-class Recorder {
+class Recorder final : public obs::TraceSink {
  public:
-  /// Attaches hooks immediately; sampling starts at the first period.
-  /// At most one Recorder per scenario (it owns the nodes' hooks).
+  /// Joins the scenario's trace tee immediately; sampling starts at the
+  /// first period. Must not outlive the scenario.
   explicit Recorder(Scenario& scenario, Duration sample_period = seconds(1));
+  ~Recorder() override;
+
+  /// Keeps kAdoption and kStateChange events of the scenario's nodes.
+  void emit(const obs::TraceEvent& event) override;
 
   [[nodiscard]] const stats::TimeSeries& drift_ms(std::size_t node) const;
   [[nodiscard]] const stats::TimeSeries& ta_references(std::size_t node) const;

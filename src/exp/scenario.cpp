@@ -63,20 +63,11 @@ Scenario::Scenario(ScenarioConfig config)
                                    config_.node_count + 1)},
                            metrics_.get(), trace_.get())
                      : nullptr),
-      trace_tee_(trace_ && detectors_ ? std::make_unique<obs::TeeTraceSink>()
-                                      : nullptr),
       harness_(make_cluster_config(
-          config_,
-          runtime::ObsBinding{
-              metrics_.get(),
-              trace_tee_ ? static_cast<obs::TraceSink*>(trace_tee_.get())
-              : detectors_ ? static_cast<obs::TraceSink*>(detectors_.get())
-                           : static_cast<obs::TraceSink*>(trace_.get())})) {
-  if (trace_tee_) {
-    // Ring first so a detector alarm lands *after* its triggering event.
-    trace_tee_->add(trace_.get());
-    trace_tee_->add(detectors_.get());
-  }
+          config_, runtime::ObsBinding{metrics_.get(), &trace_tee_})) {
+  // Ring first so a detector alarm lands *after* its triggering event.
+  if (trace_) trace_tee_.add(trace_.get());
+  if (detectors_) trace_tee_.add(detectors_.get());
   if (metrics_ && trace_) {
     metrics_->set_help("obs_trace_dropped_total",
                        "Trace events overwritten after the ring filled");

@@ -137,6 +137,10 @@ class Scenario {
   [[nodiscard]] obs::RingTraceSink* trace() { return trace_.get(); }
   /// The scenario-owned detector bank (null unless enable_detectors).
   [[nodiscard]] obs::DetectorBank* detectors() { return detectors_.get(); }
+  /// The env's trace sink: a tee feeding the ring, then the detector
+  /// bank (each when configured), then sinks added later (Recorder).
+  /// Added sinks must be removed before the scenario is destroyed.
+  [[nodiscard]] obs::TeeTraceSink& trace_tee() { return trace_tee_; }
 
   /// Node addressing: node i (0-based) lives at address i+1; the TA at
   /// node_count()+1.
@@ -167,7 +171,7 @@ class Scenario {
   std::unique_ptr<obs::Registry> metrics_;
   std::unique_ptr<obs::RingTraceSink> trace_;
   std::unique_ptr<obs::DetectorBank> detectors_;
-  std::unique_ptr<obs::TeeTraceSink> trace_tee_;  // ring + detector bank
+  obs::TeeTraceSink trace_tee_;
   runtime::ClusterHarness harness_;
   std::vector<crypto::SessionKeyring> session_keyrings_;  // attested mode
   std::vector<std::unique_ptr<enclave::AexDriver>> drivers_;

@@ -11,6 +11,38 @@ std::string span_str(SpanId id) {
   return s;
 }
 
+/// index.chain(start.id).size(), memoised in `memo` (one slot per span,
+/// 0 = not measured) so k linked spans cost O(k) finds in total.
+std::size_t chain_length(const SpanIndex& index, const Span& start,
+                         std::vector<std::size_t>* memo) {
+  const Span* const first = index.spans().data();
+  const std::size_t on_path = index.spans().size() + 1;  // + path index
+  std::vector<std::size_t> path;  // walked, not yet measured
+  std::size_t length = 0;         // chain length after path's last span
+  for (const Span* s = &start; s != nullptr; s = index.find(s->cause)) {
+    std::size_t& slot = (*memo)[s - first];
+    if (slot >= on_path) {  // a cause loop: chain() walks it whole
+      const std::size_t loop_start = slot - on_path;
+      length = path.size() - loop_start;
+      for (std::size_t i = loop_start; i < path.size(); ++i) {
+        (*memo)[path[i]] = length;
+      }
+      path.resize(loop_start);
+      break;
+    }
+    if (slot != 0) {
+      length = slot;
+      break;
+    }
+    slot = on_path + path.size();
+    path.push_back(s - first);
+  }
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    (*memo)[*it] = ++length;
+  }
+  return (*memo)[&start - first];
+}
+
 }  // namespace
 
 NodeId infer_ta(const std::vector<TraceEvent>& events) {
@@ -33,12 +65,16 @@ std::vector<JumpFact> significant_jumps(const SpanIndex& index,
                                         NodeId ta_address,
                                         double min_jump_ms) {
   std::vector<JumpFact> jumps;
+  std::vector<std::size_t> chain_lengths(index.spans().size(), 0);
   for (const Span& span : index.spans()) {
     if (!span.has_adoption || span.adoption_source == 0) continue;
     if (span.adoption_source == ta_address) continue;
     const double step_ms = static_cast<double>(span.adoption_step_ns) / 1e6;
     if (step_ms < min_jump_ms) continue;
-    jumps.push_back(JumpFact{&span, step_ms, index.chain(span.id)});
+    JumpFact jump{&span, step_ms, index.chain(span.id, 1 + kMaxChainLinks)};
+    jump.chain_more =
+        chain_length(index, span, &chain_lengths) - jump.chain.size();
+    jumps.push_back(std::move(jump));
   }
   return jumps;
 }
@@ -74,6 +110,9 @@ void append_jump_lines(std::string* out, const std::vector<JumpFact>& jumps) {
         append(out, " <- span %s on node %u", span_str(s->id).c_str(),
                s->node);
       }
+    }
+    if (jump.chain_more > 0) {
+      append(out, " <- … (%zu more)", jump.chain_more);
     }
     append(out, "\n");
   }
@@ -119,7 +158,9 @@ void append_jumps_json(std::string* out, const std::vector<JumpFact>& jumps) {
       if (s->has_calibration) cf.number("f_hz", s->calib_slope_hz);
       *out += "}";
     }
-    *out += "]}";
+    *out += "]";
+    if (jump.chain_more > 0) f.uinteger("chain_more", jump.chain_more);
+    *out += "}";
   }
   *out += "]";
 }

@@ -32,16 +32,23 @@ struct DetectorReplay {
 [[nodiscard]] DetectorReplay replay_detectors(
     const std::vector<TraceEvent>& events, DetectorConfig config);
 
+/// Most cause spans a jump's chain carries past the jump's own span. A
+/// crafted trace of k linked jumps would otherwise print k² chain links;
+/// recorded chains are far shorter.
+inline constexpr std::size_t kMaxChainLinks = 16;
+
 /// A significant forward clock step adopted from a peer.
 struct JumpFact {
   const Span* span = nullptr;
   double step_ms = 0.0;
-  std::vector<const Span*> chain;  // starts at `span`
+  std::vector<const Span*> chain;  // starts at `span`, capped
+  std::size_t chain_more = 0;      // cause spans past the cap
 };
 
 /// Every span of `index` that adopted a peer's clock (not the TA's) with
 /// a forward step of at least `min_jump_ms`, in span order, with its
-/// cross-node cause chain.
+/// cross-node cause chain: at most kMaxChainLinks causes, and the count
+/// of the rest.
 [[nodiscard]] std::vector<JumpFact> significant_jumps(const SpanIndex& index,
                                                       NodeId ta_address,
                                                       double min_jump_ms);
@@ -50,13 +57,15 @@ struct JumpFact {
 void append_alarm_lines(std::string* out, const std::vector<Alarm>& alarms,
                         const char* indent);
 
-/// One indented text line per jump, ending in its cause chain.
+/// One indented text line per jump, ending in its cause chain and, past
+/// the cap, `<- … (N more)`.
 void append_jump_lines(std::string* out, const std::vector<JumpFact>& jumps);
 
 /// `,"alarms":[...]`, one object per alarm.
 void append_alarms_json(std::string* out, const std::vector<Alarm>& alarms);
 
-/// `,"jumps":[...]`, one object per jump, each with its "chain".
+/// `,"jumps":[...]`, one object per jump, each with its "chain" and,
+/// past the cap, "chain_more".
 void append_jumps_json(std::string* out, const std::vector<JumpFact>& jumps);
 
 }  // namespace triad::obs

@@ -114,13 +114,14 @@ const Span* SpanIndex::find(SpanId id) const {
   return it != positions_.end() ? &spans_[it->second] : nullptr;
 }
 
-std::vector<const Span*> SpanIndex::chain(SpanId id) const {
+std::vector<const Span*> SpanIndex::chain(SpanId id,
+                                          std::size_t max_spans) const {
   std::vector<const Span*> out;
   // Positions already on the chain. A malformed trace's cause links may
   // loop; the walk stops before the first repeat, and a set (not a scan
   // of `out`) keeps a long chain linear.
   std::unordered_set<std::size_t> visited;
-  for (SpanId next = id; next != 0;) {
+  for (SpanId next = id; next != 0 && out.size() < max_spans;) {
     const auto it = positions_.find(next);
     if (it == positions_.end() || !visited.insert(it->second).second) break;
     const Span& span = spans_[it->second];

@@ -134,8 +134,9 @@ class SpanIndex {
   /// Walks the cross-node cause chain starting at `id`: the span itself,
   /// then its cause, then that span's cause… Cycle-safe (each span is
   /// visited at most once); empty when `id` is unknown. One find per
-  /// link.
-  [[nodiscard]] std::vector<const Span*> chain(SpanId id) const;
+  /// link; the walk stops after `max_spans` spans.
+  [[nodiscard]] std::vector<const Span*> chain(
+      SpanId id, std::size_t max_spans = SIZE_MAX) const;
 
  private:
   void build();

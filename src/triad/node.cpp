@@ -167,17 +167,10 @@ void TriadNode::sync_clock_to(SimTime new_time, Duration new_error,
   error_at_sync_ = new_error;
   adoptions_counter_.inc();
   adoption_step_ms_.observe(std::abs(to_milliseconds(new_time - before)));
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kAdoption;
-    event.node = config_.id;
-    event.peer = source;
-    event.span = current_span_;
-    event.a = before;
-    event.b = new_time;
-    env_.emit(event);
-  }
-  if (hooks_.on_adoption) hooks_.on_adoption(before, new_time, source);
+  trace({.type = obs::TraceEventType::kAdoption,
+         .peer = source,
+         .a = before,
+         .b = new_time});
   TRIAD_LOG_DEBUG("triad.node") << "node " << config_.id << " clock set to "
                           << to_seconds(new_time) << "s (source " << source
                           << ", step "
@@ -220,22 +213,22 @@ obs::SpanId TriadNode::begin_span() {
   return current_span_;
 }
 
+void TriadNode::trace(obs::TraceEvent event) const {
+  if (!env_.tracing()) return;
+  event.node = config_.id;
+  event.span = current_span_;
+  env_.emit(event);
+}
+
 void TriadNode::set_state(NodeState next) {
   if (next == state_) return;
   state_time_[static_cast<std::size_t>(state_)] += env_.now() - state_since_;
   const NodeState prev = state_;
   state_ = next;
   state_since_ = env_.now();
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kStateChange;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(prev);
-    event.b = static_cast<std::int64_t>(next);
-    env_.emit(event);
-  }
-  if (hooks_.on_state_change) hooks_.on_state_change(prev, next);
+  trace({.type = obs::TraceEventType::kStateChange,
+         .a = static_cast<std::int64_t>(prev),
+         .b = static_cast<std::int64_t>(next)});
   TRIAD_LOG_DEBUG("triad.node") << "node " << config_.id << " " << to_string(prev)
                           << " -> " << to_string(next);
 }
@@ -264,14 +257,8 @@ void TriadNode::on_aex() {
   // causes (INC checks, the peer round, the adoption or TA fallback)
   // shares the span. AEXes during an ongoing episode join it.
   if (state_ == NodeState::kOk) begin_span();
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kAex;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(stats_.aex_count);
-    env_.emit(event);
-  }
+  trace({.type = obs::TraceEventType::kAex,
+         .a = static_cast<std::int64_t>(stats_.aex_count)});
 
   // The monitoring thread re-validates the TSC whenever continuity
   // breaks: the most recent window checks for an ongoing rate mismatch,
@@ -285,15 +272,9 @@ void TriadNode::on_aex() {
     monitor_.reset_continuity();
     if (!window_ok || !interval_ok) {
       ++stats_.inc_check_failures;
-      if (env_.tracing()) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kIncAlarm;
-        event.node = config_.id;
-        event.span = current_span_;
-        event.a = window_ok ? 0 : 1;
-        event.b = interval_ok ? 0 : 1;
-        env_.emit(event);
-      }
+      trace({.type = obs::TraceEventType::kIncAlarm,
+             .a = window_ok ? 0 : 1,
+             .b = interval_ok ? 0 : 1});
       TRIAD_LOG_WARN("triad.node") << "node " << config_.id
                              << " INC monitor detected TSC manipulation ("
                              << (window_ok ? "interval" : "window") << ")";
@@ -377,15 +358,9 @@ void TriadNode::send_ta_request(Duration wait) {
       config_.ta_timeout + wait,
       [this, id = ota.request_id] { on_ta_timeout(id); });
   outstanding_ta_ = ota;
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kTaRequest;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(ota.request_id);
-    event.x = to_seconds(wait);
-    env_.emit(event);
-  }
+  trace({.type = obs::TraceEventType::kTaRequest,
+         .a = static_cast<std::int64_t>(ota.request_id),
+         .x = to_seconds(wait)});
 
   proto::TaRequest request;
   request.request_id = ota.request_id;
@@ -411,15 +386,9 @@ void TriadNode::on_ta_response(const proto::TaResponse& response) {
   const OutstandingTa ota = *outstanding_ta_;
   env_.cancel(ota.timeout);
   outstanding_ta_.reset();
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kTaResponse;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(response.request_id);
-    event.b = response.ta_time;
-    env_.emit(event);
-  }
+  trace({.type = obs::TraceEventType::kTaResponse,
+         .a = static_cast<std::int64_t>(response.request_id),
+         .b = response.ta_time});
 
   if (ota.for_full_calibration && state_ == NodeState::kFullCalib) {
     // The measurement is only usable if the monitoring thread ran
@@ -442,16 +411,10 @@ void TriadNode::on_ta_response(const proto::TaResponse& response) {
         calib_samples_high_ >= config_.calib_pairs) {
       const stats::LinearFit fit = calib_regression_.fit();
       f_calib_hz_ = fit.slope;
-      if (env_.tracing()) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kCalibration;
-        event.node = config_.id;
-        event.span = current_span_;
-        event.a = calib_samples_low_ + calib_samples_high_;
-        event.x = fit.slope;
-        event.y = fit.r_squared;
-        env_.emit(event);
-      }
+      trace({.type = obs::TraceEventType::kCalibration,
+             .a = calib_samples_low_ + calib_samples_high_,
+             .x = fit.slope,
+             .y = fit.r_squared});
       TRIAD_LOG_INFO("triad.node")
           << "node " << config_.id << " calibrated F = "
           << f_calib_hz_ / 1e6 << " MHz (r2 " << fit.r_squared << ")";
@@ -526,14 +489,8 @@ void TriadNode::begin_peer_round(bool proactive) {
   if (config_.peers.empty()) {
     if (!proactive) {
       ++stats_.ta_fallbacks;
-      if (env_.tracing()) {
-        obs::TraceEvent event;
-        event.type = obs::TraceEventType::kTaFallback;
-        event.node = config_.id;
-        event.span = current_span_;
-        event.a = static_cast<std::int64_t>(stats_.ta_fallbacks);
-        env_.emit(event);
-      }
+      trace({.type = obs::TraceEventType::kTaFallback,
+             .a = static_cast<std::int64_t>(stats_.ta_fallbacks)});
       begin_ref_calibration();
     }
     return;
@@ -546,15 +503,9 @@ void TriadNode::begin_peer_round(bool proactive) {
   round.timeout =
       env_.schedule_after(config_.peer_timeout, [this] { finish_peer_round(); });
   peer_round_ = round;
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kPeerQuery;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(peer_round_->request_id);
-    event.b = proactive ? 1 : 0;
-    env_.emit(event);
-  }
+  trace({.type = obs::TraceEventType::kPeerQuery,
+         .a = static_cast<std::int64_t>(peer_round_->request_id),
+         .b = proactive ? 1 : 0});
 
   proto::PeerTimeRequest request;
   request.request_id = peer_round_->request_id;
@@ -566,16 +517,10 @@ void TriadNode::on_peer_response(NodeId peer,
                                  const proto::PeerTimeResponse& response) {
   if (!peer_round_ || peer_round_->request_id != response.request_id) return;
   ++peer_round_->answers;
-  if (env_.tracing()) {
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kPeerResponse;
-    event.node = config_.id;
-    event.peer = peer;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(response.request_id);
-    event.b = response.tainted ? 1 : 0;
-    env_.emit(event);
-  }
+  trace({.type = obs::TraceEventType::kPeerResponse,
+         .peer = peer,
+         .a = static_cast<std::int64_t>(response.request_id),
+         .b = response.tainted ? 1 : 0});
   if (!response.tainted) {
     peer_samples_.push_back(PeerSample{peer, response.timestamp,
                                        response.error_bound, env_.now()});
@@ -600,24 +545,14 @@ void TriadNode::finish_peer_round() {
 
   const auto trace_outcome = [this, &round](std::int64_t outcome,
                                             NodeId source) {
-    if (!env_.tracing()) return;
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kPeerOutcome;
-    event.node = config_.id;
-    event.peer = source;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(round.request_id);
-    event.b = outcome;  // 0 adopt, 1 keep_local, 2 ta_fallback, 3 no_answers
-    env_.emit(event);
+    trace({.type = obs::TraceEventType::kPeerOutcome,
+           .peer = source,
+           .a = static_cast<std::int64_t>(round.request_id),
+           .b = outcome});  // 0 adopt, 1 keep_local, 2 ta_fallback, 3 none
   };
   const auto trace_ta_fallback = [this] {
-    if (!env_.tracing()) return;
-    obs::TraceEvent event;
-    event.type = obs::TraceEventType::kTaFallback;
-    event.node = config_.id;
-    event.span = current_span_;
-    event.a = static_cast<std::int64_t>(stats_.ta_fallbacks);
-    env_.emit(event);
+    trace({.type = obs::TraceEventType::kTaFallback,
+           .a = static_cast<std::int64_t>(stats_.ta_fallbacks)});
   };
 
   if (peer_samples_.empty()) {
@@ -685,14 +620,10 @@ void TriadNode::send_message(NodeId to, const proto::Message& message) {
 void TriadNode::on_packet(const runtime::Packet& packet) {
   const auto bad_frame = [this](NodeId src) {
     ++stats_.bad_frames;
-    if (env_.tracing()) {
-      obs::TraceEvent event;
-      event.type = obs::TraceEventType::kBadFrame;
-      event.node = config_.id;
-      event.peer = src;
-      event.a = static_cast<std::int64_t>(stats_.bad_frames);
-      env_.emit(event);
-    }
+    env_.emit({.type = obs::TraceEventType::kBadFrame,  // no span
+               .node = config_.id,
+               .peer = src,
+               .a = static_cast<std::int64_t>(stats_.bad_frames)});
   };
   const std::optional<NodeId> sender =
       channel_.open_into(packet.payload, plaintext_);

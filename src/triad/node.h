@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -108,15 +107,6 @@ struct NodeStats {
   std::uint64_t bad_frames = 0;  // auth/decode failures on input
 };
 
-/// Observer hooks for experiment instrumentation (all optional).
-struct NodeHooks {
-  std::function<void(NodeState from, NodeState to)> on_state_change;
-  /// Fired when the node steps its clock onto external evidence.
-  /// `source` is the peer id, or the TA address for TA adoptions.
-  std::function<void(SimTime local_before, SimTime adopted, NodeId source)>
-      on_adoption;
-};
-
 class TriadNode {
  public:
   struct HardwareParams {
@@ -174,7 +164,6 @@ class TriadNode {
   [[nodiscard]] tsc::Core& core() { return core_; }
   [[nodiscard]] const TriadConfig& config() const { return config_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
-  void set_hooks(NodeHooks hooks) { hooks_ = std::move(hooks); }
 
   /// Cumulative time spent in each state (indexed by NodeState).
   [[nodiscard]] std::array<Duration, 4> state_durations() const;
@@ -199,6 +188,9 @@ class TriadNode {
   /// an AEX hitting an Ok node, a proactive peer round, and each full
   /// calibration (see obs/span.h for the episode taxonomy).
   obs::SpanId begin_span();
+  /// Emits `event` as this node's, tagged with the current span; a no-op
+  /// without a trace sink.
+  void trace(obs::TraceEvent event) const;
 
   // --- clock -----------------------------------------------------------
   void sync_clock_to(SimTime new_time, Duration new_error, NodeId source);
@@ -233,7 +225,6 @@ class TriadNode {
   tsc::Core core_;
   tsc::IncMonitor monitor_;
   std::unique_ptr<UntaintPolicy> policy_;
-  NodeHooks hooks_;
 
   NodeState state_ = NodeState::kFullCalib;
   SimTime state_since_ = 0;

@@ -252,6 +252,53 @@ TEST(Recorder, AdoptionsCarrySourceAndStep) {
   }
 }
 
+TEST(Recorder, EventsMatchTraceRing) {
+  // The Recorder is a leg of the same tee as the ring and the detector
+  // bank, so its adoptions and state changes are the ring's kAdoption
+  // and kStateChange events, one for one and in order.
+  ScenarioConfig cfg;
+  cfg.seed = 17;
+  cfg.trace_capacity = 1 << 20;
+  cfg.enable_detectors = true;
+  Scenario sc(std::move(cfg));
+  attacks::DelayAttackConfig attack;
+  attack.kind = attacks::AttackKind::kFMinus;
+  attack.victim = sc.node_address(2);
+  attack.ta_address = sc.ta_address();
+  sc.add_delay_attack(attack);
+  Recorder rec(sc);
+  sc.start();
+  sc.run_until(minutes(5));
+  ASSERT_EQ(sc.trace()->dropped(), 0u);
+
+  std::size_t adoptions = 0;
+  std::size_t state_changes = 0;
+  std::size_t peer_adoptions = 0;
+  sc.trace()->for_each([&](const obs::TraceEvent& event) {
+    if (event.type == obs::TraceEventType::kAdoption) {
+      ASSERT_LT(adoptions, rec.adoptions().size());
+      const AdoptionEvent& got = rec.adoptions()[adoptions++];
+      EXPECT_EQ(got.at, event.at);
+      EXPECT_EQ(sc.node_address(got.node), event.node);
+      EXPECT_EQ(got.local_before, event.a);
+      EXPECT_EQ(got.adopted, event.b);
+      EXPECT_EQ(got.source, event.peer);
+      if (got.source != sc.ta_address()) ++peer_adoptions;
+    } else if (event.type == obs::TraceEventType::kStateChange) {
+      ASSERT_LT(state_changes, rec.state_changes().size());
+      const StateChangeEvent& got = rec.state_changes()[state_changes++];
+      EXPECT_EQ(got.at, event.at);
+      EXPECT_EQ(sc.node_address(got.node), event.node);
+      EXPECT_EQ(static_cast<std::int64_t>(got.from), event.a);
+      EXPECT_EQ(static_cast<std::int64_t>(got.to), event.b);
+    }
+  });
+  EXPECT_EQ(adoptions, rec.adoptions().size());
+  EXPECT_EQ(state_changes, rec.state_changes().size());
+  EXPECT_GT(peer_adoptions, 0u);
+  EXPECT_GT(state_changes, 3u);
+}
+
 TEST(Recorder, DriftRateOfCleanNodeIsSmall) {
   ScenarioConfig cfg;
   cfg.seed = 9;

@@ -20,8 +20,8 @@ constexpr NodeId kTa = 100;
 
 struct Cluster {
   explicit Cluster(std::size_t n, Duration net_delay = microseconds(200),
-                   TriadConfig base = {})
-      : harness(make_config(n, net_delay)) {
+                   TriadConfig base = {}, obs::TraceSink* trace = nullptr)
+      : harness(make_config(n, net_delay, trace)) {
     ta = &harness.make_time_authority();
     for (std::size_t i = 0; i < n; ++i) {
       nodes.push_back(&harness.add_node(base));
@@ -32,13 +32,15 @@ struct Cluster {
   }
 
   static runtime::ClusterConfig make_config(std::size_t n,
-                                            Duration net_delay) {
+                                            Duration net_delay,
+                                            obs::TraceSink* trace) {
     runtime::ClusterConfig config;
     config.seed = 1234;
     config.node_count = n;
     config.ta_address = kTa;
     config.delay = std::make_unique<net::FixedDelay>(net_delay);
     config.master_secret = Bytes(32, 9);
+    config.obs.trace = trace;
     return config;
   }
 
@@ -288,20 +290,25 @@ TEST(TriadNode, TaTimeoutTriggersResend) {
 }
 
 TEST(TriadNode, HooksFireOnStateChangesAndAdoptions) {
-  Cluster c(2);
-  int state_changes = 0;
-  int adoptions = 0;
-  NodeHooks hooks;
-  hooks.on_state_change = [&](NodeState, NodeState) { ++state_changes; };
-  hooks.on_adoption = [&](SimTime, SimTime, NodeId source) {
-    ++adoptions;
-    EXPECT_EQ(source, kTa);  // initial calibration adopts from the TA
-  };
-  c.nodes[0]->set_hooks(std::move(hooks));
+  // Counts node 1's state changes and adoptions off the trace stream.
+  struct CountingSink final : obs::TraceSink {
+    void emit(const obs::TraceEvent& event) override {
+      if (event.node != 1) return;
+      if (event.type == obs::TraceEventType::kStateChange) ++state_changes;
+      if (event.type == obs::TraceEventType::kAdoption) {
+        ++adoptions;
+        EXPECT_EQ(event.peer, kTa);  // initial calibration adopts from the TA
+      }
+    }
+    int state_changes = 0;
+    int adoptions = 0;
+  } sink;
+  Cluster c(2, microseconds(200), {}, &sink);
+  ASSERT_EQ(c.nodes[0]->config().id, 1u);
   c.start_all();
   c.sim->run_until(seconds(30));
-  EXPECT_GE(state_changes, 1);  // FullCalib -> Ok
-  EXPECT_EQ(adoptions, 1);
+  EXPECT_GE(sink.state_changes, 1);  // FullCalib -> Ok
+  EXPECT_EQ(sink.adoptions, 1);
 }
 
 TEST(TriadNode, InvalidConfigRejected) {

@@ -26,6 +26,7 @@
 #include "obs/forensic.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -1114,6 +1115,82 @@ TEST(ObsForensics, FMinusSpansChainBackToTheVictimCalibration) {
   // The poisoned slope is ~10% below nominal 2.9 GHz.
   EXPECT_LT(chain[1]->calib_slope_hz, 2.7e9);
   EXPECT_GT(chain[1]->calib_slope_hz, 2.5e9);
+}
+
+TEST(ObsForensics, LongJumpChainsPrintLinearReports) {
+  // Span i calibrates on node i+1, then jumps 10 ms onto node i's clock:
+  // its cause is span i-1, so span i's chain is i+1 spans long. Printed
+  // in full, the chains would total k²/2 links; capped, each jump costs
+  // a bounded number of bytes.
+  constexpr std::uint32_t kSpans = 4096;
+  const auto id_of = [](std::uint32_t i) {
+    return make_span_id(i % 1000 + 1, i / 1000 + 1);
+  };
+  std::vector<TraceEvent> events;
+  for (std::uint32_t i = 0; i < kSpans; ++i) {
+    events.push_back(calibration_event(10 * i, i + 1, id_of(i), 2.9e9));
+    if (i > 0) {
+      events.push_back(adoption_event(10 * i + 5, i + 1, i, id_of(i), 0,
+                                      milliseconds(10)));
+    }
+  }
+  // Every span but the first jumps; uncapped, the average jump would
+  // print ~2,000 chain links (~100 KiB).
+  constexpr std::size_t kJumps = kSpans - 1;
+  constexpr std::size_t kBytesPerJump = 1500;
+  const std::size_t more = kJumps - kMaxChainLinks;
+  const std::string text = forensic_report(events);
+  EXPECT_LT(text.size(), kJumps * kBytesPerJump);
+  EXPECT_NE(text.find(" <- \u2026 (" + std::to_string(more) + " more)\n"),
+            std::string::npos);
+  // A chain within the cap prints whole.
+  EXPECT_NE(text.find("node 2 jumped +10.0 ms <- adoption from node 1 <- "
+                      "node 1 calibrated slope 2900.000 MHz (span 1:1)\n"),
+            std::string::npos);
+  ForensicOptions options;
+  options.json = true;
+  const std::string json = forensic_report(std::move(events), options);
+  EXPECT_LT(json.size(), kJumps * kBytesPerJump);
+  EXPECT_NE(json.find("\"chain_more\":" + std::to_string(more) + "}"),
+            std::string::npos);
+}
+
+TEST(ObsForensics, CappedChainsCountWhatTheyLeaveOut) {
+  // 300 calibration spans, then each adopts from a pseudo-random node:
+  // span i's cause is that node's span. Every span has a cause, so every
+  // chain is a tail ending in a loop, some of them past the cap. Each
+  // jump keeps chain()'s first 1 + kMaxChainLinks spans and counts the
+  // rest.
+  constexpr std::uint32_t kSpans = 300;
+  std::vector<TraceEvent> events;
+  for (std::uint32_t i = 0; i < kSpans; ++i) {
+    events.push_back(calibration_event(i, i + 1, make_span_id(i + 1, 1),
+                                       2.9e9));
+  }
+  std::uint64_t state = 12345;
+  for (std::uint32_t i = 0; i < kSpans; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    // Mostly a near predecessor (long chains), sometimes any node (loops).
+    const std::uint32_t back = static_cast<std::uint32_t>(state >> 33) % 40;
+    const NodeId source = back < 36 ? (i > back ? i - back : 1)
+                                    : static_cast<NodeId>(back * i % kSpans) + 1;
+    events.push_back(adoption_event(kSpans + i, i + 1, source,
+                                    make_span_id(i + 1, 1), 0,
+                                    milliseconds(10)));
+  }
+  const SpanIndex index(events);
+  const std::vector<JumpFact> jumps = significant_jumps(index, 0, 5.0);
+  std::size_t capped = 0;
+  for (const JumpFact& jump : jumps) {
+    const std::vector<const Span*> full = index.chain(jump.span->id);
+    ASSERT_EQ(jump.chain.size() + jump.chain_more, full.size());
+    ASSERT_LE(jump.chain.size(), 1 + kMaxChainLinks);
+    EXPECT_TRUE(std::equal(jump.chain.begin(), jump.chain.end(),
+                           full.begin()));
+    if (jump.chain_more > 0) ++capped;
+  }
+  EXPECT_GT(capped, 10u);
+  EXPECT_LT(capped, jumps.size());
 }
 
 // --- report equivalence oracle --------------------------------------------
